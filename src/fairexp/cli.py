@@ -13,7 +13,14 @@ import sys
 from pathlib import Path
 
 from .data import SyntheticSpec, load_svmlight, assign_groups
-from .harness import ALGORITHMS, ExperimentConfig, run_experiment, sweep, evaluate_offline
+from .harness import (
+    ALGORITHMS,
+    ExperimentConfig,
+    evaluate_offline,
+    holdout_view,
+    run_experiment,
+    sweep,
+)
 from .ranker import load_checkpoint
 
 _SYNTHETIC_KEYS = {
@@ -160,7 +167,9 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         values["minmax"] = True
     if values.get("epsilon") is not None and math.isinf(values["epsilon"]):
         values["epsilon"] = float("inf")
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**values)
+    config.validate()
+    return config
 
 
 def main(argv=None) -> int:
@@ -210,7 +219,7 @@ def main(argv=None) -> int:
         test = load_svmlight(args.test_file, split="test")
         if args.group_feature is not None:
             assign_groups(test, args.group_feature)
-        print(f"offline_ndcg10={evaluate_offline(state, test):.6f}")
+        print(f"offline_ndcg10={evaluate_offline(state, holdout_view(test)):.6f}")
         return 0
 
     return 1

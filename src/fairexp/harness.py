@@ -84,6 +84,10 @@ class ExperimentConfig:
             raise ValueError("rounds and k must be >= 1")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+        if not self.alpha >= 0:
+            raise ValueError("alpha must be >= 0")
+        if self.eval_stride < 1:
+            raise ValueError("eval_stride must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         if isinstance(self.beta, str) and self.beta != "auto":
@@ -206,17 +210,76 @@ def prop_control_rank(
     return list(np.argsort(-adjusted, kind="stable"))
 
 
-def evaluate_offline(state: ranker.RankerState, test_split: GroupedDataset) -> float:
-    """Mean NDCG@10 of greedy score rankings over the hold-out queries."""
-    if not test_split.queries:
+@dataclass(frozen=True)
+class _LengthGroup:
+    """The hold-out queries that have one candidate count n, stacked.
+
+    ``features`` is 3-D so that ``score_all`` makes one matrix-vector
+    product per query, with the rounding of a per-query call; one flat
+    (m*n, d) product rounds some rows differently and can reorder ties.
+    """
+
+    positions: np.ndarray  # (m,) index of each query in the split
+    features: np.ndarray  # (m, n, d)
+    grades: np.ndarray  # (m, n) float64
+    ideal_dcg: np.ndarray  # (m,) DCG@10 of each query's grades sorted descending
+
+
+@dataclass(frozen=True)
+class HoldoutView:
+    """A read-only snapshot of a hold-out split for ``evaluate_offline``.
+
+    Queries are grouped by length so that every row of a group sums exactly
+    the ``min(10, n)`` DCG terms that ``metrics.dcg`` sums. Build it with
+    ``holdout_view`` after the split's last in-place change (grouping,
+    scaling); later changes to the split do not reach it.
+    """
+
+    n_queries: int
+    groups: tuple[_LengthGroup, ...]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def holdout_view(split: GroupedDataset) -> HoldoutView:
+    """Stack a hold-out split once, for every later ``evaluate_offline``."""
+    if not split.queries:
         raise ValueError("test split is empty")
-    total = 0.0
-    for q in test_split.queries:
-        scores = ranker.score_all(state, q.feature_matrix())
-        order = np.argsort(-scores, kind="stable")
-        grades = q.grades()
-        total += metrics.ndcg_at_k(grades[order], 10, ideal_grades=grades)
-    return total / len(test_split.queries)
+    by_length: dict[int, list[int]] = {}
+    for position, query in enumerate(split.queries):
+        by_length.setdefault(len(query), []).append(position)
+    groups = []
+    for positions in by_length.values():
+        queries = [split.queries[p] for p in positions]
+        grades = np.stack([q.grades() for q in queries]).astype(np.float64)
+        groups.append(
+            _LengthGroup(
+                positions=_frozen(np.array(positions)),
+                features=_frozen(np.stack([q.feature_matrix() for q in queries])),
+                grades=_frozen(grades),
+                ideal_dcg=_frozen(metrics.dcg_rows(np.sort(grades, axis=1)[:, ::-1], 10)),
+            )
+        )
+    return HoldoutView(n_queries=len(split.queries), groups=tuple(groups))
+
+
+def evaluate_offline(state: ranker.RankerState, holdout: HoldoutView) -> float:
+    """Mean NDCG@10 of greedy score rankings over the hold-out queries.
+
+    A query whose ideal DCG is zero counts as 1.0, as in ``metrics.ndcg_at_k``.
+    """
+    ndcg = np.empty(holdout.n_queries)
+    for group in holdout.groups:
+        scores = ranker.score_all(state, group.features)
+        order = np.argsort(-scores, axis=1, kind="stable")[:, :10]
+        dcg = metrics.dcg_rows(np.take_along_axis(group.grades, order, axis=1), 10)
+        ideal = group.ideal_dcg
+        ndcg[group.positions] = np.divide(dcg, ideal, out=np.ones_like(dcg), where=ideal != 0.0)
+    # a left-to-right running sum in split order, not numpy's pairwise sum
+    return float(np.cumsum(ndcg)[-1]) / holdout.n_queries
 
 
 def _rank_fairexp(state, query, exposure_model, ledger, config, rng, k_t):
@@ -264,6 +327,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     state = ranker.RankerState.initial(train.dimension, config.lam)
     ledger = fairness.UnfairnessLedger(beta=beta, epsilon=config.epsilon)
+    holdout = holdout_view(test)
 
     records: list[metrics.RoundRecord] = []
     flagged: list[int] = []
@@ -319,7 +383,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
             online = metrics.ndcg_at_k(displayed_grades, 10, ideal_grades=grades)
             if offline_value is None or t % config.eval_stride == 0:
-                offline_value = evaluate_offline(state, test)
+                offline_value = evaluate_offline(state, holdout)
             records.append(
                 metrics.RoundRecord(
                     round=t,
@@ -396,7 +460,7 @@ def _sweep_worker(args) -> tuple[dict, float]:
     result = run_experiment(cfg)
     train, valid, test = load_datasets(cfg)
     target = valid if valid is not None else test
-    return params, evaluate_offline(result.state, target)
+    return params, evaluate_offline(result.state, holdout_view(target))
 
 
 def sweep(config: ExperimentConfig, workers: int = 1):

@@ -27,6 +27,14 @@ def dcg(grades, k: int) -> float:
     return float(np.sum((2.0**g - 1.0) * discounts))
 
 
+def dcg_rows(grades: np.ndarray, k: int) -> np.ndarray:
+    """``dcg(row, k)`` of every row of a 2-D grade array, bit for bit: the
+    same gains and discounts, and the same numpy sum over each row."""
+    top = np.asarray(grades, dtype=np.float64)[:, :k]
+    discounts = 1.0 / np.log2(np.arange(2, top.shape[1] + 2))
+    return np.sum((2.0**top - 1.0) * discounts, axis=1)
+
+
 def ndcg_at_k(grades, k: int, ideal_grades=None) -> float:
     """NDCG of a displayed grade sequence, truncated at k.
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from fairexp.cli import build_config, main, parse_config_file, parse_synthetic_flag
+from fairexp.ranker import DimensionError
 
 
 SYNTH = "n_queries=10,docs_per_query=6,d=4,seed=3"
@@ -65,6 +66,19 @@ def test_cli_overrides_file(tmp_path):
     assert math.isinf(config.epsilon)
 
 
+@pytest.mark.parametrize("flag, value", [("--eval-stride", "0"), ("--alpha", "-1")])
+def test_build_config_rejects_out_of_range_values(flag, value):
+    import argparse
+
+    from fairexp.cli import _add_common_flags
+
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    args = parser.parse_args(["--synthetic", SYNTH, flag, value])
+    with pytest.raises(ValueError, match=flag[2:].replace("-", "_")):
+        build_config(args)
+
+
 def test_run_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
@@ -104,6 +118,17 @@ def test_eval_subcommand(tmp_path, capsys):
     code = main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--test-file", str(test_file)])
     assert code == 0
     assert "offline_ndcg10=" in capsys.readouterr().out
+
+
+def test_eval_subcommand_rejects_a_test_file_of_another_width(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--synthetic", SYNTH, "--rounds", "5", "--k", "3", "--out", str(out)])
+    capsys.readouterr()
+
+    test_file = tmp_path / "test.txt"
+    test_file.write_text("1 qid:1 1:0.1 2:0.2 3:0.3\n0 qid:1 1:0.3 2:0.1 3:0.0\n", encoding="utf-8")
+    with pytest.raises(DimensionError):
+        main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--test-file", str(test_file)])
 
 
 def test_sweep_subcommand(tmp_path, capsys):

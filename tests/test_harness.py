@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fairexp.data import SyntheticSpec, generate_synthetic
+from fairexp.data import Document, GroupedDataset, QueryCandidates, SyntheticSpec, generate_synthetic
 from fairexp.fairness import UnfairnessLedger
 from fairexp.harness import (
     ExperimentConfig,
     evaluate_offline,
+    holdout_view,
     load_datasets,
     prop_control_rank,
     resolve_beta,
@@ -15,8 +16,8 @@ from fairexp.harness import (
     sample_block_order,
     sweep,
 )
-from fairexp.metrics import TRACE_COLUMNS
-from fairexp.ranker import BlockPartition, RankerState, load_checkpoint
+from fairexp.metrics import TRACE_COLUMNS, ndcg_at_k
+from fairexp.ranker import BlockPartition, DimensionError, RankerState, load_checkpoint, score_all
 
 
 def small_spec(**kwargs):
@@ -53,6 +54,18 @@ class TestConfig:
             ExperimentConfig(synthetic=small_spec(), beta="ratio").validate()
         with pytest.raises(ValueError):
             ExperimentConfig().validate()  # no data source
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eval_stride", 0), ("eval_stride", -3), ("alpha", -1.0), ("alpha", float("nan"))],
+    )
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [("eval_stride", 1), ("alpha", 0.0)])
+    def test_range_edges_accepted(self, field, value):
+        small_config(**{field: value}).validate()
 
     def test_beta_auto(self):
         config = small_config(beta="auto")
@@ -165,31 +178,88 @@ class TestPropControl:
             prop_control_rank(np.array([1.0]), ["A"], ledger, -0.1)
 
 
+RAGGED_LENGTHS = (1, 2, 3, 5, 7, 8, 9, 10, 11, 15, 23)
+
+
+def ragged_split(d=4):
+    """Hold-out queries of many lengths, with tied scores and a query whose
+    grades are all 0 (its ideal DCG is 0)."""
+    rng = np.random.default_rng(3)
+    queries = []
+    for qi, n in enumerate(RAGGED_LENGTHS):
+        x = rng.standard_normal((n, d))
+        grades = rng.integers(0, 5, size=n)
+        if n >= 3:
+            x[1] = x[0]  # identical rows score equal under every theta
+            x[-1] = x[0]
+        if qi == 6:
+            grades[:] = 0
+        docs = [Document(features=x[i], grade=int(grades[i]), group="A") for i in range(n)]
+        queries.append(QueryCandidates(query_id=f"h{qi}", documents=docs))
+    # a second query of an already seen length, later in split order
+    queries.insert(4, QueryCandidates(query_id="h2b", documents=queries[2].documents[::-1]))
+    return GroupedDataset(queries=queries, dimension=d, split="test")
+
+
+def per_query_ndcg10(state, split):
+    """The mean NDCG@10 as a loop over queries with metrics.ndcg_at_k."""
+    total = 0.0
+    for q in split.queries:
+        order = np.argsort(-score_all(state, q.feature_matrix()), kind="stable")
+        grades = q.grades()
+        total += ndcg_at_k(grades[order], 10, ideal_grades=grades)
+    return total / len(split.queries)
+
+
 class TestEvaluateOffline:
     def test_true_theta_is_perfect_without_noise(self):
         config = small_config(synthetic=small_spec(grade_noise=0.0))
         train, _, test = load_datasets(config)
         state = RankerState.initial(5, lam=0.1)
         state.theta = train.true_theta.copy()
-        assert evaluate_offline(state, test) == pytest.approx(1.0)
+        assert evaluate_offline(state, holdout_view(test)) == pytest.approx(1.0)
 
     def test_zero_theta_matches_dataset_order_baseline(self):
-        from fairexp.metrics import ndcg_at_k
-
         config = small_config()
         _, _, test = load_datasets(config)
         state = RankerState.initial(5, lam=0.1)
         expected = np.mean(
             [ndcg_at_k(q.grades(), 10, ideal_grades=q.grades()) for q in test.queries]
         )
-        assert evaluate_offline(state, test) == pytest.approx(float(expected))
+        assert evaluate_offline(state, holdout_view(test)) == pytest.approx(float(expected))
 
     def test_empty_split_rejected(self):
-        from fairexp.data import GroupedDataset
-
         state = RankerState.initial(3, lam=0.1)
         with pytest.raises(ValueError):
-            evaluate_offline(state, GroupedDataset(queries=[], dimension=3))
+            evaluate_offline(state, holdout_view(GroupedDataset(queries=[], dimension=3)))
+
+    def test_ragged_split_equals_per_query_loop(self):
+        split = ragged_split()
+        view = holdout_view(split)
+        rng = np.random.default_rng(11)
+        thetas = [np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.5, 0.5, -0.5, 0.0])]
+        thetas += [rng.standard_normal(4) * scale for scale in (1e-9, 1.0, 1e3) for _ in range(20)]
+        for theta in thetas:
+            state = RankerState.initial(4, lam=0.1)
+            state.theta = theta
+            assert evaluate_offline(state, view) == per_query_ndcg10(state, split)
+
+    def test_view_is_a_read_only_snapshot(self):
+        split = ragged_split()
+        view = holdout_view(split)
+        state = RankerState.initial(4, lam=0.1)
+        state.theta = np.array([1.0, -1.0, 0.5, 0.0])
+        before = evaluate_offline(state, view)
+        for doc in split.all_documents():
+            doc.features *= -1.0
+        assert evaluate_offline(state, view) == before
+        with pytest.raises(ValueError):
+            view.groups[0].features[0, 0, 0] = 1.0
+
+    def test_dimension_mismatch_raises(self):
+        state = RankerState.initial(5, lam=0.1)
+        with pytest.raises(DimensionError):
+            evaluate_offline(state, holdout_view(ragged_split(d=4)))
 
 
 class TestSampleBlockOrder:

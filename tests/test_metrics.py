@@ -5,6 +5,7 @@ from fairexp.metrics import (
     RoundRecord,
     cumulative_ndcg,
     dcg,
+    dcg_rows,
     ndcg_at_k,
     pairwise_regret,
     trace_header,
@@ -56,6 +57,14 @@ class TestNdcg:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             ndcg_at_k([1], 0)
+
+
+def test_dcg_rows_equals_dcg_of_each_row():
+    rng = np.random.default_rng(4)
+    for n in (0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 15, 23):
+        grades = rng.integers(0, 5, size=(6, n))
+        for k in (1, 5, 10):
+            assert dcg_rows(grades, k).tolist() == [dcg(row, k) for row in grades]
 
 
 class TestCumulativeNdcg:
