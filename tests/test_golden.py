@@ -1,5 +1,6 @@
 """Golden fingerprints: SHA-256 of ``trace.csv`` and ``summary.txt`` for four
-short fixed runs, one per algorithm.
+short fixed runs, one per algorithm, and of one calibration-heavy run that
+also writes ``fairswap.log``.
 
 A refactor or speed-up that claims to change nothing observable must leave
 these hashes as they are. A change that moves them on purpose re-records
@@ -11,6 +12,11 @@ written by the test with ragged query lengths (1 to 23 documents in the
 hold-out split, one hold-out query with all grades 0), so the hold-out
 evaluation sees queries shorter and longer than its cut-off of 10.
 
+The calibration run serves 40 candidates per query at k=10, so every round
+calibrates dozens of qualified templates and promotes documents between
+blocks; ``fairswap.log`` prints each promotion of the chosen template with
+the group-B counts and sizes of the blocks below it.
+
 The hashes were recorded with numpy 2.4.6 and scipy-openblas 0.3.31 on
 x86-64. Another BLAS or numpy version may round the ranker's arithmetic
 differently, which moves the hashes without any change in the package.
@@ -21,6 +27,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from fairexp.data import SyntheticSpec
 from fairexp.harness import ALGORITHMS, ExperimentConfig, run_experiment
 
 D = 6
@@ -46,6 +53,12 @@ GOLDEN = {
         "3e7e957c901c5c268c0bb4efe233b4bb9b2c941d4f3b8e296094bc2ce6ef915a",
     ),
 }
+
+CALIBRATION_GOLDEN = (
+    "958a9561b96b3459d722458ae522141d3e0f6b33baade6d7ea4d1eb0a83680a8",
+    "28cc61a467f3da2a8eaddb30c9d378fb2d096b934e21aa23426e56860d880f60",
+    "1972fc5dc384e0fceba8d0d40c61aa1f2a437ea22a2ea3e342121b4e96a04678",
+)
 
 
 def _split_lines(rng, theta, lengths, prefix, all_zero=None):
@@ -101,3 +114,28 @@ def test_trace_and_summary_fingerprints(algorithm, tmp_path):
     )
     run_experiment(config)
     assert (sha256(out / "trace.csv"), sha256(out / "summary.txt")) == GOLDEN[algorithm]
+
+
+def test_calibration_fingerprints(tmp_path):
+    spec = SyntheticSpec(n_queries=12, docs_per_query=40, d=6, grade_noise=0.1, seed=5)
+    config = ExperimentConfig(
+        algorithm="fairexp_pairrank",
+        synthetic=spec,
+        n_validation=4,
+        n_test=4,
+        rounds=40,
+        k=10,
+        lam=0.1,
+        alpha=0.1,
+        beta=1.0,
+        epsilon=0.1,
+        seed=11,
+        eval_stride=10,
+        diagnostics=True,
+        out_dir=str(tmp_path),
+    )
+    run_experiment(config)
+    log = (tmp_path / "fairswap.log").read_text(encoding="utf-8")
+    assert log.count("b_counts=") > 100  # the run promotes, not only calibrates
+    got = tuple(sha256(tmp_path / name) for name in ("trace.csv", "summary.txt", "fairswap.log"))
+    assert got == CALIBRATION_GOLDEN
