@@ -21,7 +21,7 @@ from .harness import (
     run_experiment,
     sweep,
 )
-from .ranker import load_checkpoint
+from .ranker import DimensionError, load_checkpoint
 
 _SYNTHETIC_KEYS = {
     "n_queries": int,
@@ -219,7 +219,15 @@ def main(argv=None) -> int:
         test = load_svmlight(args.test_file, split="test")
         if args.group_feature is not None:
             assign_groups(test, args.group_feature)
-        print(f"offline_ndcg10={evaluate_offline(state, holdout_view(test)):.6f}")
+        try:
+            ndcg = evaluate_offline(state, holdout_view(test))
+        except DimensionError as exc:
+            print(
+                f"fairexp eval: error: {args.test_file} does not fit the checkpoint: {exc}",
+                file=sys.stderr,
+            )
+            return 2
+        print(f"offline_ndcg10={ndcg:.6f}")
         return 0
 
     return 1

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -75,24 +76,20 @@ class CalibratedRanking:
     events: list[SwapEvent] = field(default_factory=list)
 
 
-def added_regret(order, certain) -> int:
-    """Count certain pairs (winner, loser) whose loser precedes the winner."""
-    position = {doc: p for p, doc in enumerate(order)}
-    count = 0
-    for winner, loser in certain:
-        pw = position.get(winner)
-        pl = position.get(loser)
-        if pw is not None and pl is not None and pl < pw:
-            count += 1
-    return count
+def added_regret(order, certain: set[tuple[int, int]]) -> int:
+    """Count certain pairs (winner, loser) whose loser precedes the winner.
+
+    Only the k(k-1)/2 displayed pairs are looked up in ``certain``.
+    """
+    return len(certain.intersection(combinations(reversed(order), 2)))
 
 
 def _within_block_wins(partition: BlockPartition, certain) -> dict[int, int]:
-    origin = {doc: bi for bi, block in enumerate(partition.blocks) for doc in block}
-    wins = {doc: 0 for doc in origin}
-    for winner, loser in certain:
-        if winner in origin and origin.get(loser) == origin[winner]:
-            wins[winner] += 1
+    # only the sum(|b|^2) same-block pairs are looked up in ``certain``
+    wins = dict.fromkeys(partition.documents(), 0)
+    same_block = chain.from_iterable(product(block, block) for block in partition.blocks)
+    for winner, _ in certain.intersection(same_block):
+        wins[winner] += 1
     return wins
 
 
@@ -105,7 +102,7 @@ def _donor_sort_key(doc: int, wins, scores):
 def fair_swap(
     partition: BlockPartition,
     template: GroupTemplate,
-    certain,
+    certain: set[tuple[int, int]],
     groups: dict[int, str],
     rng: np.random.Generator,
     scores: dict[int, float] | None = None,
@@ -118,6 +115,9 @@ def fair_swap(
     ``respect_certain`` (default), certain orders between documents of the
     same original block are followed where the slot pattern allows;
     disabling it recovers pure seeded shuffling within blocks.
+
+    One calibration looks ``certain`` up O(k^3 + sum(|b|^2)) times over the
+    blocks b, and never scans it: its cost does not grow with len(certain).
     """
     docs_all = [doc for block in partition.blocks for doc in block]
     if len(set(docs_all)) != len(docs_all):
@@ -135,7 +135,6 @@ def fair_swap(
     scores = scores or {}
     origin = {doc: bi for bi, block in enumerate(partition.blocks) for doc in block}
     wins = _within_block_wins(partition, certain)
-    certain_set = set(certain)
 
     work: deque[list[int]] = deque(list(block) for block in partition.blocks)
     out_blocks: list[list[int]] = []
@@ -189,7 +188,7 @@ def fair_swap(
             displaced.extend(ranked[keep:])
 
         order.extend(
-            _fill_segment(seg, displayed, origin, certain_set, groups, rng, respect_certain)
+            _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain)
         )
         out_blocks.append(sorted(displayed))
         if displaced:
@@ -200,7 +199,7 @@ def fair_swap(
     partition_after = BlockPartition(blocks=out_blocks + [sorted(b) for b in work])
     return CalibratedRanking(
         order=order,
-        added_regret=added_regret(order, certain_set),
+        added_regret=added_regret(order, certain),
         template=template,
         partition_after=partition_after,
         events=events,
@@ -237,7 +236,7 @@ def _fill_segment(
     seg,
     displayed: list[int],
     origin: dict[int, int],
-    certain_set: set,
+    certain: set[tuple[int, int]],
     groups,
     rng: np.random.Generator,
     respect_certain: bool,
@@ -269,7 +268,7 @@ def _fill_segment(
                     return sum(
                         1
                         for other in unplaced_same_origin
-                        if other != doc and (other, doc) in certain_set
+                        if other != doc and (other, doc) in certain
                     )
 
                 best = min(dominators(d) for d in pool)
@@ -286,7 +285,7 @@ def _fill_segment(
 def select_ranking(
     partition: BlockPartition,
     templates: list[GroupTemplate],
-    certain,
+    certain: set[tuple[int, int]],
     groups: dict[int, str],
     rng: np.random.Generator,
     projections: list[float] | None = None,
@@ -298,7 +297,8 @@ def select_ranking(
     Ties on added regret break toward the smaller projected unfairness
     magnitude (when given), then the lexicographically smallest placement,
     so concurrent evaluation can never change the outcome. Each template
-    gets an independently derived seed.
+    gets an independently derived seed and one ``fair_swap`` call, whose
+    cost does not grow with len(certain).
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")

@@ -319,7 +319,14 @@ def _rank_fairexp(state, query, exposure_model, ledger, config, rng, k_t):
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
-    train, valid, test = load_datasets(config)
+    train, _, test = load_datasets(config)
+    return _run_loaded(config, train, test)
+
+
+def _run_loaded(
+    config: ExperimentConfig, train: GroupedDataset, test: GroupedDataset
+) -> ExperimentResult:
+    """The round loop of ``run_experiment`` on splits already loaded."""
     beta = resolve_beta(config, train)
     click_model = resolve_click_model(config)
     exposure_model = resolve_exposure(config)
@@ -457,8 +464,9 @@ def _write_summary(path: Path, summary: dict) -> None:
 def _sweep_worker(args) -> tuple[dict, float]:
     config, params = args
     cfg = replace(config, **params, out_dir=None)
-    result = run_experiment(cfg)
+    cfg.validate()
     train, valid, test = load_datasets(cfg)
+    result = _run_loaded(cfg, train, test)
     target = valid if valid is not None else test
     return params, evaluate_offline(result.state, holdout_view(target))
 

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from fairexp.cli import build_config, main, parse_config_file, parse_synthetic_flag
-from fairexp.ranker import DimensionError
 
 
 SYNTH = "n_queries=10,docs_per_query=6,d=4,seed=3"
@@ -127,8 +126,14 @@ def test_eval_subcommand_rejects_a_test_file_of_another_width(tmp_path, capsys):
 
     test_file = tmp_path / "test.txt"
     test_file.write_text("1 qid:1 1:0.1 2:0.2 3:0.3\n0 qid:1 1:0.3 2:0.1 3:0.0\n", encoding="utf-8")
-    with pytest.raises(DimensionError):
-        main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--test-file", str(test_file)])
+    code = main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--test-file", str(test_file)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"fairexp eval: error: {test_file} does not fit the checkpoint: "
+        "feature dimension 3 != model dimension 4"
+    ]
 
 
 def test_sweep_subcommand(tmp_path, capsys):

@@ -11,6 +11,8 @@ minimum over all leaves exactly.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from calibration_oracle import (
     brute_added_regret,
@@ -24,6 +26,7 @@ from fairexp.fairswap import (
     CalibratedRanking,
     InfeasibleTemplateError,
     MalformedPartitionError,
+    _within_block_wins,
     added_regret,
     fair_swap,
     select_ranking,
@@ -227,6 +230,53 @@ class TestAddedRegret:
                     if i != j and rng.random() < 0.3 and (j, i) not in certain:
                         certain.add((i, j))
             assert added_regret(order, certain) == brute_added_regret(order, certain)
+
+
+# ---------------------------------------------------------------------------
+# certain-set lookups against the definitions that scan every certain pair
+
+# documents 0..9 are displayed or partitioned; certain pairs may also name
+# 10..13, which never are, and pairs of a document with itself
+DOCS = st.lists(st.integers(0, 9), unique=True, max_size=10)
+CERTAIN = st.sets(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=60)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def unsorted_blocks(draw):
+    docs = draw(DOCS)  # drawn order, not sorted
+    cuts = draw(st.sets(st.integers(1, 9)))
+    bounds = [0, *sorted(c for c in cuts if c < len(docs)), len(docs)]
+    return [docs[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
+def scan_within_block_wins(blocks, certain):
+    origin = {doc: bi for bi, block in enumerate(blocks) for doc in block}
+    wins = {doc: 0 for doc in origin}
+    for winner, loser in certain:
+        if winner in origin and origin.get(loser) == origin[winner]:
+            wins[winner] += 1
+    return wins
+
+
+class TestCertainLookups:
+    @PROPERTY
+    @given(order=DOCS, certain=CERTAIN)
+    @example(order=[], certain={(0, 1), (1, 0)})
+    @example(order=[3], certain={(3, 3), (3, 4), (4, 3)})
+    @example(order=[2, 12, 0], certain={(0, 2), (12, 2), (0, 11)})
+    def test_added_regret_matches_the_scan(self, order, certain):
+        assert added_regret(order, certain) == brute_added_regret(order, certain)
+
+    @PROPERTY
+    @given(blocks=unsorted_blocks(), certain=CERTAIN)
+    @example(blocks=[], certain={(0, 1)})
+    @example(blocks=[[4]], certain={(4, 4), (4, 11)})
+    @example(blocks=[[5, 0, 9, 2, 7]], certain={(9, 0), (0, 9), (2, 12), (7, 7)})
+    @example(blocks=[[3, 1], [0, 2]], certain={(3, 1), (1, 0), (2, 0), (13, 3)})
+    def test_within_block_wins_matches_the_scan(self, blocks, certain):
+        got = _within_block_wins(BlockPartition(blocks=blocks), certain)
+        assert got == scan_within_block_wins(blocks, certain)
 
 
 class TestSelectRanking:

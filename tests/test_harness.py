@@ -366,6 +366,20 @@ class TestRobustness:
         result = run_experiment(config)
         assert len(result.records) == 60
 
+    def test_sweep_loads_each_jobs_datasets_once(self, monkeypatch):
+        from fairexp import harness
+
+        calls = []
+
+        def counting_load(config):
+            calls.append((config.lam, config.alpha))
+            return load_datasets(config)
+
+        monkeypatch.setattr(harness, "load_datasets", counting_load)
+        _, results = sweep(small_config(rounds=5), workers=1)
+        assert len(results) == 9
+        assert sorted(calls) == sorted((p["lam"], p["alpha"]) for p, _ in results)
+
     def test_sweep_with_two_workers_matches_serial(self):
         config = small_config(rounds=10)
         serial = sweep(config, workers=1)
