@@ -1,6 +1,6 @@
 """Golden fingerprints: SHA-256 of ``trace.csv`` and ``summary.txt`` for four
-short fixed runs, one per algorithm, and of one calibration-heavy run that
-also writes ``fairswap.log``.
+short fixed runs, one per algorithm; of one calibration-heavy run that also
+writes ``fairswap.log``; and of one run at the MSLR feature width.
 
 A refactor or speed-up that claims to change nothing observable must leave
 these hashes as they are. A change that moves them on purpose re-records
@@ -16,6 +16,13 @@ The calibration run serves 40 candidates per query at k=10, so every round
 calibrates dozens of qualified templates and promotes documents between
 blocks; ``fairswap.log`` prints each promotion of the chosen template with
 the group-B counts and sizes of the blocks below it.
+
+The high-dimension run ranks 12 candidates of 136 features with
+navigational clicks, so few pairs are buffered (138 in 150 rounds) and
+about half of the classified pairs stay uncertain. Each confidence width
+is then a sum over 136 x 136 terms, where a change in the order of the
+width arithmetic is far more likely to round a pair across p +/- w = 1/2
+than at the d=6 of the other runs.
 
 The hashes were recorded with numpy 2.4.6 and scipy-openblas 0.3.31 on
 x86-64. Another BLAS or numpy version may round the ranker's arithmetic
@@ -58,6 +65,11 @@ CALIBRATION_GOLDEN = (
     "958a9561b96b3459d722458ae522141d3e0f6b33baade6d7ea4d1eb0a83680a8",
     "28cc61a467f3da2a8eaddb30c9d378fb2d096b934e21aa23426e56860d880f60",
     "1972fc5dc384e0fceba8d0d40c61aa1f2a437ea22a2ea3e342121b4e96a04678",
+)
+
+HIGH_DIM_GOLDEN = (
+    "9db763f2ff17ee9d98ce4caa04a2401c0e988e00f42fe4c0fe80f7d2461713d8",
+    "a6c8c691fb7e6b969599f84d0934631e01c2676db2509d4e6410f2630b1835d1",
 )
 
 
@@ -139,3 +151,24 @@ def test_calibration_fingerprints(tmp_path):
     assert log.count("b_counts=") > 100  # the run promotes, not only calibrates
     got = tuple(sha256(tmp_path / name) for name in ("trace.csv", "summary.txt", "fairswap.log"))
     assert got == CALIBRATION_GOLDEN
+
+
+def test_high_dimension_fingerprints(tmp_path):
+    spec = SyntheticSpec(n_queries=20, docs_per_query=12, d=136, grade_noise=0.1, seed=3)
+    config = ExperimentConfig(
+        algorithm="pairrank",
+        synthetic=spec,
+        n_validation=2,
+        n_test=6,
+        click_model="navigational",
+        rounds=150,
+        k=10,
+        lam=0.1,
+        alpha=0.1,
+        seed=13,
+        eval_stride=1,
+        out_dir=str(tmp_path),
+    )
+    run_experiment(config)
+    got = tuple(sha256(tmp_path / name) for name in ("trace.csv", "summary.txt"))
+    assert got == HIGH_DIM_GOLDEN
