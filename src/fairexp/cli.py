@@ -215,7 +215,11 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "eval":
-        state = load_checkpoint(args.checkpoint)
+        try:
+            state = load_checkpoint(args.checkpoint)
+        except ValueError as exc:
+            print(f"fairexp eval: error: {args.checkpoint}: {exc}", file=sys.stderr)
+            return 2
         test = load_svmlight(args.test_file, split="test")
         if args.group_feature is not None:
             assign_groups(test, args.group_feature)

@@ -96,6 +96,12 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive")
         if self.dataset_dir is None and self.synthetic is None:
             raise ValueError("either dataset_dir or synthetic must be given")
+        if self.click_model == "custom" and len(self.custom_clicks or ()) != 10:
+            raise ValueError(
+                "click_model 'custom' needs ten custom_clicks (5 click, 5 stop probabilities)"
+            )
+        if self.exposure_kind == "table" and not self.exposure_table:
+            raise ValueError("exposure_kind 'table' needs an exposure_table file")
 
 
 @dataclass
@@ -142,8 +148,6 @@ def resolve_beta(config: ExperimentConfig, train: GroupedDataset) -> float:
 
 def resolve_click_model(config: ExperimentConfig) -> click_sim.ClickModelConfig:
     if config.click_model == "custom":
-        if config.custom_clicks is None or len(config.custom_clicks) != 10:
-            raise ValueError("custom click model needs ten probabilities (5 click, 5 stop)")
         return click_sim.custom_model(config.custom_clicks[:5], config.custom_clicks[5:])
     try:
         return click_sim.BY_NAME[config.click_model]
@@ -152,8 +156,15 @@ def resolve_click_model(config: ExperimentConfig) -> click_sim.ClickModelConfig:
 
 
 def resolve_exposure(config: ExperimentConfig) -> fairness.ExposureModel:
-    if config.exposure_kind == "table" and config.exposure_table:
-        return fairness.load_exposure_table(config.exposure_table)
+    """The exposure model of a validated config; a table must cover ranks 1..k."""
+    if config.exposure_kind == "table":
+        model = fairness.load_exposure_table(config.exposure_table)
+        if model.k < config.k:
+            raise fairness.ExposureError(
+                f"exposure table {config.exposure_table} defines {model.k} ranks, "
+                f"fewer than k={config.k}"
+            )
+        return model
     return fairness.make_exposure_model(config.exposure_kind, config.k)
 
 

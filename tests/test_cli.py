@@ -78,6 +78,28 @@ def test_build_config_rejects_out_of_range_values(flag, value):
         build_config(args)
 
 
+@pytest.mark.parametrize(
+    "lines, flags, missing",
+    [
+        ([], ["--click-model", "custom"], "custom_clicks"),
+        (["click_model=custom", "custom_clicks=0.5,0.5,0.5"], [], "custom_clicks"),
+        ([], ["--exposure", "table"], "exposure_table"),
+    ],
+)
+def test_build_config_rejects_incomplete_settings(tmp_path, lines, flags, missing):
+    import argparse
+
+    from fairexp.cli import _add_common_flags
+
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    args = parser.parse_args(["--config", str(path), "--synthetic", SYNTH, *flags])
+    with pytest.raises(ValueError, match=missing):
+        build_config(args)
+
+
 def test_run_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(
@@ -155,3 +177,26 @@ def test_sweep_subcommand(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "best=" in printed
     assert (out / "sweep_results.txt").exists()
+
+
+def test_eval_subcommand_rejects_a_tampered_checkpoint(tmp_path, capsys):
+    import numpy as np
+
+    out = tmp_path / "out"
+    main(["run", "--synthetic", SYNTH, "--rounds", "5", "--k", "3", "--out", str(out)])
+    capsys.readouterr()
+    checkpoint = out / "checkpoint.npz"
+    with np.load(checkpoint) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["info_matrix"] = -arrays["info_matrix"]
+    np.savez(checkpoint, **arrays)
+
+    test_file = tmp_path / "test.txt"
+    test_file.write_text("1 qid:1 1:0.1 2:0.2 3:0.3 4:0.0\n", encoding="utf-8")
+    code = main(["eval", "--checkpoint", str(checkpoint), "--test-file", str(test_file)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"fairexp eval: error: {checkpoint}: checkpoint info_matrix is not positive definite"
+    ]

@@ -239,7 +239,7 @@ class TestAddedRegret:
 # 10..13, which never are, and pairs of a document with itself
 DOCS = st.lists(st.integers(0, 9), unique=True, max_size=10)
 CERTAIN = st.sets(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=60)
-PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=300)
 
 
 @st.composite

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairexp.data import Document, GroupedDataset, QueryCandidates, SyntheticSpec, generate_synthetic
-from fairexp.fairness import UnfairnessLedger
+from fairexp.fairness import ExposureError, UnfairnessLedger
 from fairexp.harness import (
     ExperimentConfig,
     evaluate_offline,
@@ -66,6 +66,43 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [("eval_stride", 1), ("alpha", 0.0)])
     def test_range_edges_accepted(self, field, value):
         small_config(**{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "fields, missing",
+        [
+            (dict(click_model="custom"), "custom_clicks"),
+            (dict(click_model="custom", custom_clicks=(0.5,) * 9), "custom_clicks"),
+            (dict(click_model="custom", custom_clicks=(0.5,) * 11), "custom_clicks"),
+            (dict(exposure_kind="table"), "exposure_table"),
+            (dict(exposure_kind="table", exposure_table=""), "exposure_table"),
+        ],
+    )
+    def test_incomplete_settings_rejected(self, fields, missing):
+        with pytest.raises(ValueError, match=missing):
+            small_config(**fields).validate()
+
+    def test_ten_custom_clicks_accepted(self):
+        small_config(click_model="custom", custom_clicks=(0.5,) * 10).validate()
+
+    @pytest.mark.parametrize("ranks", [3, 4])
+    def test_exposure_table_shorter_than_k_rejected_before_round_one(
+        self, tmp_path, monkeypatch, ranks
+    ):
+        from fairexp import ranker
+
+        table = tmp_path / "exposure.txt"
+        table.write_text("".join(f"{r} {1.0 / r}\n" for r in range(1, ranks + 1)), encoding="utf-8")
+        monkeypatch.setattr(ranker, "classify_pairs", lambda *a: pytest.fail("a round ran"))
+        config = small_config(k=5, exposure_kind="table", exposure_table=str(table))
+        with pytest.raises(ExposureError, match=f"defines {ranks} ranks, fewer than k=5"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("ranks", [5, 7])
+    def test_exposure_table_covering_k_runs(self, tmp_path, ranks):
+        table = tmp_path / "exposure.txt"
+        table.write_text("".join(f"{r} {1.0 / r}\n" for r in range(1, ranks + 1)), encoding="utf-8")
+        config = small_config(k=5, rounds=5, exposure_kind="table", exposure_table=str(table))
+        assert len(run_experiment(config).records) == 5
 
     def test_beta_auto(self):
         config = small_config(beta="auto")

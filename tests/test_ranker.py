@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairexp.data import Document, QueryCandidates
 from fairexp.ranker import (
@@ -155,6 +157,93 @@ class TestClassifyPairs:
         for i, j in sets.certain:
             assert (j, i) not in sets.certain
             assert tuple(sorted((i, j))) not in sets.uncertain
+
+
+def classify_by_pair(state, feats, alpha):
+    """The definition of ``classify_pairs``: one quadratic form per pair and a
+    loop over the pairs. Also returns the pairs whose nonzero width puts
+    p - w or p + w within 1e-12 of 1/2, where the rounding of the width
+    decides the class."""
+    idx_i, idx_j = np.triu_indices(len(feats), k=1)
+    diffs = feats[idx_i] - feats[idx_j]
+    probs = sigmoid(diffs @ state.theta)
+    quad = np.einsum("pd,de,pe->p", diffs, state.info_inverse(), diffs)
+    widths = alpha * np.sqrt(np.maximum(quad, 0.0))
+    certain, uncertain, near_half = set(), set(), set()
+    for i, j, p, w in zip(idx_i.tolist(), idx_j.tolist(), probs, widths):
+        if p - w > 0.5:
+            certain.add((i, j))
+        elif p + w < 0.5:
+            certain.add((j, i))
+        else:
+            uncertain.add((i, j))
+        if w > 0 and min(abs(p - w - 0.5), abs(p + w - 0.5)) < 1e-12:
+            near_half.add((i, j))
+    return certain, uncertain, near_half
+
+
+@st.composite
+def classify_instances(draw):
+    """Candidates, a state whose information matrix ``update`` built from
+    random pairs, and alpha. The sizes n in 1..40 and d in 1..136 come from
+    the drawn seed, so they spread evenly over their ranges; duplicate rows,
+    theta = 0 and alpha = 0 are each drawn as a case of their own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = int(rng.integers(1, 41)), int(rng.integers(1, 137))
+    feats = rng.normal(size=(n, d)) * draw(st.sampled_from([0.01, 1.0, 10.0]))
+    if draw(st.booleans()):
+        feats[rng.integers(0, n, size=n // 2)] = feats[rng.integers(0, n, size=n // 2)]
+    state = RankerState.initial(d, lam=draw(st.sampled_from([0.01, 0.1, 1.0, 10.0])))
+    m = int(rng.integers(0, 2 * d + 1))
+    update(state, rng.normal(size=(m, d)), (rng.random(m) < 0.5).astype(float))
+    state.theta = rng.normal(size=d) * draw(st.sampled_from([0.0, 1.0, 10.0]))
+    alpha = draw(st.sampled_from([0.0, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 1.0]))
+    return feats, state, alpha
+
+
+class TestClassifyPairsMatchesTheDefinition:
+    @given(instance=classify_instances())
+    def test_same_sets_as_one_quadratic_form_per_pair(self, instance):
+        feats, state, alpha = instance
+        got = classify_pairs(state, make_candidates(feats), alpha)
+        certain, uncertain, near_half = classify_by_pair(state, feats, alpha)
+        n = len(feats)
+        assert got.n_pairs() == n * (n - 1) // 2
+
+        def settled(pairs):
+            return {(i, j) for i, j in pairs if (min(i, j), max(i, j)) not in near_half}
+
+        assert settled(got.certain) == settled(certain)
+        assert settled(got.uncertain) == settled(uncertain)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.1, 1.0, 1e9])
+    def test_identical_documents_stay_uncertain(self, alpha):
+        rng = np.random.default_rng(9)
+        state = RankerState.initial(5, lam=0.1)
+        update(state, rng.normal(size=(12, 5)), np.ones(12))
+        row = rng.normal(size=5)
+        sets = classify_pairs(state, make_candidates(np.stack([row, row])), alpha)
+        assert sets.certain == set() and sets.uncertain == {(0, 1)}
+
+    def test_one_candidate_has_no_pairs(self):
+        state = RankerState.initial(3, lam=1.0)
+        state.theta = np.array([1.0, -1.0, 0.5])
+        sets = classify_pairs(state, make_candidates(np.ones((1, 3))), alpha=0.1)
+        assert sets.certain == set() and sets.uncertain == set()
+
+    def test_alpha_zero_orders_near_identical_documents_by_probability(self):
+        # rows 1e-9 apart: their Gram-form quadratic forms are rounding noise
+        # of either sign, and at alpha = 0 every such pair must still be
+        # certain, in the direction of p, as the definition says
+        rng = np.random.default_rng(10)
+        d = 136
+        state = RankerState.initial(d, lam=0.1)
+        update(state, rng.normal(size=(40, d)), np.ones(40))
+        state.theta = rng.normal(size=d)
+        feats = rng.normal(size=d) + 1e-9 * rng.normal(size=(40, d))
+        sets = classify_pairs(state, make_candidates(feats), alpha=0.0)
+        certain, uncertain, _ = classify_by_pair(state, feats, 0.0)
+        assert sets.certain == certain and sets.uncertain == uncertain == set()
 
 
 class TestPartitionBlocks:
@@ -350,3 +439,93 @@ class TestCheckpoint:
         update(state, extra, np.ones(3))
         update(resumed, extra, np.ones(3))
         np.testing.assert_allclose(resumed.theta, state.theta)
+
+
+def _replace(name, value):
+    def change(arrays):
+        arrays[name] = value(arrays[name])
+
+    return change
+
+
+def _drop(name):
+    def change(arrays):
+        del arrays[name]
+
+    return change
+
+
+def _set(name, index, value):
+    def change(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
+
+    return change
+
+
+def _negative_direction(arrays):
+    # symmetric, but with a negative eigenvalue along the first axis
+    info = arrays["info_matrix"].copy()
+    info[0, 0] = -info[0, 0]
+    arrays["info_matrix"] = info
+
+
+TAMPERED_CHECKPOINTS = [
+    (_replace("theta", lambda a: a.reshape(-1, 1)), "theta has shape"),
+    (_replace("theta", lambda a: a[:-1]), "info_matrix has shape"),
+    (_replace("info_matrix", lambda a: a[:, :-1]), "info_matrix has shape"),
+    (_replace("pairs_x", lambda a: a[:, :-1]), "pairs_x has shape"),
+    (_replace("pairs_x", lambda a: a[:-1]), "pairs_x has shape"),
+    (_replace("pairs_y", lambda a: a[:-1]), "pairs_x has shape"),
+    (_replace("lam", lambda a: np.array([a, a])), "lam has shape"),
+    (_drop("pairs_y"), "no pairs_y"),
+    (_drop("info_matrix"), "no info_matrix"),
+    (_set("theta", 1, np.nan), "theta holds values that are not finite"),
+    (_set("info_matrix", (2, 2), np.inf), "info_matrix holds values that are not finite"),
+    (_set("pairs_x", (0, 0), np.nan), "pairs_x holds values that are not finite"),
+    (_set("pairs_y", 3, -np.inf), "pairs_y holds values that are not finite"),
+    (_replace("lam", lambda a: np.array(np.nan)), "lam holds values that are not finite"),
+    (_replace("q_norm", lambda a: np.array("one")), "q_norm holds values that are not finite"),
+    (_set("info_matrix", (0, 1), 5.0), "info_matrix is not symmetric"),
+    (_negative_direction, "info_matrix is not positive definite"),
+    (_replace("info_matrix", lambda a: np.zeros_like(a)), "info_matrix is not positive definite"),
+]
+
+
+def write_tampered_checkpoint(path, change):
+    rng = np.random.default_rng(11)
+    state = RankerState.initial(4, lam=0.5)
+    update(state, rng.normal(size=(6, 4)), np.ones(6))
+    save_checkpoint(state, path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    change(arrays)
+    np.savez(path, **arrays)
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("change, message", TAMPERED_CHECKPOINTS)
+    def test_tampered_checkpoint_rejected(self, tmp_path, change, message):
+        path = tmp_path / "ckpt.npz"
+        write_tampered_checkpoint(path, change)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    def test_checkpoint_without_pairs_loads(self, tmp_path):
+        state = RankerState.initial(3, lam=0.4)
+        update(state, np.eye(3), np.ones(3))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path, include_pairs=False)
+        loaded = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.info_matrix, state.info_matrix)
+        assert loaded.pairs.n == 0
+
+    def test_long_run_checkpoint_loads(self, tmp_path):
+        # thousands of accumulated outer products keep the matrix symmetric
+        rng = np.random.default_rng(12)
+        state = RankerState.initial(20, lam=0.1)
+        for _ in range(200):
+            update(state, rng.normal(size=(10, 20)), np.ones(10))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path)
+        np.testing.assert_array_equal(load_checkpoint(path).info_matrix, state.info_matrix)
