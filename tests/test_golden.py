@@ -1,6 +1,7 @@
 """Golden fingerprints: SHA-256 of ``trace.csv`` and ``summary.txt`` for four
-short fixed runs, one per algorithm; of one calibration-heavy run that also
-writes ``fairswap.log``; and of one run at the MSLR feature width.
+short fixed runs, one per algorithm; of two of those runs again with the
+within-block certain-order heuristic off; of one calibration-heavy run that
+also writes ``fairswap.log``; and of one run at the MSLR feature width.
 
 A refactor or speed-up that claims to change nothing observable must leave
 these hashes as they are. A change that moves them on purpose re-records
@@ -11,6 +12,11 @@ Every round is evaluated (``eval_stride=1``), so each row's
 written by the test with ragged query lengths (1 to 23 documents in the
 hold-out split, one hold-out query with all grades 0), so the hold-out
 evaluation sees queries shorter and longer than its cut-off of 10.
+
+With ``respect_certain=False`` (the ``--no-heuristic`` flag) the blocks are
+shuffled by other random draws: one ``permutation`` per block in
+``harness.sample_block_order`` and one ``integers`` per slot in
+``fairswap._fill_segment``, so those runs pin a second random stream.
 
 The calibration run serves 40 candidates per query at k=10, so every round
 calibrates dozens of qualified templates and promotes documents between
@@ -61,6 +67,17 @@ GOLDEN = {
     ),
 }
 
+NO_HEURISTIC_GOLDEN = {
+    "fairexp_pairrank": (
+        "05485b0ac8ee7c9c919877e172e462f686116a4d112937e0af8c1c29634ce569",
+        "4b2f639164aa2af12258d8b11a05f52626aeaf0354dd450f2d86fbead771a1a7",
+    ),
+    "pairrank": (
+        "e73b674663f7bd50a285ff66e0c79f0c68d442860ff0e5d3e012b873b5ec8af5",
+        "2d885ebef86852a6406c9a52ecb9d5f673f2ee4490a10e71443d59c1bc17507e",
+    ),
+}
+
 CALIBRATION_GOLDEN = (
     "958a9561b96b3459d722458ae522141d3e0f6b33baade6d7ea4d1eb0a83680a8",
     "28cc61a467f3da2a8eaddb30c9d378fb2d096b934e21aa23426e56860d880f60",
@@ -104,8 +121,7 @@ def test_golden_table_covers_every_algorithm():
     assert set(GOLDEN) == set(ALGORITHMS)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_trace_and_summary_fingerprints(algorithm, tmp_path):
+def _ragged_run(tmp_path, algorithm: str, respect_certain: bool = True) -> tuple[str, str]:
     data = tmp_path / "data"
     data.mkdir()
     write_dataset(data)
@@ -122,10 +138,21 @@ def test_trace_and_summary_fingerprints(algorithm, tmp_path):
         epsilon=0.1,
         seed=7,
         eval_stride=1,
+        respect_certain=respect_certain,
         out_dir=str(out),
     )
     run_experiment(config)
-    assert (sha256(out / "trace.csv"), sha256(out / "summary.txt")) == GOLDEN[algorithm]
+    return sha256(out / "trace.csv"), sha256(out / "summary.txt")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_trace_and_summary_fingerprints(algorithm, tmp_path):
+    assert _ragged_run(tmp_path, algorithm) == GOLDEN[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", sorted(NO_HEURISTIC_GOLDEN))
+def test_no_heuristic_fingerprints(algorithm, tmp_path):
+    assert _ragged_run(tmp_path, algorithm, respect_certain=False) == NO_HEURISTIC_GOLDEN[algorithm]
 
 
 def test_calibration_fingerprints(tmp_path):
