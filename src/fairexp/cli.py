@@ -8,9 +8,10 @@ line, ``#`` comments); command-line flags override file values.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .data import SyntheticSpec, load_svmlight, assign_groups
 from .harness import (
@@ -23,46 +24,60 @@ from .harness import (
 )
 from .ranker import DimensionError, load_checkpoint
 
-_SYNTHETIC_KEYS = {
-    "n_queries": int,
-    "docs_per_query": int,
-    "d": int,
-    "group_balance": float,
-    "grade_noise": float,
-    "seed": int,
-    "theta_norm": float,
-}
 
-_CONFIG_KEYS = {
-    "algorithm": str,
-    "dataset_dir": str,
-    "group_feature": int,
-    "group_strategy": str,
-    "group_threshold": float,
-    "n_validation": int,
-    "n_test": int,
-    "click_model": str,
-    "rounds": int,
-    "k": int,
-    "lam": float,
-    "alpha": float,
-    "delta": float,
-    "epsilon": float,
-    "gamma": float,
-    "lambda_f": float,
-    "exposure_kind": str,
-    "exposure_table": str,
-    "seed": int,
-    "out_dir": str,
-    "respect_certain": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "diagnostics": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "eval_stride": int,
-    "minmax": lambda s: s.lower() in ("1", "true", "yes", "on"),
-}
+def _parse_bool(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def _parse_beta(text: str) -> float | str:
+    return text if text == "auto" else float(text)
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+_TYPE_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+
+
+def _key_parsers(cls, special: dict) -> dict:
+    """One parser per dataclass field: ``special`` ones by name, the rest by
+    field type (the non-None member of ``X | None``)."""
+    hints = get_type_hints(cls)
+    parsers = {}
+    for f in fields(cls):
+        members = [t for t in get_args(hints[f.name]) if t is not type(None)] or [hints[f.name]]
+        parsers[f.name] = special[f.name] if f.name in special else _TYPE_PARSERS[members[0]]
+    return parsers
+
+
+_SYNTHETIC_KEYS = _key_parsers(SyntheticSpec, {})
+
+
+def parse_synthetic_flag(text: str) -> SyntheticSpec:
+    """Parse 'n_queries=40,docs_per_query=12,d=8,...' into a spec."""
+    kwargs = {}
+    for item in text.split(","):
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in _SYNTHETIC_KEYS:
+            raise ValueError(f"unknown synthetic key {key!r}")
+        kwargs[key] = _SYNTHETIC_KEYS[key](value.strip())
+    return SyntheticSpec(**kwargs)
+
+
+_CONFIG_KEYS = _key_parsers(
+    ExperimentConfig,
+    {"beta": _parse_beta, "custom_clicks": _parse_floats, "synthetic": parse_synthetic_flag},
+)
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Read key=value lines into a typed mapping."""
+    """Read key=value lines into a typed mapping.
+
+    Keys are the ``ExperimentConfig`` field names, except that the synthetic
+    spec is written one ``synthetic.<field>`` line per field.
+    """
     values: dict = {}
     synthetic: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -78,11 +93,7 @@ def parse_config_file(path: str | Path) -> dict:
             if sub not in _SYNTHETIC_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown synthetic key {sub!r}")
             synthetic[sub] = _SYNTHETIC_KEYS[sub](value)
-        elif key == "beta":
-            values["beta"] = value if value == "auto" else float(value)
-        elif key == "custom_clicks":
-            values["custom_clicks"] = tuple(float(v) for v in value.split(","))
-        elif key in _CONFIG_KEYS:
+        elif key in _CONFIG_KEYS and key != "synthetic":
             values[key] = _CONFIG_KEYS[key](value)
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
@@ -91,82 +102,50 @@ def parse_config_file(path: str | Path) -> dict:
     return values
 
 
-def parse_synthetic_flag(text: str) -> SyntheticSpec:
-    """Parse 'n_queries=40,docs_per_query=12,d=8,...' into a spec."""
-    kwargs = {}
-    for item in text.split(","):
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _SYNTHETIC_KEYS:
-            raise ValueError(f"unknown synthetic key {key!r}")
-        kwargs[key] = _SYNTHETIC_KEYS[key](value.strip())
-    return SyntheticSpec(**kwargs)
+# (flag, config field, extra add_argument keywords) of every flag that takes a value
+_VALUE_FLAGS = (
+    ("--algo", "algorithm", {"choices": ALGORITHMS}),
+    ("--dataset", "dataset_dir", {"help": "directory with train/vali/test.txt"}),
+    ("--group-feature", "group_feature", {}),
+    ("--synthetic", "synthetic", {"help": "synthetic spec, e.g. n_queries=40,docs_per_query=12,d=8"}),
+    ("--click-model", "click_model", {}),
+    ("--rounds", "rounds", {}),
+    ("--k", "k", {}),
+    ("--epsilon", "epsilon", {}),
+    ("--beta", "beta", {}),
+    ("--lambda", "lam", {}),
+    ("--alpha", "alpha", {}),
+    ("--gamma", "gamma", {}),
+    ("--lambda-f", "lambda_f", {}),
+    ("--exposure", "exposure_kind", {}),
+    ("--exposure-table", "exposure_table", {}),
+    ("--seed", "seed", {}),
+    ("--out", "out_dir", {}),
+    ("--eval-stride", "eval_stride", {}),
+)
+# (flag, config field, value set, help) of every flag that takes no value
+_SWITCHES = (
+    ("--no-heuristic", "respect_certain", False, "disable within-block certain-order heuristic"),
+    ("--diagnostics", "diagnostics", True, "write fairswap.log"),
+    ("--minmax", "minmax", True, "min-max scale features per dimension"),
+)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--algo", choices=ALGORITHMS, dest="algorithm")
-    parser.add_argument("--dataset", dest="dataset_dir", help="directory with train/vali/test.txt")
-    parser.add_argument("--group-feature", type=int, dest="group_feature")
-    parser.add_argument("--synthetic", help="synthetic spec, e.g. n_queries=40,docs_per_query=12,d=8")
-    parser.add_argument("--click-model", dest="click_model")
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--beta")
-    parser.add_argument("--lambda", type=float, dest="lam")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--lambda-f", type=float, dest="lambda_f")
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--exposure", dest="exposure_kind")
-    parser.add_argument("--exposure-table", dest="exposure_table")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument("--eval-stride", type=int, dest="eval_stride")
-    parser.add_argument("--no-heuristic", action="store_true", help="disable within-block certain-order heuristic")
-    parser.add_argument("--diagnostics", action="store_true", help="write fairswap.log")
-    parser.add_argument("--minmax", action="store_true", help="min-max scale features per dimension")
+    for flag, dest, extra in _VALUE_FLAGS:
+        parser.add_argument(flag, dest=dest, type=_CONFIG_KEYS[dest], default=None, **extra)
+    for flag, dest, const, help_text in _SWITCHES:
+        parser.add_argument(flag, dest=dest, action="store_const", const=const, help=help_text)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for key in (
-        "algorithm",
-        "dataset_dir",
-        "group_feature",
-        "click_model",
-        "rounds",
-        "k",
-        "epsilon",
-        "lam",
-        "alpha",
-        "gamma",
-        "lambda_f",
-        "delta",
-        "exposure_kind",
-        "exposure_table",
-        "seed",
-        "out_dir",
-        "eval_stride",
-    ):
-        value = getattr(args, key, None)
+    """File values, overridden by every flag given; then validated."""
+    values = parse_config_file(args.config) if args.config else {}
+    for f in fields(ExperimentConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            values[key] = value
-    if args.beta is not None:
-        values["beta"] = args.beta if args.beta == "auto" else float(args.beta)
-    if args.synthetic:
-        values["synthetic"] = parse_synthetic_flag(args.synthetic)
-    if args.no_heuristic:
-        values["respect_certain"] = False
-    if args.diagnostics:
-        values["diagnostics"] = True
-    if args.minmax:
-        values["minmax"] = True
-    if values.get("epsilon") is not None and math.isinf(values["epsilon"]):
-        values["epsilon"] = float("inf")
+            values[f.name] = value
     config = ExperimentConfig(**values)
     config.validate()
     return config

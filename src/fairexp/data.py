@@ -292,60 +292,34 @@ def _draw_queries(
     return queries
 
 
-def generate_synthetic(spec: SyntheticSpec, split: str = "train") -> GroupedDataset:
-    """Generate one seeded dataset with grades driven by a hidden theta.
+def synthetic_splits(
+    spec: SyntheticSpec, n_validation: int, n_test: int
+) -> tuple[GroupedDataset, GroupedDataset, GroupedDataset]:
+    """Seeded train/validation/test datasets with grades driven by one hidden theta.
 
     The scoring vector is drawn on the sphere of radius ``theta_norm``;
     features are uniform in the unit ball; grades come from per-query
     quantile bins of the true scores, flipped to a uniform grade with
-    probability ``grade_noise``. Identical specs produce identical data.
+    probability ``grade_noise``. All three splits are drawn from a single
+    seeded stream, train first: identical arguments produce identical data,
+    and the train split does not depend on the other two sizes.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     theta = rng.standard_normal(spec.d)
     theta *= spec.theta_norm / np.linalg.norm(theta)
-    queries = _draw_queries(spec, rng, theta, spec.n_queries, "q")
-    return GroupedDataset(
-        queries=queries,
-        dimension=spec.d,
-        split=split,
-        true_theta=theta,
-        metadata={"synthetic_seed": spec.seed, "theta_norm": spec.theta_norm},
+    sizes = (
+        ("train", spec.n_queries, "q"),
+        ("validation", n_validation, "vq"),
+        ("test", n_test, "tq"),
     )
-
-
-def synthetic_splits(
-    spec: SyntheticSpec, n_validation: int, n_test: int
-) -> tuple[GroupedDataset, GroupedDataset, GroupedDataset]:
-    """Train/validation/test datasets sharing one ground-truth theta.
-
-    All three splits are drawn from a single seeded stream, so the split
-    sizes are part of the identity of the draw.
-    """
-    spec.validate()
-    rng = np.random.default_rng(spec.seed)
-    theta = rng.standard_normal(spec.d)
-    theta *= spec.theta_norm / np.linalg.norm(theta)
-    meta = {"synthetic_seed": spec.seed, "theta_norm": spec.theta_norm}
-    train = GroupedDataset(
-        queries=_draw_queries(spec, rng, theta, spec.n_queries, "q"),
-        dimension=spec.d,
-        split="train",
-        true_theta=theta,
-        metadata=dict(meta),
+    return tuple(
+        GroupedDataset(
+            queries=_draw_queries(spec, rng, theta, n_queries, prefix),
+            dimension=spec.d,
+            split=split,
+            true_theta=theta,
+            metadata={"synthetic_seed": spec.seed, "theta_norm": spec.theta_norm},
+        )
+        for split, n_queries, prefix in sizes
     )
-    valid = GroupedDataset(
-        queries=_draw_queries(spec, rng, theta, n_validation, "vq"),
-        dimension=spec.d,
-        split="validation",
-        true_theta=theta,
-        metadata=dict(meta),
-    )
-    test = GroupedDataset(
-        queries=_draw_queries(spec, rng, theta, n_test, "tq"),
-        dimension=spec.d,
-        split="test",
-        true_theta=theta,
-        metadata=dict(meta),
-    )
-    return train, valid, test

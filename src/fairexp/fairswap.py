@@ -26,7 +26,7 @@ from itertools import chain, combinations, product
 import numpy as np
 
 from .fairness import GroupTemplate
-from .ranker import BlockPartition
+from .ranker import BlockPartition, fewest_predecessors
 
 
 class InfeasibleTemplateError(ValueError):
@@ -260,19 +260,8 @@ def _fill_segment(
             top_origin = max(origin[d] for d in cands)
             pool = [d for d in cands if origin[d] == top_origin]
             if len(pool) > 1:
-                unplaced_same_origin = [
-                    d for d in displayed if d not in placed and origin[d] == top_origin
-                ]
-
-                def dominators(doc: int) -> int:
-                    return sum(
-                        1
-                        for other in unplaced_same_origin
-                        if other != doc and (other, doc) in certain
-                    )
-
-                best = min(dominators(d) for d in pool)
-                pool = [d for d in pool if dominators(d) == best]
+                rivals = [d for d in displayed if d not in placed and origin[d] == top_origin]
+                pool = fewest_predecessors(pool, rivals, certain)
         else:
             pool = cands
         choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]

@@ -1,22 +1,25 @@
 """End-to-end experiment loop for online learning to rank with fairness.
 
-Each round samples a training query, ranks its candidates with the chosen
-algorithm, simulates clicks, updates the unfairness ledger with the
-displayed group pattern's expected exposure, folds the inferred preference
-pairs into the ranker, and records metrics. Runs are deterministic given
-the configuration seed.
+Each round samples a training query, asks the configured policy for the
+top-k, simulates clicks, updates the unfairness ledger with the displayed
+group pattern's expected exposure, folds the inferred preference pairs into
+the ranker (when the policy learns), and records metrics. Runs are
+deterministic given the configuration seed.
 
-Algorithms:
+Algorithms are the entries of ``POLICIES``, a table from name to policy;
+the round loop makes one dispatch through it and names no algorithm:
 
-* ``fairexp_pairrank`` - template-constrained calibration of the block
-  partition via minimum-added-regret swaps;
-* ``pairrank`` - the unconstrained ranker (blocks in order, randomized
-  within blocks). With an infinite unfairness threshold the constrained
-  algorithm degenerates to exactly this, byte for byte;
+* ``fairexp_pairrank`` - PairRank's block partition, calibrated to a
+  qualified group template by minimum-added-regret swaps;
+* ``pairrank`` - the same block policy with the constraint off: blocks in
+  order, randomized within blocks. ``fairexp_pairrank`` with an infinite
+  unfairness threshold takes this path, so the two agree byte for byte;
 * ``prop_control`` - greedy ranking by score plus a proportional boost to
   the underexposed group (controller-style baseline, shares the learned
   scores instead of a propensity-corrected estimator);
 * ``random`` - uniform shuffling with no learning, as a floor.
+
+An entry also names the hyperparameters ``sweep`` grid-searches.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +45,6 @@ from .data import (
     synthetic_splits,
 )
 
-ALGORITHMS = ("fairexp_pairrank", "pairrank", "prop_control", "random")
 SWEEP_GRID = (0.1, 0.01, 0.001)
 
 
@@ -63,7 +67,6 @@ class ExperimentConfig:
     k: int = 10
     lam: float = 0.1
     alpha: float = 0.1
-    delta: float = 0.1
     beta: float | str = 1.0
     epsilon: float = 0.1
     gamma: float = 0.9995
@@ -82,7 +85,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.rounds < 1 or self.k < 1:
             raise ValueError("rounds and k must be >= 1")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
@@ -90,10 +93,12 @@ class ExperimentConfig:
             raise ValueError("eval_stride must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
-        if isinstance(self.beta, str) and self.beta != "auto":
-            raise ValueError("beta must be a number or 'auto'")
+        if self.beta != "auto" and (isinstance(self.beta, str) or not 0 < self.beta < math.inf):
+            raise ValueError("beta must be 'auto' or a finite positive number")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
+        if not self.lambda_f >= 0:
+            raise ValueError("lambda_f must be >= 0")
         if self.dataset_dir is None and self.synthetic is None:
             raise ValueError("either dataset_dir or synthetic must be given")
         if self.click_model == "custom" and len(self.custom_clicks or ()) != 10:
@@ -175,26 +180,19 @@ def sample_block_order(
     respect_certain: bool,
 ) -> list[int]:
     """Blocks in order; within each block a seeded random permutation,
-    drawn as repeated random choice among documents with no unplaced
-    certain predecessor when the heuristic is on."""
+    drawn as repeated random choice among the unplaced documents with the
+    fewest unplaced certain predecessors when the heuristic is on."""
     order: list[int] = []
     for block in partition.blocks:
         remaining = list(block)
-        if respect_certain:
-            while remaining:
-                pool = [
-                    d
-                    for d in remaining
-                    if not any((o, d) in certain for o in remaining if o != d)
-                ]
-                if not pool:
-                    pool = remaining
-                choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
-                remaining.remove(choice)
-                order.append(choice)
-        else:
-            idx = rng.permutation(len(remaining))
-            order.extend(remaining[i] for i in idx)
+        if not respect_certain:
+            order.extend(remaining[i] for i in rng.permutation(len(remaining)))
+            continue
+        while remaining:
+            pool = ranker.fewest_predecessors(remaining, remaining, certain)
+            choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
+            remaining.remove(choice)
+            order.append(choice)
     return order
 
 
@@ -293,39 +291,83 @@ def evaluate_offline(state: ranker.RankerState, holdout: HoldoutView) -> float:
     return float(np.cumsum(ndcg)[-1]) / holdout.n_queries
 
 
-def _rank_fairexp(state, query, exposure_model, ledger, config, rng, k_t):
-    """One constrained round: qualified templates -> cheapest calibration."""
-    order_sets = ranker.classify_pairs(state, query, config.alpha)
+@dataclass
+class _Run:
+    """What a policy may read or draw from during one run."""
+
+    config: ExperimentConfig
+    state: ranker.RankerState
+    ledger: fairness.UnfairnessLedger
+    exposure_model: fairness.ExposureModel
+    rng: np.random.Generator
+
+
+class _Served(NamedTuple):
+    """A policy's answer for one round."""
+
+    displayed: list[int]
+    added_regret: int = 0
+    calibrated: fairswap.CalibratedRanking | None = None
+    fallback: bool = False  # no template fit within epsilon
+    infeasible: bool = False  # no template could be calibrated: served unconstrained
+
+
+def _rank_blocks(run: _Run, query, k_t: int, constrained: bool) -> _Served:
+    """PairRank's blocks; when constrained with a finite epsilon, the
+    cheapest calibration to a qualified template."""
+    config = run.config
+    order_sets = ranker.classify_pairs(run.state, query, config.alpha)
     partition = ranker.partition_blocks(query, order_sets)
-    if math.isinf(config.epsilon):
-        # no binding constraint: identical to the unconstrained ranker
-        order = sample_block_order(partition, order_sets.certain, rng, config.respect_certain)
-        displayed = order[:k_t]
-        return displayed, fairswap.added_regret(displayed, order_sets.certain), None, False
-    counts = query.counts
-    templates = fairness.enumerate_templates(k_t, counts, exposure_model)
-    qualified, fallback = fairness.qualified_templates(ledger, templates)
-    projections = [fairness.projected_unfairness(ledger, t) for t in qualified]
-    scores = ranker.score_all(state, query.feature_matrix())
-    score_map = {i: float(s) for i, s in enumerate(scores)}
-    groups_map = dict(enumerate(query.groups()))
-    try:
-        result = fairswap.select_ranking(
-            partition,
-            qualified,
-            order_sets.certain,
-            groups_map,
-            rng,
-            projections=projections,
-            scores=score_map,
-            respect_certain=config.respect_certain,
-        )
-    except fairswap.InfeasibleTemplateError:
-        # pathological skew: serve the unconstrained ranking and flag the round
-        order = sample_block_order(partition, order_sets.certain, rng, config.respect_certain)
-        displayed = order[:k_t]
-        return displayed, fairswap.added_regret(displayed, order_sets.certain), None, True
-    return result.order, result.added_regret, result, fallback
+    infeasible = False
+    if constrained and not math.isinf(config.epsilon):
+        templates = fairness.enumerate_templates(k_t, query.counts, run.exposure_model)
+        qualified, fallback = fairness.qualified_templates(run.ledger, templates)
+        projections = [fairness.projected_unfairness(run.ledger, t) for t in qualified]
+        scores = ranker.score_all(run.state, query.feature_matrix())
+        try:
+            result = fairswap.select_ranking(
+                partition,
+                qualified,
+                order_sets.certain,
+                dict(enumerate(query.groups())),
+                run.rng,
+                projections=projections,
+                scores={i: float(s) for i, s in enumerate(scores)},
+                respect_certain=config.respect_certain,
+            )
+            return _Served(result.order, result.added_regret, result, fallback)
+        except fairswap.InfeasibleTemplateError:
+            # pathological skew: serve the unconstrained ranking and flag the round
+            infeasible = True
+    order = sample_block_order(partition, order_sets.certain, run.rng, config.respect_certain)
+    displayed = order[:k_t]
+    added = fairswap.added_regret(displayed, order_sets.certain)
+    return _Served(displayed, added, infeasible=infeasible)
+
+
+def _rank_prop_control(run: _Run, query, k_t: int) -> _Served:
+    scores = ranker.score_all(run.state, query.feature_matrix())
+    order = prop_control_rank(scores, query.groups(), run.ledger, run.config.lambda_f)
+    return _Served(order[:k_t])
+
+
+def _rank_random(run: _Run, query, k_t: int) -> _Served:
+    return _Served(list(run.rng.permutation(len(query))[:k_t]))
+
+
+class _Policy(NamedTuple):
+    rank: Callable[[_Run, object, int], _Served]
+    tuned: tuple[str, ...]  # the config fields ``sweep`` grid-searches
+    learns: bool = True  # whether clicks update the ranker
+
+
+POLICIES = {
+    "fairexp_pairrank": _Policy(partial(_rank_blocks, constrained=True), ("lam", "alpha")),
+    "pairrank": _Policy(partial(_rank_blocks, constrained=False), ("lam", "alpha")),
+    "prop_control": _Policy(_rank_prop_control, ("lam", "lambda_f")),
+    "random": _Policy(_rank_random, (), learns=False),
+}
+ALGORITHMS = tuple(POLICIES)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -338,6 +380,7 @@ def _run_loaded(
     config: ExperimentConfig, train: GroupedDataset, test: GroupedDataset
 ) -> ExperimentResult:
     """The round loop of ``run_experiment`` on splits already loaded."""
+    policy = POLICIES[config.algorithm]
     beta = resolve_beta(config, train)
     click_model = resolve_click_model(config)
     exposure_model = resolve_exposure(config)
@@ -345,6 +388,7 @@ def _run_loaded(
 
     state = ranker.RankerState.initial(train.dimension, config.lam)
     ledger = fairness.UnfairnessLedger(beta=beta, epsilon=config.epsilon)
+    run = _Run(config, state, ledger, exposure_model, rng)
     holdout = holdout_view(test)
 
     records: list[metrics.RoundRecord] = []
@@ -362,31 +406,10 @@ def _run_loaded(
             grades = query.grades()
             groups = query.groups()
 
-            calibrated = None
-            fallback = False
-            if config.algorithm in ("fairexp_pairrank", "pairrank"):
-                if config.algorithm == "pairrank":
-                    order_sets = ranker.classify_pairs(state, query, config.alpha)
-                    partition = ranker.partition_blocks(query, order_sets)
-                    order = sample_block_order(
-                        partition, order_sets.certain, rng, config.respect_certain
-                    )
-                    displayed = order[:k_t]
-                    added = fairswap.added_regret(displayed, order_sets.certain)
-                else:
-                    displayed, added, calibrated, fallback = _rank_fairexp(
-                        state, query, exposure_model, ledger, config, rng, k_t
-                    )
-                    if calibrated is None and fallback:
-                        flagged.append(t)
-            elif config.algorithm == "prop_control":
-                scores = ranker.score_all(state, query.feature_matrix())
-                displayed = prop_control_rank(scores, groups, ledger, config.lambda_f)[:k_t]
-                added = 0
-            else:  # random
-                displayed = list(rng.permutation(len(query))[:k_t])
-                added = 0
-
+            served = policy.rank(run, query, k_t)
+            if served.infeasible:
+                flagged.append(t)
+            displayed = served.displayed
             displayed_grades = [int(grades[i]) for i in displayed]
             displayed_groups = [groups[i] for i in displayed]
             outcome = click_sim.simulate(displayed_grades, click_model, rng)
@@ -394,7 +417,7 @@ def _run_loaded(
             realized = fairness.make_template(displayed_groups, exposure_model.truncated(k_t))
             fairness.record(ledger, realized)
 
-            if config.algorithm != "random":
+            if policy.learns:
                 feats = query.feature_matrix()[displayed]
                 diffs, labels = ranker.infer_pairs(feats, outcome.clicks)
                 ranker.update(state, diffs, labels)
@@ -409,14 +432,15 @@ def _run_loaded(
                     offline_ndcg=offline_value,
                     instantaneous_unfairness=ledger.history[-1],
                     cumulative_unfairness=ledger.cumulative,
-                    added_regret=added,
+                    added_regret=served.added_regret,
                     pairwise_regret=metrics.pairwise_regret(displayed_grades),
                 )
             )
+            calibrated = served.calibrated
             if config.diagnostics and calibrated is not None:
                 head = (
                     f"round={t} template={''.join(calibrated.template.placement)} "
-                    f"added_regret={calibrated.added_regret} fallback={fallback}"
+                    f"added_regret={calibrated.added_regret} fallback={served.fallback}"
                 )
                 swap_log.append(head)
                 swap_log.extend("  " + e.describe() for e in calibrated.events)
@@ -485,12 +509,8 @@ def _sweep_worker(args) -> tuple[dict, float]:
 def sweep(config: ExperimentConfig, workers: int = 1):
     """Grid-search lam and alpha (and the controller gain where relevant)
     on validation offline NDCG; returns (best params, all results)."""
-    if config.algorithm == "prop_control":
-        grid = [{"lam": l, "lambda_f": f} for l, f in product(SWEEP_GRID, SWEEP_GRID)]
-    elif config.algorithm == "random":
-        grid = [{}]
-    else:
-        grid = [{"lam": l, "alpha": a} for l, a in product(SWEEP_GRID, SWEEP_GRID)]
+    tuned = POLICIES[config.algorithm].tuned
+    grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]
     jobs = [(config, params) for params in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -271,6 +271,21 @@ def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> 
     return BlockPartition(blocks=[sorted(members[roots[ci]]) for ci in topo])
 
 
+def fewest_predecessors(pool, rivals, certain: set[tuple[int, int]]) -> list[int]:
+    """The members of ``pool`` with the fewest certain predecessors among
+    ``rivals``, in pool order: the within-block choice set when certain
+    orders inside a block are respected.
+
+    When some member has no predecessor these are exactly the undominated
+    members. Only a directed cycle of certain pairs inside a block leaves
+    every member dominated, and a cycle needs every score difference around
+    it to be positive, which only rounding at the 1e-16 level can produce.
+    """
+    counts = [sum(1 for r in rivals if r != d and (r, d) in certain) for d in pool]
+    fewest = min(counts)
+    return [d for d, c in zip(pool, counts) if c == fewest]
+
+
 def _find_component_cycle(edges: dict[int, set[int]], m: int) -> list[int]:
     color = [0] * m
     stack: list[int] = []

@@ -1,8 +1,11 @@
 import math
+from dataclasses import fields
 
 import pytest
 
 from fairexp.cli import build_config, main, parse_config_file, parse_synthetic_flag
+from fairexp.data import SyntheticSpec
+from fairexp.harness import ExperimentConfig
 
 
 SYNTH = "n_queries=10,docs_per_query=6,d=4,seed=3"
@@ -84,6 +87,8 @@ def test_build_config_rejects_out_of_range_values(flag, value):
         ([], ["--click-model", "custom"], "custom_clicks"),
         (["click_model=custom", "custom_clicks=0.5,0.5,0.5"], [], "custom_clicks"),
         ([], ["--exposure", "table"], "exposure_table"),
+        (["epsilon=-inf"], [], "epsilon"),
+        ([], ["--epsilon=-inf"], "epsilon"),
     ],
 )
 def test_build_config_rejects_incomplete_settings(tmp_path, lines, flags, missing):
@@ -98,6 +103,76 @@ def test_build_config_rejects_incomplete_settings(tmp_path, lines, flags, missin
     args = parser.parse_args(["--config", str(path), "--synthetic", SYNTH, *flags])
     with pytest.raises(ValueError, match=missing):
         build_config(args)
+
+
+# a valid value different from the default for every field
+NON_DEFAULT = {
+    "algorithm": "prop_control",
+    "dataset_dir": "data/letor",
+    "group_feature": 3,
+    "group_strategy": "threshold",
+    "group_threshold": 0.25,
+    "synthetic": SyntheticSpec(
+        n_queries=9, docs_per_query=7, d=5, group_balance=0.3, grade_noise=0.2, seed=4, theta_norm=2.5
+    ),
+    "n_validation": 7,
+    "n_test": 9,
+    "click_model": "custom",
+    "custom_clicks": (0.9, 0.7, 0.5, 0.3, 0.1, 0.5, 0.4, 0.3, 0.2, 0.1),
+    "rounds": 33,
+    "k": 4,
+    "lam": 0.25,
+    "alpha": 0.05,
+    "beta": "auto",
+    "epsilon": 0.3,
+    "gamma": 0.99,
+    "lambda_f": 0.02,
+    "exposure_kind": "table",
+    "exposure_table": "exposure.txt",
+    "seed": 5,
+    "out_dir": "runs/out",
+    "respect_certain": False,
+    "diagnostics": True,
+    "eval_stride": 3,
+    "minmax": True,
+}
+
+
+def _config_lines(values: dict) -> list[str]:
+    lines = []
+    for name, value in values.items():
+        if name == "synthetic":
+            lines += [f"synthetic.{f.name}={getattr(value, f.name)}" for f in fields(value)]
+        elif isinstance(value, tuple):
+            lines.append(f"{name}={','.join(map(str, value))}")
+        else:
+            lines.append(f"{name}={value}")
+    return lines
+
+
+def test_config_file_round_trips_every_field(tmp_path):
+    import argparse
+
+    from fairexp.cli import _add_common_flags
+
+    default = ExperimentConfig()
+    assert set(NON_DEFAULT) == {f.name for f in fields(ExperimentConfig)}
+    assert all(getattr(default, name) != value for name, value in NON_DEFAULT.items())
+    assert all(
+        getattr(SyntheticSpec(1, 2, 2), f.name) != getattr(NON_DEFAULT["synthetic"], f.name)
+        for f in fields(SyntheticSpec)
+    )
+    path = tmp_path / "all.cfg"
+    path.write_text("\n".join(_config_lines(NON_DEFAULT)) + "\n", encoding="utf-8")
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    config = build_config(parser.parse_args(["--config", str(path)]))
+    assert config == ExperimentConfig(**NON_DEFAULT)
+
+    for line in ("turbo=yes", "synthetic.turbo=1", "synthetic=n_queries=9"):
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown"):
+            parse_config_file(path)
 
 
 def test_run_subcommand(tmp_path, capsys):

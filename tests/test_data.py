@@ -10,7 +10,6 @@ from fairexp.data import (
     SyntheticSpec,
     ValidationError,
     assign_groups,
-    generate_synthetic,
     load_svmlight,
     minmax_scale,
     parse_svmlight,
@@ -130,8 +129,8 @@ class TestAssignGroups:
 class TestSynthetic:
     def test_determinism(self):
         spec = SyntheticSpec(n_queries=5, docs_per_query=8, d=4, seed=42, grade_noise=0.3)
-        a = generate_synthetic(spec)
-        b = generate_synthetic(spec)
+        a = synthetic_splits(spec, 0, 0)[0]
+        b = synthetic_splits(spec, 0, 0)[0]
         np.testing.assert_array_equal(a.true_theta, b.true_theta)
         for qa, qb in zip(a.queries, b.queries):
             for da, db in zip(qa.documents, qb.documents):
@@ -140,14 +139,14 @@ class TestSynthetic:
 
     def test_top_score_gets_top_grade(self):
         spec = SyntheticSpec(n_queries=20, docs_per_query=7, d=5, seed=1, grade_noise=0.0)
-        ds = generate_synthetic(spec)
+        ds = synthetic_splits(spec, 0, 0)[0]
         for q in ds.queries:
             scores = q.feature_matrix() @ ds.true_theta
             assert q.documents[int(np.argmax(scores))].grade == 4
 
     def test_no_inversions_without_noise(self):
         spec = SyntheticSpec(n_queries=15, docs_per_query=9, d=4, seed=5, grade_noise=0.0)
-        ds = generate_synthetic(spec)
+        ds = synthetic_splits(spec, 0, 0)[0]
         for q in ds.queries:
             scores = q.feature_matrix() @ ds.true_theta
             order = np.argsort(-scores)
@@ -156,30 +155,30 @@ class TestSynthetic:
 
     def test_group_balance_concentration(self):
         spec = SyntheticSpec(n_queries=1000, docs_per_query=10, d=3, seed=9, group_balance=0.5)
-        ds = generate_synthetic(spec)
+        ds = synthetic_splits(spec, 0, 0)[0]
         labels = [d.group for d in ds.all_documents()]
         frac_a = labels.count(GROUP_A) / len(labels)
         assert abs(frac_a - 0.5) < 0.02
 
     def test_theta_norm_recorded(self):
         spec = SyntheticSpec(n_queries=2, docs_per_query=4, d=6, seed=3, theta_norm=2.5)
-        ds = generate_synthetic(spec)
+        ds = synthetic_splits(spec, 0, 0)[0]
         assert ds.metadata["theta_norm"] == 2.5
         assert np.linalg.norm(ds.true_theta) == pytest.approx(2.5)
 
     def test_features_in_unit_ball(self):
         spec = SyntheticSpec(n_queries=10, docs_per_query=10, d=4, seed=8)
-        ds = generate_synthetic(spec)
+        ds = synthetic_splits(spec, 0, 0)[0]
         norms = [np.linalg.norm(d.features) for d in ds.all_documents()]
         assert max(norms) <= 1.0
 
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
-            generate_synthetic(SyntheticSpec(n_queries=1, docs_per_query=1, d=4))
+            synthetic_splits(SyntheticSpec(n_queries=1, docs_per_query=1, d=4), 0, 0)
         with pytest.raises(ValidationError):
-            generate_synthetic(SyntheticSpec(n_queries=1, docs_per_query=4, d=1))
+            synthetic_splits(SyntheticSpec(n_queries=1, docs_per_query=4, d=1), 0, 0)
         with pytest.raises(ValidationError):
-            generate_synthetic(SyntheticSpec(n_queries=1, docs_per_query=4, d=3, group_balance=1.5))
+            synthetic_splits(SyntheticSpec(n_queries=1, docs_per_query=4, d=3, group_balance=1.5), 0, 0)
 
     def test_splits_share_theta(self):
         spec = SyntheticSpec(n_queries=4, docs_per_query=5, d=4, seed=2)
@@ -191,7 +190,7 @@ class TestSynthetic:
 
     def test_counts_match_labels(self):
         spec = SyntheticSpec(n_queries=3, docs_per_query=6, d=3, seed=4)
-        ds = generate_synthetic(spec)
+        ds = synthetic_splits(spec, 0, 0)[0]
         for q in ds.queries:
             n_a, n_b = q.counts
             assert n_a + n_b == len(q)

@@ -20,7 +20,7 @@ from fairexp.fairness import (
     table_model,
     utility_ratio_beta,
 )
-from fairexp.data import SyntheticSpec, generate_synthetic
+from fairexp.data import SyntheticSpec, synthetic_splits
 
 
 class TestExposure:
@@ -211,7 +211,7 @@ class TestLedger:
 
 
 def test_utility_ratio_beta():
-    ds = generate_synthetic(SyntheticSpec(n_queries=50, docs_per_query=10, d=4, seed=3))
+    ds = synthetic_splits(SyntheticSpec(n_queries=50, docs_per_query=10, d=4, seed=3), 0, 0)[0]
     beta = utility_ratio_beta(ds)
     grades_a = [d.grade for d in ds.all_documents() if d.group == "A"]
     grades_b = [d.grade for d in ds.all_documents() if d.group == "B"]

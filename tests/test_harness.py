@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fairexp.data import Document, GroupedDataset, QueryCandidates, SyntheticSpec, generate_synthetic
+from fairexp.data import Document, GroupedDataset, QueryCandidates, SyntheticSpec
 from fairexp.fairness import ExposureError, UnfairnessLedger
 from fairexp.harness import (
     ExperimentConfig,
@@ -57,7 +57,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("eval_stride", 0), ("eval_stride", -3), ("alpha", -1.0), ("alpha", float("nan"))],
+        [
+            ("eval_stride", 0),
+            ("eval_stride", -3),
+            ("alpha", -1.0),
+            ("alpha", float("nan")),
+            ("lam", float("nan")),
+            ("beta", float("nan")),
+            ("beta", float("inf")),
+            ("beta", 0.0),
+            ("beta", -1.0),
+            ("lambda_f", -0.1),
+            ("lambda_f", float("nan")),
+        ],
     )
     def test_out_of_range_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -46,9 +46,9 @@ class TestScore:
             score(state, [1.0, 2.0, 3.0])
 
     def test_matches_grade_order_on_true_theta(self):
-        from fairexp.data import SyntheticSpec, generate_synthetic
+        from fairexp.data import SyntheticSpec, synthetic_splits
 
-        ds = generate_synthetic(SyntheticSpec(n_queries=10, docs_per_query=8, d=5, seed=0))
+        ds = synthetic_splits(SyntheticSpec(n_queries=10, docs_per_query=8, d=5, seed=0), 0, 0)[0]
         state = RankerState.initial(5, lam=1.0)
         state.theta = ds.true_theta
         for q in ds.queries:
