@@ -164,9 +164,9 @@ class UnfairnessLedger:
     history: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
 
 

@@ -72,7 +72,6 @@ class CalibratedRanking:
     order: list[int]
     added_regret: int
     template: GroupTemplate
-    partition_after: BlockPartition
     events: list[SwapEvent] = field(default_factory=list)
 
 
@@ -137,7 +136,6 @@ def fair_swap(
     wins = _within_block_wins(partition, certain)
 
     work: deque[list[int]] = deque(list(block) for block in partition.blocks)
-    out_blocks: list[list[int]] = []
     order: list[int] = []
     events: list[SwapEvent] = []
     pos = 0
@@ -190,18 +188,15 @@ def fair_swap(
         order.extend(
             _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain)
         )
-        out_blocks.append(sorted(displayed))
         if displaced:
             work.appendleft(sorted(displaced))
         pos += len(seg)
         host_index += 1
 
-    partition_after = BlockPartition(blocks=out_blocks + [sorted(b) for b in work])
     return CalibratedRanking(
         order=order,
         added_regret=added_regret(order, certain),
         template=template,
-        partition_after=partition_after,
         events=events,
     )
 

@@ -12,6 +12,7 @@ orders are all certain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +22,6 @@ from .data import QueryCandidates
 
 class DimensionError(ValueError):
     """Raised on feature-dimension mismatches."""
-
-
-class PartitionError(ValueError):
-    """Raised when certain orders between blocks form a directed cycle."""
-
-    def __init__(self, message: str, cycle=None):
-        super().__init__(message)
-        self.cycle = cycle
 
 
 class NumericError(RuntimeError):
@@ -208,67 +201,46 @@ def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float
 def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> BlockPartition:
     """Group candidates into ordered blocks separated only by certain orders.
 
-    Blocks are the connected components of the uncertain-pair graph. Any
-    two distinct components are fully connected by certain pairs, so their
-    directions must agree; disagreement (a directed cycle between
-    components) is surfaced as an error rather than silently repaired.
+    Blocks are the strongly connected components of the digraph with an arc
+    both ways for each uncertain pair and one arc from winner to loser for
+    each certain pair. Every pair has an arc, so every pair between two
+    components is certain and points the same way, and the components form
+    one total order. Certain orders that contradict each other through
+    uncertain pairs merge their blocks.
+
+    The top m documents certainly beat the other n - m exactly when they are
+    the m with the most arcs: each of them has at least n - m arcs, each
+    other document at most n - m - 1. So after a sort by arc count,
+    descending, a block starts at position m exactly when no arc runs from
+    position m or later to a position before m.
+
+    Raises ``ValueError`` unless the two sets name every unordered pair of
+    ``0..n-1`` exactly once.
     """
     n = len(candidates)
-    expected = n * (n - 1) // 2
-    if order_sets.n_pairs() != expected:
-        raise ValueError(f"order sets cover {order_sets.n_pairs()} pairs, expected {expected}")
-
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in order_sets.uncertain:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    members: dict[int, list[int]] = {}
-    for doc in range(n):
-        members.setdefault(find(doc), []).append(doc)
-    roots = sorted(members)
-    comp_index = {r: ci for ci, r in enumerate(roots)}
-    m = len(roots)
-
-    edges: dict[int, set[int]] = {ci: set() for ci in range(m)}
-    witness: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, j in order_sets.certain:
-        ci, cj = comp_index[find(i)], comp_index[find(j)]
-        if ci == cj:
-            continue
-        if cj not in edges[ci]:
-            edges[ci].add(cj)
-            witness[(ci, cj)] = (i, j)
-
-    indegree = [0] * m
-    for ci in range(m):
-        for cj in edges[ci]:
-            indegree[cj] += 1
-    queue = sorted(ci for ci in range(m) if indegree[ci] == 0)
-    topo: list[int] = []
-    while queue:
-        ci = queue.pop(0)
-        topo.append(ci)
-        for cj in sorted(edges[ci]):
-            indegree[cj] -= 1
-            if indegree[cj] == 0:
-                queue.append(cj)
-        queue.sort()
-    if len(topo) != m:
-        cycle = _find_component_cycle(edges, m)
-        pairs = [witness[(cycle[i], cycle[i + 1])] for i in range(len(cycle) - 1)]
-        raise PartitionError(
-            f"certain orders are cyclic across blocks (witness pairs {pairs})", cycle=cycle
-        )
-    return BlockPartition(blocks=[sorted(members[roots[ci]]) for ci in topo])
+    certain, uncertain = order_sets.certain, order_sets.uncertain
+    listed = {(i, j) if i < j else (j, i) for i, j in chain(certain, uncertain)}
+    if len(listed) != len(certain) + len(uncertain) or listed != set(combinations(range(n), 2)):
+        raise ValueError(f"order sets must name each pair of documents 0..{n - 1} exactly once")
+    # a self-loop never runs backwards, and it gives every document a target
+    targets = [[doc] for doc in range(n)]
+    for i, j in certain:
+        targets[i].append(j)
+    for i, j in uncertain:
+        targets[i].append(j)
+        targets[j].append(i)
+    order = sorted(range(n), key=lambda doc: -len(targets[doc]))
+    position = [0] * n
+    for p, doc in enumerate(order):
+        position[doc] = p
+    blocks: list[list[int]] = []
+    earliest_reached, end = n, n
+    for p in reversed(range(n)):
+        earliest_reached = min(earliest_reached, *map(position.__getitem__, targets[order[p]]))
+        if earliest_reached == p:
+            blocks.append(sorted(order[p:end]))
+            end = p
+    return BlockPartition(blocks=blocks[::-1])
 
 
 def fewest_predecessors(pool, rivals, certain: set[tuple[int, int]]) -> list[int]:
@@ -284,32 +256,6 @@ def fewest_predecessors(pool, rivals, certain: set[tuple[int, int]]) -> list[int
     counts = [sum(1 for r in rivals if r != d and (r, d) in certain) for d in pool]
     fewest = min(counts)
     return [d for d, c in zip(pool, counts) if c == fewest]
-
-
-def _find_component_cycle(edges: dict[int, set[int]], m: int) -> list[int]:
-    color = [0] * m
-    stack: list[int] = []
-
-    def dfs(u: int):
-        color[u] = 1
-        stack.append(u)
-        for v in sorted(edges[u]):
-            if color[v] == 1:
-                return stack[stack.index(v) :] + [v]
-            if color[v] == 0:
-                found = dfs(v)
-                if found:
-                    return found
-        color[u] = 2
-        stack.pop()
-        return None
-
-    for u in range(m):
-        if color[u] == 0:
-            found = dfs(u)
-            if found:
-                return found
-    return []
 
 
 def infer_pairs(

@@ -204,10 +204,10 @@ class TestLedger:
         assert ledger.cumulative == sum(ledger.history)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            UnfairnessLedger(beta=0.0, epsilon=0.1)
-        with pytest.raises(ValueError):
-            UnfairnessLedger(beta=1.0, epsilon=0.0)
+        nan = float("nan")
+        for beta, epsilon in [(0.0, 0.1), (1.0, 0.0), (nan, 0.1), (1.0, nan), (nan, nan)]:
+            with pytest.raises(ValueError):
+                UnfairnessLedger(beta=beta, epsilon=epsilon)
 
 
 def test_utility_ratio_beta():

@@ -450,3 +450,30 @@ def test_short_queries_truncate_k():
     config = small_config(synthetic=small_spec(docs_per_query=3), k=8)
     result = run_experiment(config)
     assert len(result.records) == 60
+
+
+@pytest.mark.parametrize(
+    "algorithm, alpha, seed, rounds",
+    [("fairexp_pairrank", 0.1, 4, 1500), ("pairrank", 1.0, 6, 300)],
+)
+def test_contradicting_certain_orders_merge_blocks(algorithm, alpha, seed, rounds):
+    # the bench's paper_default settings; certain orders contradict each
+    # other through uncertain pairs in round 5 at spec seed 4 (4 beats 1 and
+    # 1 beats 0, while uncertain pairs join 0 and 4) and in round 21 at spec
+    # seed 6 (9 beats 11 and 11 beats 8), so the run must merge those blocks
+    config = ExperimentConfig(
+        algorithm=algorithm,
+        synthetic=SyntheticSpec(
+            n_queries=50, docs_per_query=12, d=8, grade_noise=0.1, seed=seed
+        ),
+        rounds=rounds,
+        k=5,
+        lam=0.1,
+        alpha=alpha,
+        beta=1.0,
+        epsilon=0.1,
+        click_model="perfect",
+        seed=1000 + seed,
+    )
+    result = run_experiment(config)
+    assert len(result.records) == rounds

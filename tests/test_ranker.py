@@ -1,6 +1,8 @@
+from functools import cmp_to_key
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairexp.data import Document, QueryCandidates
@@ -8,7 +10,6 @@ from fairexp.ranker import (
     DimensionError,
     GRAD_TOL,
     PairOrderSets,
-    PartitionError,
     RankerState,
     alpha_bound,
     classify_pairs,
@@ -246,6 +247,64 @@ class TestClassifyPairsMatchesTheDefinition:
         assert sets.certain == certain and sets.uncertain == uncertain == set()
 
 
+@st.composite
+def partition_instances(draw):
+    """``classify_pairs`` output for n in 1..40 candidates, d in 1..8, a
+    state whose information matrix ``update`` built from up to 30d random
+    pairs, and alpha up to 10. About 1 in 30 examples has certain orders
+    that contradict each other through uncertain pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = int(rng.integers(1, 41)), int(rng.integers(1, 9))
+    state = RankerState.initial(d, lam=draw(st.sampled_from([0.01, 0.1, 1.0])))
+    m = int(rng.integers(0, 30 * d + 1))
+    update(state, rng.normal(size=(m, d)), (rng.random(m) < 0.5).astype(float))
+    state.theta = rng.normal(size=d) * draw(st.sampled_from([0.0, 1.0, 10.0]))
+    alpha = draw(st.sampled_from([0.0, 0.1, 0.3, 1.0, 3.0, 10.0]))
+    return n, classify_pairs(state, make_candidates(rng.normal(size=(n, d))), alpha)
+
+
+def reached(block, sets, backwards):
+    """The members of ``block`` that its first member reaches (or, with
+    ``backwards``, that reach it) along arcs inside the block: both ways for
+    an uncertain pair, winner to loser for a certain one."""
+    arcs = sets.certain | sets.uncertain | {(j, i) for i, j in sets.uncertain}
+    if backwards:
+        arcs = {(j, i) for i, j in arcs}
+    members, seen, todo = set(block), {block[0]}, [block[0]]
+    while todo:
+        u = todo.pop()
+        for v in members - seen:
+            if (u, v) in arcs:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def uncertain_components_in_order(n, sets):
+    """The earlier definition of the blocks: the connected components of the
+    uncertain pairs, each sorted, in the order the certain pairs between them
+    give; None where those pairs order no two components one way only."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in sets.uncertain:
+            if label[i] != label[j]:
+                label[i] = label[j] = min(label[i], label[j])
+                changed = True
+    components: dict[int, list[int]] = {}
+    for doc in range(n):
+        components.setdefault(label[doc], []).append(doc)
+    blocks = sorted(
+        components.values(),
+        key=cmp_to_key(lambda a, b: -1 if (a[0], b[0]) in sets.certain else 1),
+    )
+    place = {doc: bi for bi, block in enumerate(blocks) for doc in block}
+    if any(place[w] > place[l] for w, l in sets.certain):
+        return None
+    return blocks
+
+
 class TestPartitionBlocks:
     def test_all_certain_gives_singletons_in_order(self):
         state = RankerState.initial(1, lam=1.0)
@@ -270,40 +329,47 @@ class TestPartitionBlocks:
         partition = partition_blocks(cands, PairOrderSets(certain, uncertain))
         assert partition.blocks == [[0, 1], [2, 3, 4]]
 
-    def test_component_cycle_is_an_error(self):
-        # components {0,1} and {2} with certain orders pointing both ways
+    def test_component_cycle_merges_into_one_block(self):
+        # components {0,1} and {2} of the uncertain pairs, with certain
+        # orders between them pointing both ways: one strongly connected block
         cands = make_candidates(np.zeros((3, 1)))
         sets = PairOrderSets(certain={(0, 2), (2, 1)}, uncertain={(0, 1)})
-        with pytest.raises(PartitionError) as err:
-            partition_blocks(cands, sets)
-        assert err.value.cycle
+        assert partition_blocks(cands, sets).blocks == [[0, 1, 2]]
 
     def test_coverage_precondition(self):
         cands = make_candidates(np.zeros((3, 1)))
-        with pytest.raises(ValueError):
-            partition_blocks(cands, PairOrderSets(certain={(0, 1)}, uncertain=set()))
+        for certain, uncertain in [
+            ({(0, 1)}, set()),  # pairs missing
+            ({(0, 0), (1, 2)}, {(0, 2)}),  # a self pair in place of a missing pair
+            ({(0, 1), (1, 2)}, {(0, 1)}),  # a pair listed twice, another missing
+            ({(0, 1), (1, 0), (1, 2)}, set()),  # both directions of one pair
+            ({(0, 1), (1, 2), (0, 2), (2, 0)}, set()),  # every pair, one twice
+            ({(0, 1), (0, 2), (0, 5)}, set()),  # an index past n in place of (1, 2)
+            ({(0, 1), (0, 2), (2, -1)}, set()),  # a negative index in place of (1, 2)
+        ]:
+            with pytest.raises(ValueError):
+                partition_blocks(cands, PairOrderSets(certain, uncertain))
 
-    def test_random_instances_satisfy_invariants(self):
-        rng = np.random.default_rng(3)
-        for trial in range(100):
-            d = 3
-            n = int(rng.integers(2, 11))
-            state = RankerState.initial(d, lam=0.5)
-            state.theta = rng.normal(size=d)
-            for _ in range(int(rng.integers(0, 20))):
-                update(state, rng.normal(size=(1, d)), np.array([1.0]))
-            cands = make_candidates(rng.normal(size=(n, d)))
-            alpha = float(rng.choice([0.05, 0.2, 1.0]))
-            sets = classify_pairs(state, cands, alpha)
-            partition = partition_blocks(cands, sets)
-            docs = partition.documents()
-            assert sorted(docs) == list(range(n))
-            block_of = {doc: bi for bi, blk in enumerate(partition.blocks) for doc in blk}
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if block_of[i] != block_of[j]:
-                        first, second = (i, j) if block_of[i] < block_of[j] else (j, i)
-                        assert (first, second) in sets.certain
+    @settings(max_examples=300)
+    @given(instance=partition_instances())
+    def test_random_instances_satisfy_invariants(self, instance):
+        n, sets = instance
+        partition = partition_blocks(make_candidates(np.zeros((n, 1))), sets)
+        assert sorted(partition.documents()) == list(range(n))
+        block_of = {doc: bi for bi, blk in enumerate(partition.blocks) for doc in blk}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if block_of[i] != block_of[j]:
+                    first, second = (i, j) if block_of[i] < block_of[j] else (j, i)
+                    assert (first, second) in sets.certain
+        for block in partition.blocks:
+            # strongly connected: no split into two parts with every pair
+            # between them certain and pointing one way
+            assert reached(block, sets, backwards=False) == set(block)
+            assert reached(block, sets, backwards=True) == set(block)
+        old = uncertain_components_in_order(n, sets)
+        if old is not None:
+            assert partition.blocks == old
 
 
 class TestInferPairs:
