@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .data import SyntheticSpec, load_svmlight, assign_groups
+from .data import SyntheticSpec, load_svmlight
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
@@ -165,7 +165,6 @@ def main(argv=None) -> int:
     eval_p = sub.add_parser("eval", help="offline NDCG@10 of a checkpoint on a test file")
     eval_p.add_argument("--checkpoint", required=True)
     eval_p.add_argument("--test-file", required=True)
-    eval_p.add_argument("--group-feature", type=int, default=None)
 
     args = parser.parse_args(argv)
 
@@ -200,8 +199,6 @@ def main(argv=None) -> int:
             print(f"fairexp eval: error: {args.checkpoint}: {exc}", file=sys.stderr)
             return 2
         test = load_svmlight(args.test_file, split="test")
-        if args.group_feature is not None:
-            assign_groups(test, args.group_feature)
         try:
             ndcg = evaluate_offline(state, holdout_view(test))
         except DimensionError as exc:

@@ -4,13 +4,19 @@ Supports the line-oriented SVMLight/LETOR text format
 (``<grade> qid:<id> <fid>:<val> ... # comment``), binary group assignment
 from a designated feature, and seeded synthetic datasets with a known
 ground-truth scoring vector for desk-scale verification.
+
+Each query stores its documents as three read-only columns, built once by
+the parser or the generator. A transformation (widening, grouping,
+scaling) replaces whole columns by building new queries; nothing writes
+into a column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,40 +41,88 @@ class DegenerateGroupingError(ValueError):
     """Raised when a grouping strategy would leave one group empty."""
 
 
-@dataclass
-class Document:
-    """One query-document pair: feature vector, relevance grade, group label."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only C-ordered array; a read-only array is
+    shared, a writeable one is copied so that its owner cannot reach the
+    column. C order because BLAS products can round differently by
+    layout, and the golden traces fix the rounding."""
+    array = np.asarray(values, dtype=dtype, order="C")
+    if array is values and array.flags.writeable:
+        array = array.copy()
+    return _frozen(array)
+
+
+class Document(NamedTuple):
+    """One row of a query's columns, as ``QueryCandidates.documents`` yields it."""
 
     features: np.ndarray
     grade: int
-    group: str | None = None
+    group: str | None
 
 
-@dataclass
 class QueryCandidates:
-    """Candidate documents of one query, in storage order (not a ranking)."""
+    """Candidate documents of one query, in storage order (not a ranking).
 
-    query_id: str
-    documents: list[Document]
+    Three read-only columns, one row per document: features (n, d)
+    float64, grades (n,) int64 and group labels (n,), ``GROUP_A`` or
+    ``GROUP_B``, or None until groups are assigned. The accessors return
+    the stored columns, not copies.
+    """
+
+    def __init__(self, query_id: str, features, grades, groups=None):
+        grades = _column(grades, np.int64)
+        n = len(grades)
+        features = _column(features, np.float64)
+        groups = _column([None] * n if groups is None else groups, object)
+        if grades.ndim != 1 or features.ndim != 2 or len(features) != n or groups.shape != (n,):
+            raise ValidationError(
+                f"query {query_id}: columns of shapes {features.shape}, {grades.shape} "
+                f"and {groups.shape} do not describe (n, d), (n,) and (n,)"
+            )
+        self.query_id = query_id
+        self._features = features
+        self._grades = grades
+        self._groups = groups
+        self._counts = (
+            int(np.count_nonzero(groups == GROUP_A)),
+            int(np.count_nonzero(groups == GROUP_B)),
+        )
 
     @property
     def counts(self) -> tuple[int, int]:
         """(group-A count, group-B count) over the candidates."""
-        n_a = sum(1 for d in self.documents if d.group == GROUP_A)
-        n_b = sum(1 for d in self.documents if d.group == GROUP_B)
-        return n_a, n_b
+        return self._counts
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([d.features for d in self.documents])
+        return self._features
 
     def grades(self) -> np.ndarray:
-        return np.array([d.grade for d in self.documents], dtype=np.int64)
+        return self._grades
 
-    def groups(self) -> list[str]:
-        return [d.group for d in self.documents]
+    def groups(self) -> np.ndarray:
+        return self._groups
+
+    @property
+    def documents(self) -> tuple[Document, ...]:
+        """The rows as ``Document`` tuples, for readers outside the package."""
+        return tuple(map(Document, self._features, self._grades.tolist(), self._groups))
+
+    def replace(self, *, features=None, groups=None) -> QueryCandidates:
+        """This query with whole columns replaced; the other columns are shared."""
+        return QueryCandidates(
+            self.query_id,
+            self._features if features is None else features,
+            self._grades,
+            self._groups if groups is None else groups,
+        )
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self._grades)
 
 
 @dataclass
@@ -88,10 +142,6 @@ class GroupedDataset:
 
     def __len__(self) -> int:
         return len(self.queries)
-
-    def all_documents(self) -> Iterable[Document]:
-        for q in self.queries:
-            yield from q.documents
 
 
 def _parse_line(line: str, lineno: int) -> tuple[int, str, dict[int, float]]:
@@ -122,6 +172,10 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, dict[int, float]]:
             raise ParseError(f"line {lineno}: malformed feature token {tok!r}") from None
         if fid < 1:
             raise ParseError(f"line {lineno}: feature ids are 1-based, got {fid}")
+        if fid in feats:
+            raise ParseError(f"line {lineno}: feature id {fid} appears twice")
+        if not math.isfinite(val):
+            raise ParseError(f"line {lineno}: feature {fid} has non-finite value {val_str!r}")
         feats[fid] = val
     return grade, qid, feats
 
@@ -134,25 +188,26 @@ def parse_svmlight(source: str | Iterable[str], split: str = "train") -> Grouped
     """
     if isinstance(source, str):
         source = source.splitlines()
-    rows: list[tuple[int, str, dict[int, float]]] = []
+    by_qid: dict[str, list[tuple[int, dict[int, float]]]] = {}
     max_fid = 0
     for lineno, line in enumerate(source, start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         grade, qid, feats = _parse_line(line, lineno)
-        rows.append((grade, qid, feats))
+        by_qid.setdefault(qid, []).append((grade, feats))
         if feats:
             max_fid = max(max_fid, max(feats))
-    if not rows:
+    if not by_qid:
         raise EmptyDatasetError("input contains no documents")
 
-    by_qid: dict[str, list[Document]] = {}
-    for grade, qid, feats in rows:
-        x = np.zeros(max_fid, dtype=np.float64)
-        for fid, val in feats.items():
-            x[fid - 1] = val
-        by_qid.setdefault(qid, []).append(Document(features=x, grade=grade))
-    queries = [QueryCandidates(query_id=qid, documents=docs) for qid, docs in by_qid.items()]
+    queries = []
+    for qid, rows in by_qid.items():
+        x = np.zeros((len(rows), max_fid), dtype=np.float64)
+        for row, (_, feats) in zip(x, rows):
+            for fid, val in feats.items():
+                row[fid - 1] = val
+        grades = [grade for grade, _ in rows]
+        queries.append(QueryCandidates(qid, _frozen(x), grades))
     return GroupedDataset(queries=queries, dimension=max_fid, split=split)
 
 
@@ -169,10 +224,28 @@ def serialize_svmlight(dataset: GroupedDataset) -> str:
     """
     lines = []
     for q in dataset.queries:
-        for doc in q.documents:
-            feats = " ".join(f"{i + 1}:{float(v)!r}" for i, v in enumerate(doc.features))
-            lines.append(f"{doc.grade} qid:{q.query_id} {feats}")
+        for x, grade in zip(q.feature_matrix().tolist(), q.grades().tolist()):
+            feats = " ".join(f"{i + 1}:{v!r}" for i, v in enumerate(x))
+            lines.append(f"{grade} qid:{q.query_id} {feats}")
     return "\n".join(lines) + "\n"
+
+
+def widen(dataset: GroupedDataset, dimension: int) -> GroupedDataset:
+    """Pad every query's features with zero columns up to ``dimension``.
+
+    SVMLight omits zero values, so a split that never mentions the last
+    feature ids of its fold parses narrower than the fold.
+    """
+    pad = dimension - dataset.dimension
+    if pad < 0:
+        raise ValidationError(f"cannot narrow dimension {dataset.dimension} to {dimension}")
+    if pad:
+        dataset.queries = [
+            q.replace(features=np.pad(q.feature_matrix(), ((0, 0), (0, pad))))
+            for q in dataset.queries
+        ]
+        dataset.dimension = dimension
+    return dataset
 
 
 def assign_groups(
@@ -181,7 +254,7 @@ def assign_groups(
     strategy: str = "median_split",
     threshold: float | None = None,
 ) -> GroupedDataset:
-    """Assign binary group labels from one feature (1-based id), in place.
+    """Assign binary group labels from one feature (1-based id).
 
     Group A iff the feature value is strictly greater than the cut; ties go
     to group B so repeated runs agree. ``strategy`` is ``median_split``
@@ -192,8 +265,9 @@ def assign_groups(
         raise ValidationError("cannot assign groups on an empty dataset")
     if not 1 <= feature_id <= dataset.dimension:
         raise ValidationError(f"feature id {feature_id} outside 1..{dataset.dimension}")
-    values = np.array([d.features[feature_id - 1] for d in dataset.all_documents()])
+    column = feature_id - 1
     if strategy == "median_split":
+        values = np.concatenate([q.feature_matrix()[:, column] for q in dataset.queries])
         cut = float(np.median(values))
         if np.all(values <= cut) or np.all(values > cut):
             raise DegenerateGroupingError(
@@ -205,25 +279,36 @@ def assign_groups(
         cut = float(threshold)
     else:
         raise ValidationError(f"unknown grouping strategy {strategy!r}")
-    for doc in dataset.all_documents():
-        doc.group = GROUP_A if doc.features[feature_id - 1] > cut else GROUP_B
+    dataset.queries = [
+        q.replace(groups=np.where(q.feature_matrix()[:, column] > cut, GROUP_A, GROUP_B))
+        for q in dataset.queries
+    ]
     dataset.metadata["group_feature"] = feature_id
     dataset.metadata["group_cut"] = cut
     return dataset
 
 
-def minmax_scale(dataset: GroupedDataset) -> GroupedDataset:
-    """Optional per-feature min-max scaling over the whole dataset, in place.
+def minmax_scale(
+    dataset: GroupedDataset, bounds: tuple[np.ndarray, np.ndarray] | None = None
+) -> GroupedDataset:
+    """Per-feature min-max scaling, x -> (x - lo) / (hi - lo).
 
-    Constant features are left at zero. Off by default in the loader.
+    ``bounds`` is (lo, hi), per feature; by default the dataset's own
+    minimum and maximum. The bounds used are recorded in
+    ``dataset.metadata["minmax_bounds"]``, so that other splits can be
+    scaled with the same constants. A feature with hi == lo is shifted by
+    lo only, so it is zero on the split that set the bounds. Off by
+    default in the loader.
     """
-    mat = np.stack([d.features for d in dataset.all_documents()])
-    lo = mat.min(axis=0)
-    hi = mat.max(axis=0)
+    if bounds is None:
+        mat = np.concatenate([q.feature_matrix() for q in dataset.queries])
+        bounds = (mat.min(axis=0), mat.max(axis=0))
+    lo, hi = bounds
     span = np.where(hi > lo, hi - lo, 1.0)
-    for doc in dataset.all_documents():
-        doc.features = (doc.features - lo) / span
-    dataset.metadata["minmax_scaled"] = True
+    dataset.queries = [
+        q.replace(features=(q.feature_matrix() - lo) / span) for q in dataset.queries
+    ]
+    dataset.metadata["minmax_bounds"] = bounds
     return dataset
 
 
@@ -280,15 +365,10 @@ def _draw_queries(
         scores = feats @ theta
         grades = _grades_from_scores(scores, rng, spec.grade_noise)
         is_a = rng.random(spec.docs_per_query) < spec.group_balance
-        docs = [
-            Document(
-                features=feats[i],
-                grade=int(grades[i]),
-                group=GROUP_A if is_a[i] else GROUP_B,
-            )
-            for i in range(spec.docs_per_query)
-        ]
-        queries.append(QueryCandidates(query_id=f"{id_prefix}{qi + 1}", documents=docs))
+        groups = [GROUP_A if a else GROUP_B for a in is_a]
+        queries.append(
+            QueryCandidates(f"{id_prefix}{qi + 1}", _frozen(feats), _frozen(grades), groups)
+        )
     return queries
 
 

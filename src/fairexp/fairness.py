@@ -15,6 +15,8 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
+import numpy as np
+
 from .data import GROUP_A, GROUP_B
 
 
@@ -208,17 +210,18 @@ def utility_ratio_beta(dataset) -> float:
     Matches the merit-based reading of the unfairness coefficient: exposure
     proportional to average group utility.
     """
-    totals = {GROUP_A: 0.0, GROUP_B: 0.0}
-    counts = {GROUP_A: 0, GROUP_B: 0}
-    for doc in dataset.all_documents():
-        if doc.group is None:
-            raise ValueError("dataset has unassigned groups")
-        totals[doc.group] += doc.grade
-        counts[doc.group] += 1
-    if counts[GROUP_A] == 0 or counts[GROUP_B] == 0:
+    if not dataset.queries:
         raise ValueError("both groups must be present to compute beta")
-    mean_a = totals[GROUP_A] / counts[GROUP_A]
-    mean_b = totals[GROUP_B] / counts[GROUP_B]
+    grades = np.concatenate([q.grades() for q in dataset.queries])
+    groups = np.concatenate([q.groups() for q in dataset.queries])
+    is_a = groups == GROUP_A
+    is_b = groups == GROUP_B
+    if not np.all(is_a | is_b):
+        raise ValueError("dataset has unassigned groups")
+    if not is_a.any() or not is_b.any():
+        raise ValueError("both groups must be present to compute beta")
+    mean_a = int(grades[is_a].sum()) / int(is_a.sum())
+    mean_b = int(grades[is_b].sum()) / int(is_b.sum())
     if mean_b == 0:
         raise ValueError("group B has zero mean utility; beta undefined")
     return mean_a / mean_b

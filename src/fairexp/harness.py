@@ -39,10 +39,12 @@ from .data import (
     GROUP_A,
     GroupedDataset,
     SyntheticSpec,
+    _frozen,
     assign_groups,
     load_svmlight,
     minmax_scale,
     synthetic_splits,
+    widen,
 )
 
 SWEEP_GRID = (0.1, 0.01, 0.001)
@@ -122,26 +124,34 @@ class ExperimentResult:
 
 
 def load_datasets(config: ExperimentConfig):
+    """(train, validation or None, test). The splits of a dataset directory
+    share the widest split's feature width, and validation and test take
+    the train split's group cut; with ``minmax`` every split is scaled with
+    the train split's bounds."""
     if config.synthetic is not None:
         splits = synthetic_splits(config.synthetic, config.n_validation, config.n_test)
     else:
         root = Path(config.dataset_dir)
-        train = load_svmlight(root / "train.txt", split="train")
         vali_path = root / "vali.txt"
-        valid = load_svmlight(vali_path, split="validation") if vali_path.exists() else None
-        test = load_svmlight(root / "test.txt", split="test")
+        splits = (
+            load_svmlight(root / "train.txt", split="train"),
+            load_svmlight(vali_path, split="validation") if vali_path.exists() else None,
+            load_svmlight(root / "test.txt", split="test"),
+        )
         if config.group_feature is None:
             raise ValueError("file datasets need group_feature to assign groups")
-        for ds in (train, valid, test):
-            if ds is not None:
-                assign_groups(
-                    ds, config.group_feature, config.group_strategy, config.group_threshold
-                )
-        splits = (train, valid, test)
+        train, *others = [ds for ds in splits if ds is not None]
+        width = max(ds.dimension for ds in (train, *others))
+        for ds in (train, *others):
+            widen(ds, width)
+        assign_groups(train, config.group_feature, config.group_strategy, config.group_threshold)
+        for ds in others:
+            assign_groups(ds, config.group_feature, "threshold", train.metadata["group_cut"])
     if config.minmax:
-        for ds in splits:
-            if ds is not None:
-                minmax_scale(ds)
+        train, *others = [ds for ds in splits if ds is not None]
+        minmax_scale(train)
+        for ds in others:
+            minmax_scale(ds, train.metadata["minmax_bounds"])
     return splits
 
 
@@ -240,17 +250,12 @@ class HoldoutView:
 
     Queries are grouped by length so that every row of a group sums exactly
     the ``min(10, n)`` DCG terms that ``metrics.dcg`` sums. Build it with
-    ``holdout_view`` after the split's last in-place change (grouping,
-    scaling); later changes to the split do not reach it.
+    ``holdout_view`` after the split's last transformation (grouping,
+    scaling); it holds copies, so later ones do not reach it.
     """
 
     n_queries: int
     groups: tuple[_LengthGroup, ...]
-
-
-def _frozen(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 def holdout_view(split: GroupedDataset) -> HoldoutView:

@@ -213,6 +213,6 @@ class TestLedger:
 def test_utility_ratio_beta():
     ds = synthetic_splits(SyntheticSpec(n_queries=50, docs_per_query=10, d=4, seed=3), 0, 0)[0]
     beta = utility_ratio_beta(ds)
-    grades_a = [d.grade for d in ds.all_documents() if d.group == "A"]
-    grades_b = [d.grade for d in ds.all_documents() if d.group == "B"]
-    assert beta == pytest.approx(np.mean(grades_a) / np.mean(grades_b))
+    grades = np.concatenate([q.grades() for q in ds.queries])
+    groups = np.concatenate([q.groups() for q in ds.queries])
+    assert beta == pytest.approx(np.mean(grades[groups == "A"]) / np.mean(grades[groups == "B"]))

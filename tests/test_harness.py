@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fairexp.data import Document, GroupedDataset, QueryCandidates, SyntheticSpec
+from fairexp.data import GroupedDataset, QueryCandidates, SyntheticSpec
 from fairexp.fairness import ExposureError, UnfairnessLedger
 from fairexp.harness import (
+    ALGORITHMS,
     ExperimentConfig,
     evaluate_offline,
     holdout_view,
@@ -243,10 +244,12 @@ def ragged_split(d=4):
             x[-1] = x[0]
         if qi == 6:
             grades[:] = 0
-        docs = [Document(features=x[i], grade=int(grades[i]), group="A") for i in range(n)]
-        queries.append(QueryCandidates(query_id=f"h{qi}", documents=docs))
+        queries.append(QueryCandidates(f"h{qi}", x, grades, ["A"] * n))
     # a second query of an already seen length, later in split order
-    queries.insert(4, QueryCandidates(query_id="h2b", documents=queries[2].documents[::-1]))
+    q2 = queries[2]
+    queries.insert(
+        4, QueryCandidates("h2b", q2.feature_matrix()[::-1], q2.grades()[::-1], q2.groups()[::-1])
+    )
     return GroupedDataset(queries=queries, dimension=d, split="test")
 
 
@@ -299,8 +302,14 @@ class TestEvaluateOffline:
         state = RankerState.initial(4, lam=0.1)
         state.theta = np.array([1.0, -1.0, 0.5, 0.0])
         before = evaluate_offline(state, view)
-        for doc in split.all_documents():
-            doc.features *= -1.0
+        for query in split.queries:
+            with pytest.raises(ValueError):
+                query.feature_matrix()[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                query.grades()[0] = 4
+        # a transformation replaces whole columns; the view keeps its copies
+        split.queries = [q.replace(features=-q.feature_matrix()) for q in split.queries]
+        assert evaluate_offline(state, holdout_view(split)) != before
         assert evaluate_offline(state, view) == before
         with pytest.raises(ValueError):
             view.groups[0].features[0, 0, 0] = 1.0
@@ -410,7 +419,7 @@ class TestRobustness:
     def test_minmax_flag_scales_features(self):
         config = small_config(minmax=True)
         train, _, _ = load_datasets(config)
-        mat = np.stack([d.features for d in train.all_documents()])
+        mat = np.concatenate([q.feature_matrix() for q in train.queries])
         assert mat.min() >= 0.0 and mat.max() <= 1.0
         result = run_experiment(config)
         assert len(result.records) == 60
@@ -434,6 +443,72 @@ class TestRobustness:
         serial = sweep(config, workers=1)
         parallel = sweep(config, workers=2)
         assert serial == parallel
+
+
+def _svmlight(rng, prefix, n_queries, n_docs, fids, fixed=None):
+    """SVMLight lines naming only the feature ids ``fids`` (values in (0, 1],
+    so none is left out as zero); ``fixed`` maps a feature id to one value
+    for every document."""
+    lines = []
+    for qi in range(n_queries):
+        for _ in range(n_docs):
+            values = {fid: float(rng.uniform(0.01, 1.0)) for fid in fids}
+            values.update(fixed or {})
+            feats = " ".join(f"{fid}:{v!r}" for fid, v in values.items())
+            lines.append(f"{int(rng.integers(0, 5))} qid:{prefix}{qi} {feats}")
+    return "\n".join(lines) + "\n"
+
+
+def write_fold(root, test_fixed=None):
+    """Train names feature ids 1..4, validation 1..2 and test 1..3."""
+    rng = np.random.default_rng(17)
+    root.mkdir()
+    (root / "train.txt").write_text(_svmlight(rng, "t", 8, 6, (1, 2, 3, 4)), encoding="utf-8")
+    (root / "vali.txt").write_text(_svmlight(rng, "v", 3, 5, (1, 2)), encoding="utf-8")
+    test = _svmlight(rng, "h", 4, 5, (1, 2, 3), fixed=test_fixed)
+    (root / "test.txt").write_text(test, encoding="utf-8")
+
+
+class TestFileFolds:
+    def _config(self, root, **kwargs):
+        return small_config(synthetic=None, dataset_dir=str(root), group_feature=1, **kwargs)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_split_that_omits_the_last_ids_runs_to_the_end(self, tmp_path, algorithm):
+        write_fold(tmp_path / "fold")
+        config = self._config(tmp_path / "fold", algorithm=algorithm)
+        train, valid, test = load_datasets(config)
+        assert train.dimension == valid.dimension == test.dimension == 4
+        assert not test.queries[0].feature_matrix()[:, 3].any()
+        assert not valid.queries[0].feature_matrix()[:, 2:].any()
+        result = run_experiment(config)
+        assert len(result.records) == 60
+
+    def test_hold_out_splits_take_the_train_group_cut(self, tmp_path):
+        # a constant group feature cannot be median-cut, but takes train's cut
+        write_fold(tmp_path / "fold", test_fixed={1: 0.5})
+        train, valid, test = load_datasets(self._config(tmp_path / "fold"))
+        cut = train.metadata["group_cut"]
+        assert valid.metadata["group_cut"] == test.metadata["group_cut"] == cut
+        for split in (valid, test):
+            for q in split.queries:
+                expected = np.where(q.feature_matrix()[:, 0] > cut, "A", "B")
+                assert q.groups().tolist() == expected.tolist()
+        assert test.queries[0].counts == ((5, 0) if 0.5 > cut else (0, 5))
+
+    def test_minmax_scales_every_split_with_the_train_bounds(self):
+        raw = load_datasets(small_config())
+        scaled = load_datasets(small_config(minmax=True))
+        train_raw = np.concatenate([q.feature_matrix() for q in raw[0].queries])
+        lo, hi = train_raw.min(axis=0), train_raw.max(axis=0)
+        for split_raw, split_scaled in zip(raw, scaled):
+            lo_used, hi_used = split_scaled.metadata["minmax_bounds"]
+            np.testing.assert_array_equal(lo_used, lo)
+            np.testing.assert_array_equal(hi_used, hi)
+            for q_raw, q_scaled in zip(split_raw.queries, split_scaled.queries):
+                np.testing.assert_array_equal(
+                    q_scaled.feature_matrix(), (q_raw.feature_matrix() - lo) / (hi - lo)
+                )
 
 
 def test_skewed_groups_still_run():

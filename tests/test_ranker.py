@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairexp.data import Document, QueryCandidates
+from fairexp.data import QueryCandidates
 from fairexp.ranker import (
     DimensionError,
     GRAD_TOL,
@@ -27,8 +27,7 @@ from fairexp.ranker import (
 
 def make_candidates(features: np.ndarray, grades=None) -> QueryCandidates:
     grades = grades if grades is not None else [0] * len(features)
-    docs = [Document(features=f, grade=int(g)) for f, g in zip(features, grades)]
-    return QueryCandidates(query_id="q", documents=docs)
+    return QueryCandidates("q", features, grades)
 
 
 class TestScore:
@@ -53,7 +52,7 @@ class TestScore:
         state = RankerState.initial(5, lam=1.0)
         state.theta = ds.true_theta
         for q in ds.queries:
-            scores = [score(state, d.features) for d in q.documents]
+            scores = [score(state, x) for x in q.feature_matrix()]
             order = np.argsort(-np.array(scores))
             grades = q.grades()[order]
             assert np.all(np.diff(grades) <= 0)
