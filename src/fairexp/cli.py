@@ -3,6 +3,11 @@ evaluate a saved checkpoint.
 
 Configuration can come from a plain-text ``key=value`` file (one pair per
 line, ``#`` comments); command-line flags override file values.
+
+Bad input (a config value, a dataset or checkpoint that does not load)
+ends the command with one ``fairexp <command>: error: <message>`` line on
+stderr and exit status 2, before any round runs. Errors raised inside the
+round loop propagate with their traceback.
 """
 
 from __future__ import annotations
@@ -17,9 +22,11 @@ from .data import SyntheticSpec, load_svmlight
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
+    check_sweep,
     evaluate_offline,
     holdout_view,
-    run_experiment,
+    load_datasets,
+    run_loaded,
     sweep,
 )
 from .ranker import DimensionError, load_checkpoint
@@ -151,6 +158,16 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+# what bad input raises: config and parse errors are ValueErrors, a missing
+# or unreadable file an OSError
+_INPUT_ERRORS = (ValueError, OSError)
+
+
+def _error(command: str, message) -> int:
+    print(f"fairexp {command}: error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fairexp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -169,8 +186,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        config = build_config(args)
-        result = run_experiment(config)
+        try:
+            config = build_config(args)
+            train, _, test = load_datasets(config)
+        except _INPUT_ERRORS as exc:
+            return _error("run", exc)
+        result = run_loaded(config, train, test)
         for key, value in result.summary.items():
             print(f"{key}={value}")
         if config.out_dir:
@@ -178,7 +199,12 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        config = build_config(args)
+        try:
+            config = build_config(args)
+            check_sweep(config)
+            load_datasets(config)  # each job loads its own copy; fail before the first
+        except _INPUT_ERRORS as exc:
+            return _error("sweep", exc)
         (best_params, best_ndcg), results = sweep(config, workers=args.workers)
         for params, ndcg in results:
             print(f"params={params} validation_ndcg10={ndcg:.6f}")
@@ -195,18 +221,16 @@ def main(argv=None) -> int:
     if args.command == "eval":
         try:
             state = load_checkpoint(args.checkpoint)
-        except ValueError as exc:
-            print(f"fairexp eval: error: {args.checkpoint}: {exc}", file=sys.stderr)
-            return 2
-        test = load_svmlight(args.test_file, split="test")
+        except _INPUT_ERRORS as exc:
+            return _error("eval", f"{args.checkpoint}: {exc}")
+        try:
+            test = load_svmlight(args.test_file, split="test")
+        except _INPUT_ERRORS as exc:
+            return _error("eval", exc)
         try:
             ndcg = evaluate_offline(state, holdout_view(test))
         except DimensionError as exc:
-            print(
-                f"fairexp eval: error: {args.test_file} does not fit the checkpoint: {exc}",
-                file=sys.stderr,
-            )
-            return 2
+            return _error("eval", f"{args.test_file} does not fit the checkpoint: {exc}")
         print(f"offline_ndcg10={ndcg:.6f}")
         return 0
 

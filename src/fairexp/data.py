@@ -23,6 +23,7 @@ import numpy as np
 GROUP_A = "A"
 GROUP_B = "B"
 VALID_GRADES = (0, 1, 2, 3, 4)
+GROUP_STRATEGIES = ("median_split", "threshold")
 
 
 class ParseError(ValueError):
@@ -212,8 +213,15 @@ def parse_svmlight(source: str | Iterable[str], split: str = "train") -> Grouped
 
 
 def load_svmlight(path: str | Path, split: str = "train") -> GroupedDataset:
+    """``parse_svmlight`` on a file; every parse and validation message
+    starts with the file's path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_svmlight(fh, split=split)
+        try:
+            return parse_svmlight(fh, split=split)
+        except (ParseError, ValidationError, EmptyDatasetError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def serialize_svmlight(dataset: GroupedDataset) -> str:

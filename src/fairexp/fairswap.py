@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +99,33 @@ def _donor_sort_key(doc: int, wins, scores):
     return (-wins[doc], -scores.get(doc, 0.0), doc)
 
 
+class _PreparedPartition(NamedTuple):
+    """What every calibration of one partition reads and none changes.
+
+    Built once per round by ``select_ranking`` (or by a direct ``fair_swap``
+    call) from the partition, the certain set and the group labels.
+    """
+
+    n_docs: int
+    have_total: Counter  # documents per group over the whole partition
+    origin: dict[int, int]  # document -> index of its original block
+    wins: dict[int, int]  # document -> certain wins inside its own block
+    b_counts: tuple[int, ...]  # group-B members per block
+
+
+def _prepare(partition: BlockPartition, certain, groups) -> _PreparedPartition:
+    docs_all = partition.documents()
+    if len(set(docs_all)) != len(docs_all):
+        raise MalformedPartitionError("blocks contain duplicate documents")
+    return _PreparedPartition(
+        n_docs=len(docs_all),
+        have_total=Counter(groups[doc] for doc in docs_all),
+        origin={doc: bi for bi, block in enumerate(partition.blocks) for doc in block},
+        wins=_within_block_wins(partition, certain),
+        b_counts=tuple(sum(1 for d in block if groups[d] == "B") for block in partition.blocks),
+    )
+
+
 def fair_swap(
     partition: BlockPartition,
     template: GroupTemplate,
@@ -106,6 +134,8 @@ def fair_swap(
     rng: np.random.Generator,
     scores: dict[int, float] | None = None,
     respect_certain: bool = True,
+    *,
+    prepared: _PreparedPartition | None = None,
 ) -> CalibratedRanking:
     """Calibrate the partition to one template with minimum added regret.
 
@@ -115,35 +145,50 @@ def fair_swap(
     same original block are followed where the slot pattern allows;
     disabling it recovers pure seeded shuffling within blocks.
 
+    Work that does not depend on the template (the duplicate check, the
+    group totals, each document's original block, its within-block wins and
+    each block's group-B count) is ``prepared``: ``select_ranking`` builds
+    it once per round and passes it to every call, and a call without it
+    builds it from ``partition``, ``certain`` and ``groups``. Per template,
+    the walk copies the blocks and their group-B counts and keeps both
+    current as donors are promoted and emptied blocks dropped, so an
+    event's counts cost one copy, not a pass over the lower documents.
+
     One calibration looks ``certain`` up O(k^3 + sum(|b|^2)) times over the
     blocks b, and never scans it: its cost does not grow with len(certain).
     """
-    docs_all = [doc for block in partition.blocks for doc in block]
-    if len(set(docs_all)) != len(docs_all):
-        raise MalformedPartitionError("blocks contain duplicate documents")
+    if prepared is None:
+        prepared = _prepare(partition, certain, groups)
     k = len(template)
-    if k > len(docs_all):
-        raise InfeasibleTemplateError(f"template length {k} exceeds {len(docs_all)} documents")
-    need_total = Counter(template.placement)
-    have_total = Counter(groups[doc] for doc in docs_all)
-    for g, n in need_total.items():
+    if k > prepared.n_docs:
+        raise InfeasibleTemplateError(f"template length {k} exceeds {prepared.n_docs} documents")
+    have_total = prepared.have_total
+    for g, n in Counter(template.placement).items():
         if n > have_total.get(g, 0):
             raise InfeasibleTemplateError(
                 f"template needs {n} documents of group {g}, only {have_total.get(g, 0)} available"
             )
     scores = scores or {}
-    origin = {doc: bi for bi, block in enumerate(partition.blocks) for doc in block}
-    wins = _within_block_wins(partition, certain)
+    origin, wins = prepared.origin, prepared.wins
 
+    # the lower blocks, and b_counts[i] the number of group-B documents in work[i]
     work: deque[list[int]] = deque(list(block) for block in partition.blocks)
+    b_counts: deque[int] = deque(prepared.b_counts)
+    # members displaced from the previous segment: a new block just above
+    # the lower ones, so always the next host
+    displaced: list[int] = []
     order: list[int] = []
     events: list[SwapEvent] = []
     pos = 0
     host_index = 0
     while pos < k:
-        if not work:
+        if displaced:
+            block = sorted(displaced)
+        elif work:
+            block = work.popleft()
+            b_counts.popleft()
+        else:
             raise MalformedPartitionError("ran out of blocks before filling the template")
-        block = work.popleft()
         seg = template.placement[pos : min(pos + len(block), k)]
         seg_need = Counter(seg)
         members_by_group: dict[str, list[int]] = {}
@@ -155,9 +200,9 @@ def fair_swap(
             shortage = needed - len(members_by_group.get(g, []))
             if shortage <= 0:
                 continue
-            b_counts = [sum(1 for d in blk if groups[d] == "B") for blk in work]
-            sizes = [len(blk) for blk in work]
-            taken, per_block = _promote(work, g, shortage, groups, wins, scores)
+            counts_before = list(b_counts)
+            sizes_before = list(map(len, work))
+            taken, per_block = _promote(work, b_counts, g, shortage, groups, wins, scores)
             if len(taken) < shortage:
                 raise InfeasibleTemplateError(
                     f"could not promote {shortage} documents of group {g}"
@@ -171,14 +216,14 @@ def fair_swap(
                     donors_per_block=per_block,
                     host_members=len(block),
                     displaced=max(len(block) + len(taken) - len(seg), 0),
-                    blocks_b_counts=b_counts,
-                    blocks_sizes=sizes,
+                    blocks_b_counts=counts_before,
+                    blocks_sizes=sizes_before,
                 )
             )
 
         # keep the strongest members for display; the rest are displaced
         displayed: list[int] = list(donors)
-        displaced: list[int] = []
+        displaced = []
         for g, members in members_by_group.items():
             keep = min(len(members), seg_need.get(g, 0))
             ranked = sorted(members, key=lambda d: _donor_sort_key(d, wins, scores))
@@ -188,8 +233,6 @@ def fair_swap(
         order.extend(
             _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain)
         )
-        if displaced:
-            work.appendleft(sorted(displaced))
         pos += len(seg)
         host_index += 1
 
@@ -202,9 +245,10 @@ def fair_swap(
 
 
 def _promote(
-    work: deque, group: str, shortage: int, groups, wins, scores
+    work: deque, b_counts: deque, group: str, shortage: int, groups, wins, scores
 ) -> tuple[list[int], dict[int, int]]:
-    """Take the shortfall from the nearest lower blocks, best candidates first."""
+    """Take the shortfall from the nearest lower blocks, best candidates
+    first, keeping ``b_counts`` in step with ``work``."""
     taken: list[int] = []
     per_block: dict[int, int] = {}
     for bi, block in enumerate(work):
@@ -219,11 +263,14 @@ def _promote(
             per_block[bi] = len(chosen)
             for d in chosen:
                 block.remove(d)
+            if group == "B":
+                b_counts[bi] -= len(chosen)
             taken.extend(chosen)
     # drop blocks emptied by promotion
     empty = [i for i, blk in enumerate(work) if not blk]
     for i in reversed(empty):
         del work[i]
+        del b_counts[i]
     return taken, per_block
 
 
@@ -283,12 +330,19 @@ def select_ranking(
     so concurrent evaluation can never change the outcome. Each template
     gets an independently derived seed and one ``fair_swap`` call, whose
     cost does not grow with len(certain).
+
+    Once per round, before the templates are walked: the duplicate check,
+    the group totals, each document's original block, the within-block
+    certain wins and each block's group-B count. Once per template: the
+    feasibility check against the group totals, and the walk itself (block
+    copies, promotions, displacements, segment fills and the added regret).
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")
     if projections is None:
         projections = [0.0] * len(templates)
     child_rngs = rng.spawn(len(templates))
+    prepared = _prepare(partition, certain, groups)
     best: CalibratedRanking | None = None
     best_key = None
     for template, projection, child in zip(templates, projections, child_rngs):
@@ -300,6 +354,7 @@ def select_ranking(
             child,
             scores=scores,
             respect_certain=respect_certain,
+            prepared=prepared,
         )
         key = (result.added_regret, abs(projection), template.placement)
         if best is None or key < best_key:

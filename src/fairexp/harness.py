@@ -37,6 +37,7 @@ import numpy as np
 from . import click_sim, fairness, fairswap, metrics, ranker
 from .data import (
     GROUP_A,
+    GROUP_STRATEGIES,
     GroupedDataset,
     SyntheticSpec,
     _frozen,
@@ -103,6 +104,25 @@ class ExperimentConfig:
             raise ValueError("lambda_f must be >= 0")
         if self.dataset_dir is None and self.synthetic is None:
             raise ValueError("either dataset_dir or synthetic must be given")
+        if self.dataset_dir is not None and self.group_feature is None:
+            raise ValueError("file datasets need group_feature to assign groups")
+        if self.group_strategy not in GROUP_STRATEGIES:
+            raise ValueError(
+                f"unknown group_strategy {self.group_strategy!r}; "
+                f"expected one of {', '.join(GROUP_STRATEGIES)}"
+            )
+        if self.group_strategy == "threshold":
+            if self.group_threshold is None or not math.isfinite(self.group_threshold):
+                raise ValueError("group_strategy 'threshold' needs a finite group_threshold")
+        elif self.group_threshold is not None:
+            raise ValueError(
+                f"group_threshold is used only with group_strategy 'threshold', "
+                f"not {self.group_strategy!r}"
+            )
+        if self.n_test < 1:
+            raise ValueError("n_test must be >= 1")
+        if self.n_validation < 0:
+            raise ValueError("n_validation must be >= 0")
         if self.click_model == "custom" and len(self.custom_clicks or ()) != 10:
             raise ValueError(
                 "click_model 'custom' needs ten custom_clicks (5 click, 5 stop probabilities)"
@@ -138,8 +158,6 @@ def load_datasets(config: ExperimentConfig):
             load_svmlight(vali_path, split="validation") if vali_path.exists() else None,
             load_svmlight(root / "test.txt", split="test"),
         )
-        if config.group_feature is None:
-            raise ValueError("file datasets need group_feature to assign groups")
         train, *others = [ds for ds in splits if ds is not None]
         width = max(ds.dimension for ds in (train, *others))
         for ds in (train, *others):
@@ -261,7 +279,7 @@ class HoldoutView:
 def holdout_view(split: GroupedDataset) -> HoldoutView:
     """Stack a hold-out split once, for every later ``evaluate_offline``."""
     if not split.queries:
-        raise ValueError("test split is empty")
+        raise ValueError(f"{split.split} split is empty")
     by_length: dict[int, list[int]] = {}
     for position, query in enumerate(split.queries):
         by_length.setdefault(len(query), []).append(position)
@@ -378,13 +396,14 @@ ALGORITHMS = tuple(POLICIES)
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     train, _, test = load_datasets(config)
-    return _run_loaded(config, train, test)
+    return run_loaded(config, train, test)
 
 
-def _run_loaded(
+def run_loaded(
     config: ExperimentConfig, train: GroupedDataset, test: GroupedDataset
 ) -> ExperimentResult:
-    """The round loop of ``run_experiment`` on splits already loaded."""
+    """The round loop of ``run_experiment`` on a validated config's splits,
+    already loaded by ``load_datasets``."""
     policy = POLICIES[config.algorithm]
     beta = resolve_beta(config, train)
     click_model = resolve_click_model(config)
@@ -506,14 +525,31 @@ def _sweep_worker(args) -> tuple[dict, float]:
     cfg = replace(config, **params, out_dir=None)
     cfg.validate()
     train, valid, test = load_datasets(cfg)
-    result = _run_loaded(cfg, train, test)
-    target = valid if valid is not None else test
-    return params, evaluate_offline(result.state, holdout_view(target))
+    result = run_loaded(cfg, train, test)
+    return params, evaluate_offline(result.state, holdout_view(valid))
+
+
+def check_sweep(config: ExperimentConfig) -> None:
+    """Raise ValueError when the config has no validation split to select
+    on: a dataset directory without vali.txt, or ``n_validation=0``.
+    Selecting on the test split instead would report a test-set figure as
+    the validation NDCG."""
+    if config.synthetic is None:
+        vali = Path(config.dataset_dir) / "vali.txt"
+        if not vali.exists():
+            raise ValueError(f"sweep selects on the validation split, and {vali} does not exist")
+    elif config.n_validation < 1:
+        raise ValueError(
+            f"sweep selects on the validation split, and n_validation is {config.n_validation}"
+        )
 
 
 def sweep(config: ExperimentConfig, workers: int = 1):
     """Grid-search lam and alpha (and the controller gain where relevant)
-    on validation offline NDCG; returns (best params, all results)."""
+    on validation offline NDCG; returns (best params, all results).
+    ``check_sweep`` runs first, so a config without a validation split
+    fails before any job."""
+    check_sweep(config)
     tuned = POLICIES[config.algorithm].tuned
     grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]
     jobs = [(config, params) for params in grid]

@@ -6,11 +6,28 @@ members, realizing each leaf with the shared presentation rule (promoted
 documents precede the members they join, deeper origins first). The
 reported minimum is over realized certain-order violations in the
 displayed prefix.
+
+``reference_fair_swap`` is the calibrator as it was before its
+template-independent work moved into one preparation per round: it
+recounts every lower block's group-B members at each promotion. The
+calibrator must return an equal ``CalibratedRanking``, events included.
 """
 
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 import numpy as np
+
+from fairexp.fairswap import (
+    CalibratedRanking,
+    InfeasibleTemplateError,
+    MalformedPartitionError,
+    SwapEvent,
+    _donor_sort_key,
+    _fill_segment,
+    _within_block_wins,
+    added_regret,
+)
 
 
 def brute_added_regret(order, certain):
@@ -159,3 +176,110 @@ def random_instance(rng: np.random.Generator, full_length=False):
         placement.append(g)
         rem[g] -= 1
     return blocks, tuple(placement), cross_block_certain(blocks), groups, k
+
+
+def reference_fair_swap(
+    partition, template, certain, groups, rng, scores=None, respect_certain=True
+) -> CalibratedRanking:
+    docs_all = [doc for block in partition.blocks for doc in block]
+    if len(set(docs_all)) != len(docs_all):
+        raise MalformedPartitionError("blocks contain duplicate documents")
+    k = len(template)
+    if k > len(docs_all):
+        raise InfeasibleTemplateError(f"template length {k} exceeds {len(docs_all)} documents")
+    need_total = Counter(template.placement)
+    have_total = Counter(groups[doc] for doc in docs_all)
+    for g, n in need_total.items():
+        if n > have_total.get(g, 0):
+            raise InfeasibleTemplateError(
+                f"template needs {n} documents of group {g}, only {have_total.get(g, 0)} available"
+            )
+    scores = scores or {}
+    origin = {doc: bi for bi, block in enumerate(partition.blocks) for doc in block}
+    wins = _within_block_wins(partition, certain)
+
+    work = deque(list(block) for block in partition.blocks)
+    order = []
+    events = []
+    pos = 0
+    host_index = 0
+    while pos < k:
+        if not work:
+            raise MalformedPartitionError("ran out of blocks before filling the template")
+        block = work.popleft()
+        seg = template.placement[pos : min(pos + len(block), k)]
+        seg_need = Counter(seg)
+        members_by_group = {}
+        for doc in block:
+            members_by_group.setdefault(groups[doc], []).append(doc)
+
+        donors = []
+        for g, needed in seg_need.items():
+            shortage = needed - len(members_by_group.get(g, []))
+            if shortage <= 0:
+                continue
+            b_counts = [sum(1 for d in blk if groups[d] == "B") for blk in work]
+            sizes = [len(blk) for blk in work]
+            taken, per_block = _reference_promote(work, g, shortage, groups, wins, scores)
+            if len(taken) < shortage:
+                raise InfeasibleTemplateError(
+                    f"could not promote {shortage} documents of group {g}"
+                )
+            donors.extend(taken)
+            events.append(
+                SwapEvent(
+                    host_block=host_index,
+                    group=g,
+                    shortage=shortage,
+                    donors_per_block=per_block,
+                    host_members=len(block),
+                    displaced=max(len(block) + len(taken) - len(seg), 0),
+                    blocks_b_counts=b_counts,
+                    blocks_sizes=sizes,
+                )
+            )
+
+        displayed = list(donors)
+        displaced = []
+        for g, members in members_by_group.items():
+            keep = min(len(members), seg_need.get(g, 0))
+            ranked = sorted(members, key=lambda d: _donor_sort_key(d, wins, scores))
+            displayed.extend(ranked[:keep])
+            displaced.extend(ranked[keep:])
+
+        order.extend(
+            _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain)
+        )
+        if displaced:
+            work.appendleft(sorted(displaced))
+        pos += len(seg)
+        host_index += 1
+
+    return CalibratedRanking(
+        order=order,
+        added_regret=added_regret(order, certain),
+        template=template,
+        events=events,
+    )
+
+
+def _reference_promote(work, group, shortage, groups, wins, scores):
+    taken = []
+    per_block = {}
+    for bi, block in enumerate(work):
+        if len(taken) == shortage:
+            break
+        candidates = sorted(
+            (d for d in block if groups[d] == group),
+            key=lambda d: _donor_sort_key(d, wins, scores),
+        )
+        chosen = candidates[: shortage - len(taken)]
+        if chosen:
+            per_block[bi] = len(chosen)
+            for d in chosen:
+                block.remove(d)
+            taken.extend(chosen)
+    empty = [i for i, blk in enumerate(work) if not blk]
+    for i in reversed(empty):
+        del work[i]
+    return taken, per_block

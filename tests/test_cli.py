@@ -275,3 +275,99 @@ def test_eval_subcommand_rejects_a_tampered_checkpoint(tmp_path, capsys):
     assert captured.err.splitlines() == [
         f"fairexp eval: error: {checkpoint}: checkpoint info_matrix is not positive definite"
     ]
+
+
+def _one_line_error(capsys, argv) -> str:
+    """Run the CLI on bad input: exit status 2, nothing on stdout, and one
+    ``fairexp <command>: error:`` line on stderr, whose message is returned."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    prefix = f"fairexp {argv[0]}: error: "
+    assert line.startswith(prefix)
+    return line[len(prefix) :]
+
+
+def _fold(root, train="1 qid:1 1:0.5 2:0.1\n0 qid:1 1:0.2 2:0.3\n", vali=True):
+    root.mkdir()
+    good = "1 qid:9 1:0.4 2:0.2\n0 qid:9 1:0.1 2:0.6\n"
+    (root / "train.txt").write_text(train, encoding="utf-8")
+    (root / "test.txt").write_text(good, encoding="utf-8")
+    if vali:
+        (root / "vali.txt").write_text(good, encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_malformed_split_is_one_line_naming_the_file(tmp_path, capsys, command):
+    fold = _fold(tmp_path / "fold", train="1 qid:1 1:0.5 2:nan\n")
+    message = _one_line_error(
+        capsys, [command, "--dataset", str(fold), "--group-feature", "1", "--rounds", "3"]
+    )
+    assert message == f"{fold / 'train.txt'}: line 1: feature 2 has non-finite value 'nan'"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_missing_dataset_directory_is_one_line(tmp_path, capsys, command):
+    missing = tmp_path / "nowhere"
+    argv = [command, "--dataset", str(missing), "--group-feature", "1", "--rounds", "3"]
+    if command == "sweep":
+        assert "vali.txt does not exist" in _one_line_error(capsys, argv)
+    else:
+        assert str(missing / "train.txt") in _one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_config_error_is_one_line(capsys, command):
+    message = _one_line_error(capsys, [command, "--synthetic", SYNTH, "--eval-stride", "0"])
+    assert message == "eval_stride must be >= 1"
+
+
+def test_a_degenerate_group_feature_is_one_line(tmp_path, capsys):
+    fold = _fold(tmp_path / "fold", train="1 qid:1 1:0.5 2:0.1\n0 qid:1 1:0.5 2:0.3\n")
+    message = _one_line_error(capsys, ["run", "--dataset", str(fold), "--group-feature", "1"])
+    assert "degenerate under median_split" in message
+
+
+def test_sweep_without_vali_txt_refuses_before_any_job(tmp_path, capsys, monkeypatch):
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    fold = _fold(tmp_path / "fold", vali=False)
+    message = _one_line_error(capsys, ["sweep", "--dataset", str(fold), "--group-feature", "1"])
+    assert message == (
+        f"sweep selects on the validation split, and {fold / 'vali.txt'} does not exist"
+    )
+
+
+def test_sweep_with_no_synthetic_validation_queries_refuses(tmp_path, capsys, monkeypatch):
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    path = tmp_path / "sweep.cfg"
+    path.write_text("n_validation=0\n", encoding="utf-8")
+    message = _one_line_error(capsys, ["sweep", "--config", str(path), "--synthetic", SYNTH])
+    assert message == "sweep selects on the validation split, and n_validation is 0"
+
+
+def test_eval_rejects_a_malformed_test_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--synthetic", SYNTH, "--rounds", "5", "--k", "3", "--out", str(out)])
+    capsys.readouterr()
+    test_file = tmp_path / "test.txt"
+    test_file.write_text("1 qid:1 1:0.1 1:0.2\n", encoding="utf-8")
+    argv = ["eval", "--checkpoint", str(out / "checkpoint.npz"), "--test-file", str(test_file)]
+    assert _one_line_error(capsys, argv) == f"{test_file}: line 1: feature id 1 appears twice"
+
+
+def test_errors_inside_the_round_loop_propagate(monkeypatch):
+    from fairexp import ranker
+
+    def failing_update(*args):
+        raise ranker.NumericError("refit diverged")
+
+    monkeypatch.setattr(ranker, "update", failing_update)
+    with pytest.raises(ranker.NumericError, match="refit diverged"):
+        main(["run", "--synthetic", SYNTH, "--rounds", "3", "--k", "3"])

@@ -114,6 +114,22 @@ class TestParse:
         ds = load_svmlight(path)
         assert len(ds) == 1
 
+    @pytest.mark.parametrize(
+        "content, error, message",
+        [
+            (b"1 qid:1 1:0.5\n0 qid:1 2:nan\n", ParseError, "line 2: feature 2 has non-finite value 'nan'"),
+            (b"7 qid:1 1:0.5\n", ValidationError, "line 1: grade 7 outside 0..4"),
+            (b"# only a comment\n", EmptyDatasetError, "input contains no documents"),
+            (b"1 qid:1 1:\xff\n", ParseError, "not UTF-8 text"),
+        ],
+    )
+    def test_load_errors_name_the_file(self, tmp_path, content, error, message):
+        path = tmp_path / "test.txt"
+        path.write_bytes(content)
+        with pytest.raises(error) as info:
+            load_svmlight(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
 
 class TestColumns:
     def test_columns_are_read_only(self):

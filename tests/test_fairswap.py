@@ -20,6 +20,7 @@ from calibration_oracle import (
     global_min_regret,
     oracle_min_regret,
     random_instance,
+    reference_fair_swap,
 )
 from fairexp.fairness import log_discount_model, make_template
 from fairexp.fairswap import (
@@ -347,3 +348,90 @@ class TestSelectRanking:
         a = select_ranking(partition, templates, certain, groups, np.random.default_rng(5))
         b = select_ranking(partition, templates, certain, groups, np.random.default_rng(5))
         assert a.order == b.order and a.template is b.template
+
+
+# ---------------------------------------------------------------------------
+# one preparation per round against the calibrator that recounted per event
+
+
+def wide_instance(rng: np.random.Generator):
+    """A partition of 6..30 documents into many small blocks, skewed group
+    labels, cross-block and some within-block certain pairs, scores, and
+    a feasible placement: shortfalls often span several donor blocks, empty
+    some, and displace members back into the queue."""
+    n = int(rng.integers(6, 31))
+    blocks, start = [], 0
+    while start < n:
+        size = int(rng.integers(1, 5))
+        blocks.append(list(range(start, min(start + size, n))))
+        start += size
+    share_a = rng.uniform(0.15, 0.85)
+    groups = {d: ("A" if rng.random() < share_a else "B") for d in range(n)}
+    certain = cross_block_certain(blocks)
+    for block in blocks:
+        for w, l in zip(block, block[1:]):
+            if rng.random() < 0.5:
+                certain.add((w, l))
+    scores = {d: float(rng.standard_normal()) for d in range(n)}
+    k = int(rng.integers(1, n + 1))
+    pool = [groups[d] for d in range(n)]
+    placement = tuple(pool[i] for i in rng.permutation(n)[:k])
+    return blocks, placement, certain, groups, scores
+
+
+class TestPreparedCalibration:
+    def test_matches_the_recounting_reference(self):
+        rng = np.random.default_rng(18)
+        multi_donor = displaced = emptied = 0
+        for trial in range(400):
+            blocks, placement, certain, groups, scores = wide_instance(rng)
+            for respect in (True, False):
+                got = swap_instance(
+                    blocks, placement, certain, groups, seed=trial,
+                    scores=scores, respect_certain=respect,
+                )
+                want = reference_fair_swap(
+                    BlockPartition(blocks=[list(b) for b in blocks]),
+                    make_template(placement, log_discount_model(len(placement))),
+                    certain,
+                    groups,
+                    np.random.default_rng(trial),
+                    scores=scores,
+                    respect_certain=respect,
+                )
+                assert got == want, (blocks, placement, groups, respect)
+            for e in got.events:
+                multi_donor += len(e.donors_per_block) > 1
+                displaced += e.displaced > 0
+                emptied += any(e.blocks_sizes[bi] == m for bi, m in e.donors_per_block.items())
+        # the instances exercise every way the counts change
+        assert min(multi_donor, displaced, emptied) >= 20
+
+    def test_selection_equals_the_best_standalone_calibration(self):
+        rng = np.random.default_rng(19)
+        for trial in range(150):
+            blocks, placement, certain, groups, scores = wide_instance(rng)
+            k = len(placement)
+            model = log_discount_model(k)
+            templates = [make_template(placement, model)]
+            labels = list(placement)
+            for _ in range(int(rng.integers(0, 6))):
+                rng.shuffle(labels)
+                templates.append(make_template(tuple(labels), model))
+            projections = list(rng.standard_normal(len(templates)))
+            partition = BlockPartition(blocks=[list(b) for b in blocks])
+            got = select_ranking(
+                partition, templates, certain, groups, np.random.default_rng(trial),
+                projections=projections, scores=scores,
+            )
+            children = np.random.default_rng(trial).spawn(len(templates))
+            standalone = [
+                fair_swap(partition, t, certain, groups, child, scores=scores)
+                for t, child in zip(templates, children)
+            ]
+            want = min(
+                zip(standalone, projections, templates),
+                key=lambda item: (item[0].added_regret, abs(item[1]), item[2].placement),
+            )[0]
+            assert got == want
+            assert partition.blocks == blocks  # calibration copies the blocks

@@ -94,6 +94,44 @@ class TestConfig:
         with pytest.raises(ValueError, match=missing):
             small_config(**fields).validate()
 
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            (dict(group_strategy="quantile"), "group_strategy"),
+            (dict(group_strategy="threshold"), "group_threshold"),
+            (dict(group_strategy="threshold", group_threshold=float("nan")), "group_threshold"),
+            (dict(group_threshold=0.5), "group_threshold"),
+            (dict(n_test=0), "n_test"),
+            (dict(n_test=-1), "n_test"),
+            (dict(n_validation=-1), "n_validation"),
+            (dict(synthetic=None, dataset_dir="fold"), "group_feature"),
+        ],
+    )
+    def test_grouping_and_split_sizes_rejected(self, fields, named):
+        with pytest.raises(ValueError, match=named):
+            small_config(**fields).validate()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(n_validation=0),
+            dict(n_test=1),
+            dict(group_strategy="threshold", group_threshold=0.0),
+        ],
+    )
+    def test_grouping_and_split_size_edges_accepted(self, fields):
+        small_config(**fields).validate()
+
+    def test_unknown_group_strategy_fails_before_any_split_is_read(self, tmp_path):
+        config = small_config(
+            synthetic=None,
+            dataset_dir=str(tmp_path / "missing"),
+            group_feature=1,
+            group_strategy="quantile",
+        )
+        with pytest.raises(ValueError, match="unknown group_strategy 'quantile'"):
+            run_experiment(config)
+
     def test_ten_custom_clicks_accepted(self):
         small_config(click_model="custom", custom_clicks=(0.5,) * 10).validate()
 
@@ -285,6 +323,11 @@ class TestEvaluateOffline:
         with pytest.raises(ValueError):
             evaluate_offline(state, holdout_view(GroupedDataset(queries=[], dimension=3)))
 
+    def test_empty_split_message_names_the_split(self):
+        empty = GroupedDataset(queries=[], dimension=3, split="validation")
+        with pytest.raises(ValueError, match="^validation split is empty$"):
+            holdout_view(empty)
+
     def test_ragged_split_equals_per_query_loop(self):
         split = ragged_split()
         view = holdout_view(split)
@@ -423,6 +466,18 @@ class TestRobustness:
         assert mat.min() >= 0.0 and mat.max() <= 1.0
         result = run_experiment(config)
         assert len(result.records) == 60
+
+    def test_sweep_without_a_validation_split_fails_before_any_job(self, tmp_path, monkeypatch):
+        from fairexp import harness
+
+        monkeypatch.setattr(harness, "_sweep_worker", lambda job: pytest.fail("a job ran"))
+        with pytest.raises(ValueError, match="n_validation is 0"):
+            sweep(small_config(n_validation=0))
+        write_fold(tmp_path / "fold")
+        (tmp_path / "fold" / "vali.txt").unlink()
+        config = small_config(synthetic=None, dataset_dir=str(tmp_path / "fold"), group_feature=1)
+        with pytest.raises(ValueError, match="vali.txt does not exist"):
+            sweep(config)
 
     def test_sweep_loads_each_jobs_datasets_once(self, monkeypatch):
         from fairexp import harness
