@@ -26,14 +26,25 @@ from .harness import (
     evaluate_offline,
     holdout_view,
     load_datasets,
+    resolve_click_model,
+    resolve_exposure,
     run_loaded,
     sweep,
 )
 from .ranker import DimensionError, load_checkpoint
 
 
+_BOOLEANS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
 def _parse_bool(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes", "on")
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}") from None
 
 
 def _parse_beta(text: str) -> float | str:
@@ -83,7 +94,8 @@ def parse_config_file(path: str | Path) -> dict:
     """Read key=value lines into a typed mapping.
 
     Keys are the ``ExperimentConfig`` field names, except that the synthetic
-    spec is written one ``synthetic.<field>`` line per field.
+    spec is written one ``synthetic.<field>`` line per field. A value that
+    does not parse raises ``ValueError`` naming the file, line and key.
     """
     values: dict = {}
     synthetic: dict = {}
@@ -99,11 +111,15 @@ def parse_config_file(path: str | Path) -> dict:
             sub = key[len("synthetic.") :]
             if sub not in _SYNTHETIC_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown synthetic key {sub!r}")
-            synthetic[sub] = _SYNTHETIC_KEYS[sub](value)
+            target, name, parse = synthetic, sub, _SYNTHETIC_KEYS[sub]
         elif key in _CONFIG_KEYS and key != "synthetic":
-            values[key] = _CONFIG_KEYS[key](value)
+            target, name, parse = values, key, _CONFIG_KEYS[key]
         else:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            target[name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if synthetic:
         values["synthetic"] = SyntheticSpec(**synthetic)
     return values
@@ -188,6 +204,9 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             config = build_config(args)
+            # the round loop resolves these again; a bad one fails here instead
+            resolve_click_model(config)
+            resolve_exposure(config)
             train, _, test = load_datasets(config)
         except _INPUT_ERRORS as exc:
             return _error("run", exc)
@@ -202,6 +221,8 @@ def main(argv=None) -> int:
         try:
             config = build_config(args)
             check_sweep(config)
+            resolve_click_model(config)
+            resolve_exposure(config)
             load_datasets(config)  # each job loads its own copy; fail before the first
         except _INPUT_ERRORS as exc:
             return _error("sweep", exc)

@@ -123,6 +123,8 @@ class ExperimentConfig:
             raise ValueError("n_test must be >= 1")
         if self.n_validation < 0:
             raise ValueError("n_validation must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.click_model == "custom" and len(self.custom_clicks or ()) != 10:
             raise ValueError(
                 "click_model 'custom' needs ten custom_clicks (5 click, 5 stop probabilities)"

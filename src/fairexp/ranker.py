@@ -12,7 +12,6 @@ orders are all certain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -79,20 +78,17 @@ class RankerState:
 
     ``info_matrix`` equals lam * I plus the sum of outer products of all
     buffered difference vectors, so it stays symmetric positive definite.
-    ``q_norm`` is the assumed bound on the parameter norm, kept for the
-    theoretical width multiplier.
     """
 
     theta: np.ndarray
     info_matrix: np.ndarray
     lam: float
     round: int = 0
-    q_norm: float = 1.0
     pairs: _PairBuffer = None
     _info_inv: np.ndarray = field(default=None, repr=False)
 
     @classmethod
-    def initial(cls, d: int, lam: float, q_norm: float = 1.0) -> "RankerState":
+    def initial(cls, d: int, lam: float) -> "RankerState":
         if lam <= 0:
             raise ValueError("lam must be positive")
         return cls(
@@ -100,7 +96,6 @@ class RankerState:
             info_matrix=lam * np.eye(d),
             lam=lam,
             round=0,
-            q_norm=q_norm,
             pairs=_PairBuffer(d),
         )
 
@@ -116,13 +111,14 @@ class RankerState:
 
 @dataclass
 class PairOrderSets:
-    """Certain directed pairs (winner, loser) and uncertain unordered pairs."""
+    """The certain directed pairs (winner, loser) among ``n`` candidates;
+    every other pair of ``0..n-1`` is uncertain."""
 
     certain: set[tuple[int, int]]
-    uncertain: set[tuple[int, int]]
+    n: int
 
     def n_pairs(self) -> int:
-        return len(self.certain) + len(self.uncertain)
+        return self.n * (self.n - 1) // 2
 
 
 @dataclass
@@ -165,7 +161,7 @@ def confidence_width(state: RankerState, x_i, x_j, alpha: float) -> float:
 
 
 def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float) -> PairOrderSets:
-    """Split all candidate pairs into certain (directed) and uncertain sets.
+    """The certain pairs of all candidate pairs, each directed winner to loser.
 
     A pair is certain when the predicted preference probability stays on
     one side of 1/2 by more than the confidence width (``alpha`` >= 0
@@ -191,11 +187,9 @@ def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float
     widths = alpha * np.sqrt(np.maximum(quad, 0.0))
     above = probs - widths > 0.5
     below = probs + widths < 0.5
-    unsure = ~(above | below)
     certain = set(zip(idx_i[above].tolist(), idx_j[above].tolist()))
     certain.update(zip(idx_j[below].tolist(), idx_i[below].tolist()))
-    uncertain = set(zip(idx_i[unsure].tolist(), idx_j[unsure].tolist()))
-    return PairOrderSets(certain=certain, uncertain=uncertain)
+    return PairOrderSets(certain=certain, n=n)
 
 
 def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> BlockPartition:
@@ -208,39 +202,39 @@ def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> 
     one total order. Certain orders that contradict each other through
     uncertain pairs merge their blocks.
 
-    The top m documents certainly beat the other n - m exactly when they are
-    the m with the most arcs: each of them has at least n - m arcs, each
-    other document at most n - m - 1. So after a sort by arc count,
-    descending, a block starts at position m exactly when no arc runs from
-    position m or later to a position before m.
+    A block ends after the top m documents exactly when they certainly beat
+    the other n - m. For any m documents, their certain wins minus their
+    certain losses sum to the certain pairs from them to the others minus
+    those the other way, which equals m(n - m) exactly when they beat every
+    other document. Such m documents have at most m - 1 losses each and the
+    others at least m, so they are the first m after a sort by losses.
 
-    Raises ``ValueError`` unless the two sets name every unordered pair of
-    ``0..n-1`` exactly once.
+    Raises ``ValueError`` unless ``order_sets.n`` is the number of
+    candidates and every certain pair names two distinct documents of
+    ``0..n-1`` in one order only.
     """
     n = len(candidates)
-    certain, uncertain = order_sets.certain, order_sets.uncertain
-    listed = {(i, j) if i < j else (j, i) for i, j in chain(certain, uncertain)}
-    if len(listed) != len(certain) + len(uncertain) or listed != set(combinations(range(n), 2)):
-        raise ValueError(f"order sets must name each pair of documents 0..{n - 1} exactly once")
-    # a self-loop never runs backwards, and it gives every document a target
-    targets = [[doc] for doc in range(n)]
+    certain = order_sets.certain
+    if order_sets.n != n:
+        raise ValueError(f"order sets cover {order_sets.n} documents, not the {n} candidates")
+    wins, losses = [0] * n, [0] * n
     for i, j in certain:
-        targets[i].append(j)
-    for i, j in uncertain:
-        targets[i].append(j)
-        targets[j].append(i)
-    order = sorted(range(n), key=lambda doc: -len(targets[doc]))
-    position = [0] * n
-    for p, doc in enumerate(order):
-        position[doc] = p
+        # a self pair (i, i) is its own reverse
+        if not (0 <= i < n and 0 <= j < n) or (j, i) in certain:
+            raise ValueError(
+                f"certain pair ({i}, {j}) must name two documents of 0..{n - 1} in one order"
+            )
+        wins[i] += 1
+        losses[j] += 1
+    order = sorted(range(n), key=losses.__getitem__)
     blocks: list[list[int]] = []
-    earliest_reached, end = n, n
-    for p in reversed(range(n)):
-        earliest_reached = min(earliest_reached, *map(position.__getitem__, targets[order[p]]))
-        if earliest_reached == p:
-            blocks.append(sorted(order[p:end]))
-            end = p
-    return BlockPartition(blocks=blocks[::-1])
+    start, surplus = 0, 0
+    for m, doc in enumerate(order, 1):
+        surplus += wins[doc] - losses[doc]
+        if surplus == m * (n - m):
+            blocks.append(sorted(order[start:m]))
+            start = m
+    return BlockPartition(blocks=blocks)
 
 
 def fewest_predecessors(pool, rivals, certain: set[tuple[int, int]]) -> list[int]:
@@ -366,7 +360,7 @@ def alpha_bound(
 
 
 def save_checkpoint(state: RankerState, path: str | Path, include_pairs: bool = True) -> None:
-    """Write a versioned checkpoint (theta, info matrix, lam, round, q_norm).
+    """Write a versioned checkpoint (theta, info matrix, lam, round).
 
     The pair buffer is included by default so a resumed run can keep
     re-fitting the full history.
@@ -377,7 +371,6 @@ def save_checkpoint(state: RankerState, path: str | Path, include_pairs: bool = 
         "info_matrix": state.info_matrix,
         "lam": np.array(state.lam),
         "round": np.array(state.round),
-        "q_norm": np.array(state.q_norm),
     }
     if include_pairs:
         arrays["pairs_x"] = state.pairs.x
@@ -391,7 +384,8 @@ def load_checkpoint(path: str | Path) -> RankerState:
     Raises ``ValueError`` unless the arrays describe a valid state: theta of
     shape (d,), an information matrix of shape (d, d) that is symmetric
     positive definite, pair arrays of shapes (m, d) and (m,), and every
-    value finite.
+    value finite. Arrays it does not read, such as the ``q_norm`` of older
+    checkpoints, are ignored.
     """
     with np.load(path) as data:
         version = int(data["version"])
@@ -405,7 +399,6 @@ def load_checkpoint(path: str | Path) -> RankerState:
         info_matrix=arrays["info_matrix"],
         lam=float(arrays["lam"]),
         round=int(arrays["round"]),
-        q_norm=float(arrays["q_norm"]),
         pairs=_PairBuffer(len(theta)),
     )
     if "pairs_x" in arrays:
@@ -414,7 +407,7 @@ def load_checkpoint(path: str | Path) -> RankerState:
 
 
 def _check_checkpoint(arrays: dict[str, np.ndarray]) -> None:
-    names = ["theta", "info_matrix", "lam", "round", "q_norm"]
+    names = ["theta", "info_matrix", "lam", "round"]
     if "pairs_x" in arrays or "pairs_y" in arrays:
         names += ["pairs_x", "pairs_y"]
     for name in names:

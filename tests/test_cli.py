@@ -371,3 +371,67 @@ def test_errors_inside_the_round_loop_propagate(monkeypatch):
     monkeypatch.setattr(ranker, "update", failing_update)
     with pytest.raises(ranker.NumericError, match="refit diverged"):
         main(["run", "--synthetic", SYNTH, "--rounds", "3", "--k", "3"])
+
+
+def _exposure_table(root, ranks):
+    path = root / "exposure.txt"
+    path.write_text("".join(f"{r} {1.0 / r}\n" for r in range(1, ranks + 1)), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        ([], ["--click-model", "bogus"], "unknown click model 'bogus'"),
+        ([], ["--exposure", "bogus"], "unknown exposure model kind 'bogus'"),
+        ([], ["--exposure", "table", "--exposure-table", "{tmp}/nope.txt"], "No such file"),
+        ([], ["--exposure", "table", "--exposure-table", "{short}"], "2 ranks, fewer than k=3"),
+        (
+            ["click_model=custom", "custom_clicks=0.1,0.2,0.3,0.4,1.5,0,0,0,0,0"],
+            [],
+            "probability 1.5 outside [0, 1]",
+        ),
+        ([], ["--seed", "-1"], "seed must be >= 0"),
+    ],
+    ids=["click_model", "exposure_kind", "missing_table", "short_table", "custom_clicks", "seed"],
+)
+def test_a_bad_model_or_seed_is_one_line_before_any_round(
+    tmp_path, capsys, monkeypatch, command, lines, flags, message
+):
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "run_loaded", lambda *a: pytest.fail("a round ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    short = _exposure_table(tmp_path, 2)
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flags = [f.format(tmp=tmp_path, short=short) for f in flags]
+    argv = [command, "--config", str(path), "--synthetic", SYNTH, "--rounds", "2", "--k", "3"]
+    assert message in _one_line_error(capsys, argv + flags)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [("1", True), ("TRUE", True), ("Yes", True), ("on", True)]
+    + [("0", False), ("False", False), ("NO", False), ("off", False)],
+)
+def test_config_booleans_accept_both_spellings(tmp_path, text, expected):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"diagnostics={text}\n", encoding="utf-8")
+    assert parse_config_file(path)["diagnostics"] is expected
+
+
+@pytest.mark.parametrize("line", ["respect_certain=no thanks", "diagnostics=ture", "minmax="])
+def test_a_config_boolean_outside_both_spellings_is_rejected(tmp_path, capsys, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# settings\n{line}\n", encoding="utf-8")
+    key, _, value = line.partition("=")
+    with pytest.raises(ValueError) as caught:
+        parse_config_file(path)
+    assert str(caught.value) == (
+        f"{path}:2: {key}: expected 1/true/yes/on or 0/false/no/off, got {value!r}"
+    )
+    assert _one_line_error(capsys, ["run", "--config", str(path), "--synthetic", SYNTH]) == str(
+        caught.value
+    )

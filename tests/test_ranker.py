@@ -1,4 +1,5 @@
 from functools import cmp_to_key
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ class TestClassifyPairs:
         cands = make_candidates(np.array([[3.0], [2.0], [1.0]]))
         sets = classify_pairs(state, cands, alpha=0.0)
         assert sets.certain == {(0, 1), (0, 2), (1, 2)}
-        assert not sets.uncertain
+        assert sets.n_pairs() == 3
 
     def test_huge_alpha_all_uncertain(self):
         state = RankerState.initial(1, lam=1.0)
@@ -128,7 +129,7 @@ class TestClassifyPairs:
         cands = make_candidates(np.array([[3.0], [2.0], [1.0]]))
         sets = classify_pairs(state, cands, alpha=1e6)
         assert not sets.certain
-        assert sets.uncertain == {(0, 1), (0, 2), (1, 2)}
+        assert sets.n == 3
 
     def test_probability_point_six_width_point_05(self):
         # sigma = 0.6 with width 0.05 leaves the interval above 1/2
@@ -145,7 +146,7 @@ class TestClassifyPairs:
         state.theta = np.array([0.0])  # sigma = 0.5 exactly, any width
         cands = make_candidates(np.array([[1.0], [0.0]]))
         sets = classify_pairs(state, cands, alpha=0.0)
-        assert sets.uncertain == {(0, 1)}
+        assert sets.certain == set() and sets.n_pairs() == 1
 
     def test_partition_of_all_pairs(self):
         rng = np.random.default_rng(2)
@@ -153,33 +154,30 @@ class TestClassifyPairs:
         state.theta = rng.normal(size=3)
         cands = make_candidates(rng.normal(size=(7, 3)))
         sets = classify_pairs(state, cands, alpha=0.2)
-        assert sets.n_pairs() == 21
+        assert sets.n == 7 and sets.n_pairs() == 21
         for i, j in sets.certain:
-            assert (j, i) not in sets.certain
-            assert tuple(sorted((i, j))) not in sets.uncertain
+            assert 0 <= i < 7 and 0 <= j < 7 and (j, i) not in sets.certain
 
 
 def classify_by_pair(state, feats, alpha):
     """The definition of ``classify_pairs``: one quadratic form per pair and a
-    loop over the pairs. Also returns the pairs whose nonzero width puts
-    p - w or p + w within 1e-12 of 1/2, where the rounding of the width
-    decides the class."""
+    loop over the pairs, giving the certain pairs. Also returns the pairs
+    whose nonzero width puts p - w or p + w within 1e-12 of 1/2, where the
+    rounding of the width decides the class."""
     idx_i, idx_j = np.triu_indices(len(feats), k=1)
     diffs = feats[idx_i] - feats[idx_j]
     probs = sigmoid(diffs @ state.theta)
     quad = np.einsum("pd,de,pe->p", diffs, state.info_inverse(), diffs)
     widths = alpha * np.sqrt(np.maximum(quad, 0.0))
-    certain, uncertain, near_half = set(), set(), set()
+    certain, near_half = set(), set()
     for i, j, p, w in zip(idx_i.tolist(), idx_j.tolist(), probs, widths):
         if p - w > 0.5:
             certain.add((i, j))
         elif p + w < 0.5:
             certain.add((j, i))
-        else:
-            uncertain.add((i, j))
         if w > 0 and min(abs(p - w - 0.5), abs(p + w - 0.5)) < 1e-12:
             near_half.add((i, j))
-    return certain, uncertain, near_half
+    return certain, near_half
 
 
 @st.composite
@@ -206,15 +204,14 @@ class TestClassifyPairsMatchesTheDefinition:
     def test_same_sets_as_one_quadratic_form_per_pair(self, instance):
         feats, state, alpha = instance
         got = classify_pairs(state, make_candidates(feats), alpha)
-        certain, uncertain, near_half = classify_by_pair(state, feats, alpha)
+        certain, near_half = classify_by_pair(state, feats, alpha)
         n = len(feats)
-        assert got.n_pairs() == n * (n - 1) // 2
+        assert got.n == n and got.n_pairs() == n * (n - 1) // 2
 
         def settled(pairs):
             return {(i, j) for i, j in pairs if (min(i, j), max(i, j)) not in near_half}
 
         assert settled(got.certain) == settled(certain)
-        assert settled(got.uncertain) == settled(uncertain)
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-9, 0.1, 1.0, 1e9])
     def test_identical_documents_stay_uncertain(self, alpha):
@@ -223,13 +220,13 @@ class TestClassifyPairsMatchesTheDefinition:
         update(state, rng.normal(size=(12, 5)), np.ones(12))
         row = rng.normal(size=5)
         sets = classify_pairs(state, make_candidates(np.stack([row, row])), alpha)
-        assert sets.certain == set() and sets.uncertain == {(0, 1)}
+        assert sets.certain == set() and sets.n == 2
 
     def test_one_candidate_has_no_pairs(self):
         state = RankerState.initial(3, lam=1.0)
         state.theta = np.array([1.0, -1.0, 0.5])
         sets = classify_pairs(state, make_candidates(np.ones((1, 3))), alpha=0.1)
-        assert sets.certain == set() and sets.uncertain == set()
+        assert sets.certain == set() and sets.n_pairs() == 0
 
     def test_alpha_zero_orders_near_identical_documents_by_probability(self):
         # rows 1e-9 apart: their Gram-form quadratic forms are rounding noise
@@ -242,8 +239,8 @@ class TestClassifyPairsMatchesTheDefinition:
         state.theta = rng.normal(size=d)
         feats = rng.normal(size=d) + 1e-9 * rng.normal(size=(40, d))
         sets = classify_pairs(state, make_candidates(feats), alpha=0.0)
-        certain, uncertain, _ = classify_by_pair(state, feats, 0.0)
-        assert sets.certain == certain and sets.uncertain == uncertain == set()
+        certain, _ = classify_by_pair(state, feats, 0.0)
+        assert sets.certain == certain and len(certain) == sets.n_pairs()
 
 
 @st.composite
@@ -262,11 +259,66 @@ def partition_instances(draw):
     return n, classify_pairs(state, make_candidates(rng.normal(size=(n, d))), alpha)
 
 
-def reached(block, sets, backwards):
+@st.composite
+def certain_set_instances(draw):
+    """A random certain set over n in 1..40 documents: each pair is certain
+    with a drawn probability, in the order of a random ranking or, with a
+    second drawn probability, against it. Flipped pairs make certain orders
+    contradict each other in cycles of any length; at a flip probability of
+    1/2 every certain pair points a random way."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(1, 41))
+    p_certain = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99, 1.0]))
+    p_flip = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    rank = rng.permutation(n)
+    certain = set()
+    for i, j in combinations(range(n), 2):
+        if rng.random() < p_certain:
+            win, lose = (i, j) if rank[i] < rank[j] else (j, i)
+            certain.add((lose, win) if rng.random() < p_flip else (win, lose))
+    return n, PairOrderSets(certain, n)
+
+
+def uncertain_pairs(sets):
+    """The pairs (i, j), i < j, that are certain in neither order."""
+    return {
+        (i, j)
+        for i, j in combinations(range(sets.n), 2)
+        if (i, j) not in sets.certain and (j, i) not in sets.certain
+    }
+
+
+def arc_list_partition(sets):
+    """Reference for ``partition_blocks``: the strongly connected components
+    of the pair-order digraph by an arc-list scan. Every document has an arc
+    to itself, each uncertain pair an arc both ways and each certain pair one
+    from winner to loser. After a sort by arc count, descending, scan the
+    positions backwards and cut where no arc runs from a later position to an
+    earlier one."""
+    n = sets.n
+    targets = [[doc] for doc in range(n)]
+    for i, j in sets.certain:
+        targets[i].append(j)
+    for i, j in uncertain_pairs(sets):
+        targets[i].append(j)
+        targets[j].append(i)
+    order = sorted(range(n), key=lambda doc: -len(targets[doc]))
+    position = [0] * n
+    for p, doc in enumerate(order):
+        position[doc] = p
+    blocks = []
+    earliest_reached, end = n, n
+    for p in reversed(range(n)):
+        earliest_reached = min(earliest_reached, *map(position.__getitem__, targets[order[p]]))
+        if earliest_reached == p:
+            blocks.append(sorted(order[p:end]))
+            end = p
+    return blocks[::-1]
+
+
+def reached(block, arcs, backwards):
     """The members of ``block`` that its first member reaches (or, with
-    ``backwards``, that reach it) along arcs inside the block: both ways for
-    an uncertain pair, winner to loser for a certain one."""
-    arcs = sets.certain | sets.uncertain | {(j, i) for i, j in sets.uncertain}
+    ``backwards``, that reach it) along ``arcs`` inside the block."""
     if backwards:
         arcs = {(j, i) for i, j in arcs}
     members, seen, todo = set(block), {block[0]}, [block[0]]
@@ -279,15 +331,16 @@ def reached(block, sets, backwards):
     return seen
 
 
-def uncertain_components_in_order(n, sets):
+def uncertain_components_in_order(sets):
     """The earlier definition of the blocks: the connected components of the
     uncertain pairs, each sorted, in the order the certain pairs between them
     give; None where those pairs order no two components one way only."""
+    n = sets.n
     label = list(range(n))
     changed = True
     while changed:
         changed = False
-        for i, j in sets.uncertain:
+        for i, j in uncertain_pairs(sets):
             if label[i] != label[j]:
                 label[i] = label[j] = min(label[i], label[j])
                 changed = True
@@ -324,36 +377,39 @@ class TestPartitionBlocks:
         # {0,1} above {2,3,4}: cross pairs certain, inner pairs uncertain
         cands = make_candidates(np.zeros((5, 1)))
         certain = {(i, j) for i in (0, 1) for j in (2, 3, 4)}
-        uncertain = {(0, 1), (2, 3), (2, 4), (3, 4)}
-        partition = partition_blocks(cands, PairOrderSets(certain, uncertain))
+        partition = partition_blocks(cands, PairOrderSets(certain, 5))
         assert partition.blocks == [[0, 1], [2, 3, 4]]
 
     def test_component_cycle_merges_into_one_block(self):
         # components {0,1} and {2} of the uncertain pairs, with certain
         # orders between them pointing both ways: one strongly connected block
         cands = make_candidates(np.zeros((3, 1)))
-        sets = PairOrderSets(certain={(0, 2), (2, 1)}, uncertain={(0, 1)})
+        sets = PairOrderSets(certain={(0, 2), (2, 1)}, n=3)
         assert partition_blocks(cands, sets).blocks == [[0, 1, 2]]
 
-    def test_coverage_precondition(self):
+    def test_missing_pairs_are_uncertain(self):
         cands = make_candidates(np.zeros((3, 1)))
-        for certain, uncertain in [
-            ({(0, 1)}, set()),  # pairs missing
-            ({(0, 0), (1, 2)}, {(0, 2)}),  # a self pair in place of a missing pair
-            ({(0, 1), (1, 2)}, {(0, 1)}),  # a pair listed twice, another missing
-            ({(0, 1), (1, 0), (1, 2)}, set()),  # both directions of one pair
-            ({(0, 1), (1, 2), (0, 2), (2, 0)}, set()),  # every pair, one twice
-            ({(0, 1), (0, 2), (0, 5)}, set()),  # an index past n in place of (1, 2)
-            ({(0, 1), (0, 2), (2, -1)}, set()),  # a negative index in place of (1, 2)
-        ]:
-            with pytest.raises(ValueError):
-                partition_blocks(cands, PairOrderSets(certain, uncertain))
+        assert partition_blocks(cands, PairOrderSets({(0, 1)}, 3)).blocks == [[0, 1, 2]]
+        assert partition_blocks(cands, PairOrderSets({(0, 1), (0, 2)}, 3)).blocks == [[0], [1, 2]]
 
-    @settings(max_examples=300)
-    @given(instance=partition_instances())
+    def test_malformed_order_sets_rejected(self):
+        cands = make_candidates(np.zeros((3, 1)))
+        for certain, n, message in [
+            ({(0, 1)}, 4, "cover 4 documents, not the 3"),
+            ({(0, 0), (1, 2)}, 3, r"\(0, 0\)"),  # a self pair
+            ({(0, 1), (1, 0), (1, 2)}, 3, r"\((0, 1|1, 0)\)"),  # both orders of one pair
+            ({(0, 1), (0, 5)}, 3, r"\(0, 5\)"),  # an index past n
+            ({(0, 1), (2, -1)}, 3, r"\(2, -1\)"),  # a negative index
+        ]:
+            with pytest.raises(ValueError, match=message):
+                partition_blocks(cands, PairOrderSets(certain, n))
+
+    @settings(max_examples=600)
+    @given(instance=st.one_of(partition_instances(), certain_set_instances()))
     def test_random_instances_satisfy_invariants(self, instance):
         n, sets = instance
         partition = partition_blocks(make_candidates(np.zeros((n, 1))), sets)
+        assert partition.blocks == arc_list_partition(sets)
         assert sorted(partition.documents()) == list(range(n))
         block_of = {doc: bi for bi, blk in enumerate(partition.blocks) for doc in blk}
         for i in range(n):
@@ -361,12 +417,15 @@ class TestPartitionBlocks:
                 if block_of[i] != block_of[j]:
                     first, second = (i, j) if block_of[i] < block_of[j] else (j, i)
                     assert (first, second) in sets.certain
+        # arcs both ways for an uncertain pair, winner to loser for a certain one
+        uncertain = uncertain_pairs(sets)
+        arcs = sets.certain | uncertain | {(j, i) for i, j in uncertain}
         for block in partition.blocks:
             # strongly connected: no split into two parts with every pair
             # between them certain and pointing one way
-            assert reached(block, sets, backwards=False) == set(block)
-            assert reached(block, sets, backwards=True) == set(block)
-        old = uncertain_components_in_order(n, sets)
+            assert reached(block, arcs, backwards=False) == set(block)
+            assert reached(block, arcs, backwards=True) == set(block)
+        old = uncertain_components_in_order(sets)
         if old is not None:
             assert partition.blocks == old
 
@@ -480,7 +539,7 @@ class TestAlphaBound:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
-        state = RankerState.initial(3, lam=0.4, q_norm=2.0)
+        state = RankerState.initial(3, lam=0.4)
         update(state, rng.normal(size=(6, 3)), (rng.random(6) < 0.5).astype(float))
         path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
@@ -489,7 +548,6 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.info_matrix, state.info_matrix)
         assert loaded.lam == state.lam
         assert loaded.round == state.round
-        assert loaded.q_norm == state.q_norm
         np.testing.assert_array_equal(loaded.pairs.x, state.pairs.x)
         np.testing.assert_array_equal(loaded.pairs.y, state.pairs.y)
 
@@ -550,7 +608,6 @@ TAMPERED_CHECKPOINTS = [
     (_set("pairs_x", (0, 0), np.nan), "pairs_x holds values that are not finite"),
     (_set("pairs_y", 3, -np.inf), "pairs_y holds values that are not finite"),
     (_replace("lam", lambda a: np.array(np.nan)), "lam holds values that are not finite"),
-    (_replace("q_norm", lambda a: np.array("one")), "q_norm holds values that are not finite"),
     (_set("info_matrix", (0, 1), 5.0), "info_matrix is not symmetric"),
     (_negative_direction, "info_matrix is not positive definite"),
     (_replace("info_matrix", lambda a: np.zeros_like(a)), "info_matrix is not positive definite"),
@@ -575,6 +632,16 @@ class TestCheckpointValidation:
         write_tampered_checkpoint(path, change)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
+
+    def test_checkpoint_with_a_q_norm_loads(self, tmp_path):
+        # older checkpoints also hold the parameter-norm bound, which nothing reads
+        path = tmp_path / "ckpt.npz"
+        write_tampered_checkpoint(path, lambda arrays: arrays.update(q_norm=np.array(2.0)))
+        with np.load(path) as data:
+            assert "q_norm" in data.files
+        loaded = load_checkpoint(path)
+        assert not hasattr(loaded, "q_norm")
+        assert loaded.round == 1 and loaded.pairs.n == 6
 
     def test_checkpoint_without_pairs_loads(self, tmp_path):
         state = RankerState.initial(3, lam=0.4)
