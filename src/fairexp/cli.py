@@ -26,6 +26,7 @@ from .harness import (
     evaluate_offline,
     holdout_view,
     load_datasets,
+    resolve_beta,
     resolve_click_model,
     resolve_exposure,
     run_loaded,
@@ -208,6 +209,7 @@ def main(argv=None) -> int:
             resolve_click_model(config)
             resolve_exposure(config)
             train, _, test = load_datasets(config)
+            resolve_beta(config, train)
         except _INPUT_ERRORS as exc:
             return _error("run", exc)
         result = run_loaded(config, train, test)
@@ -219,11 +221,15 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         try:
+            if args.workers < 1:
+                raise ValueError(f"--workers must be >= 1, got {args.workers}")
             config = build_config(args)
             check_sweep(config)
             resolve_click_model(config)
             resolve_exposure(config)
-            load_datasets(config)  # each job loads its own copy; fail before the first
+            # each job loads its own copy; a bad dataset or beta fails before the first
+            train, _, _ = load_datasets(config)
+            resolve_beta(config, train)
         except _INPUT_ERRORS as exc:
             return _error("sweep", exc)
         (best_params, best_ndcg), results = sweep(config, workers=args.workers)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import GROUP_B
 from .fairness import GroupTemplate
 from .ranker import BlockPartition, fewest_predecessors
 
@@ -103,26 +104,31 @@ class _PreparedPartition(NamedTuple):
     """What every calibration of one partition reads and none changes.
 
     Built once per round by ``select_ranking`` (or by a direct ``fair_swap``
-    call) from the partition, the certain set and the group labels.
+    call) from the partition, the certain set, the group labels and scores.
     """
 
     n_docs: int
     have_total: Counter  # documents per group over the whole partition
     origin: dict[int, int]  # document -> index of its original block
-    wins: dict[int, int]  # document -> certain wins inside its own block
+    blocks: tuple[tuple[int, ...], ...]  # each block's members in donor order
     b_counts: tuple[int, ...]  # group-B members per block
 
 
-def _prepare(partition: BlockPartition, certain, groups) -> _PreparedPartition:
+def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPartition:
     docs_all = partition.documents()
     if len(set(docs_all)) != len(docs_all):
         raise MalformedPartitionError("blocks contain duplicate documents")
+    wins = _within_block_wins(partition, certain)
+    scores = scores or {}
     return _PreparedPartition(
         n_docs=len(docs_all),
         have_total=Counter(groups[doc] for doc in docs_all),
         origin={doc: bi for bi, block in enumerate(partition.blocks) for doc in block},
-        wins=_within_block_wins(partition, certain),
-        b_counts=tuple(sum(1 for d in block if groups[d] == "B") for block in partition.blocks),
+        blocks=tuple(
+            tuple(sorted(block, key=lambda d: _donor_sort_key(d, wins, scores)))
+            for block in partition.blocks
+        ),
+        b_counts=tuple(sum(1 for d in block if groups[d] == GROUP_B) for block in partition.blocks),
     )
 
 
@@ -146,19 +152,21 @@ def fair_swap(
     disabling it recovers pure seeded shuffling within blocks.
 
     Work that does not depend on the template (the duplicate check, the
-    group totals, each document's original block, its within-block wins and
-    each block's group-B count) is ``prepared``: ``select_ranking`` builds
-    it once per round and passes it to every call, and a call without it
-    builds it from ``partition``, ``certain`` and ``groups``. Per template,
-    the walk copies the blocks and their group-B counts and keeps both
-    current as donors are promoted and emptied blocks dropped, so an
-    event's counts cost one copy, not a pass over the lower documents.
+    group totals, each document's original block, each block's group-B
+    count, and each block sorted once into donor order) is ``prepared``:
+    ``select_ranking`` builds it once per round for every call, and a call
+    without it builds it from its own arguments. The walk takes prefixes of
+    the donor order: a host keeps its first members of each group with
+    slots left, a shortfall comes from the nearest lower blocks' first
+    members of the group, and the displaced carry on as the next host. It
+    keeps the lower blocks' group-B counts current, so an event's counts
+    cost one copy, not a pass over the lower documents.
 
     One calibration looks ``certain`` up O(k^3 + sum(|b|^2)) times over the
     blocks b, and never scans it: its cost does not grow with len(certain).
     """
     if prepared is None:
-        prepared = _prepare(partition, certain, groups)
+        prepared = _prepare(partition, certain, groups, scores)
     k = len(template)
     if k > prepared.n_docs:
         raise InfeasibleTemplateError(f"template length {k} exceeds {prepared.n_docs} documents")
@@ -168,11 +176,10 @@ def fair_swap(
             raise InfeasibleTemplateError(
                 f"template needs {n} documents of group {g}, only {have_total.get(g, 0)} available"
             )
-    scores = scores or {}
-    origin, wins = prepared.origin, prepared.wins
+    origin = prepared.origin
 
-    # the lower blocks, and b_counts[i] the number of group-B documents in work[i]
-    work: deque[list[int]] = deque(list(block) for block in partition.blocks)
+    # the lower blocks in donor order; b_counts[i] counts group-B documents in work[i]
+    work: deque[list[int]] = deque(list(block) for block in prepared.blocks)
     b_counts: deque[int] = deque(prepared.b_counts)
     # members displaced from the previous segment: a new block just above
     # the lower ones, so always the next host
@@ -183,26 +190,31 @@ def fair_swap(
     host_index = 0
     while pos < k:
         if displaced:
-            block = sorted(displaced)
+            block = displaced
         elif work:
             block = work.popleft()
             b_counts.popleft()
         else:
             raise MalformedPartitionError("ran out of blocks before filling the template")
         seg = template.placement[pos : min(pos + len(block), k)]
-        seg_need = Counter(seg)
-        members_by_group: dict[str, list[int]] = {}
+        # keep the strongest members while their group has slots left; the
+        # rest are displaced, and what is still needed is the shortfall
+        need = Counter(seg)
+        kept, displaced = [], []
         for doc in block:
-            members_by_group.setdefault(groups[doc], []).append(doc)
+            if need[groups[doc]] > 0:
+                need[groups[doc]] -= 1
+                kept.append(doc)
+            else:
+                displaced.append(doc)
 
         donors: list[int] = []
-        for g, needed in seg_need.items():
-            shortage = needed - len(members_by_group.get(g, []))
+        for g, shortage in need.items():
             if shortage <= 0:
                 continue
             counts_before = list(b_counts)
             sizes_before = list(map(len, work))
-            taken, per_block = _promote(work, b_counts, g, shortage, groups, wins, scores)
+            taken, per_block = _promote(work, b_counts, g, shortage, groups)
             if len(taken) < shortage:
                 raise InfeasibleTemplateError(
                     f"could not promote {shortage} documents of group {g}"
@@ -221,17 +233,8 @@ def fair_swap(
                 )
             )
 
-        # keep the strongest members for display; the rest are displaced
-        displayed: list[int] = list(donors)
-        displaced = []
-        for g, members in members_by_group.items():
-            keep = min(len(members), seg_need.get(g, 0))
-            ranked = sorted(members, key=lambda d: _donor_sort_key(d, wins, scores))
-            displayed.extend(ranked[:keep])
-            displaced.extend(ranked[keep:])
-
         order.extend(
-            _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain)
+            _fill_segment(seg, donors + kept, origin, certain, groups, rng, respect_certain)
         )
         pos += len(seg)
         host_index += 1
@@ -245,25 +248,21 @@ def fair_swap(
 
 
 def _promote(
-    work: deque, b_counts: deque, group: str, shortage: int, groups, wins, scores
+    work: deque, b_counts: deque, group: str, shortage: int, groups
 ) -> tuple[list[int], dict[int, int]]:
-    """Take the shortfall from the nearest lower blocks, best candidates
-    first, keeping ``b_counts`` in step with ``work``."""
+    """Take the shortfall as the nearest lower blocks' first members of
+    ``group`` (donor order), keeping ``b_counts`` in step with ``work``."""
     taken: list[int] = []
     per_block: dict[int, int] = {}
     for bi, block in enumerate(work):
         if len(taken) == shortage:
             break
-        candidates = sorted(
-            (d for d in block if groups[d] == group),
-            key=lambda d: _donor_sort_key(d, wins, scores),
-        )
-        chosen = candidates[: shortage - len(taken)]
+        chosen = [d for d in block if groups[d] == group][: shortage - len(taken)]
         if chosen:
             per_block[bi] = len(chosen)
             for d in chosen:
                 block.remove(d)
-            if group == "B":
+            if group == GROUP_B:
                 b_counts[bi] -= len(chosen)
             taken.extend(chosen)
     # drop blocks emptied by promotion
@@ -332,17 +331,17 @@ def select_ranking(
     cost does not grow with len(certain).
 
     Once per round, before the templates are walked: the duplicate check,
-    the group totals, each document's original block, the within-block
-    certain wins and each block's group-B count. Once per template: the
-    feasibility check against the group totals, and the walk itself (block
-    copies, promotions, displacements, segment fills and the added regret).
+    the group totals, each document's original block, each block's group-B
+    count and the donor order (each block sorted by within-block certain
+    wins, then score, then index). Once per template: the feasibility check
+    and the walk, which takes prefixes of the donor order and sorts nothing.
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")
     if projections is None:
         projections = [0.0] * len(templates)
     child_rngs = rng.spawn(len(templates))
-    prepared = _prepare(partition, certain, groups)
+    prepared = _prepare(partition, certain, groups, scores)
     best: CalibratedRanking | None = None
     best_key = None
     for template, projection, child in zip(templates, projections, child_rngs):

@@ -125,10 +125,14 @@ class ExperimentConfig:
             raise ValueError("n_validation must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.click_model == "custom" and len(self.custom_clicks or ()) != 10:
-            raise ValueError(
-                "click_model 'custom' needs ten custom_clicks (5 click, 5 stop probabilities)"
-            )
+        if self.click_model == "custom":
+            if len(self.custom_clicks or ()) != 10:
+                raise ValueError(
+                    "click_model 'custom' needs ten custom_clicks (5 click, 5 stop probabilities)"
+                )
+            for i, p in enumerate(self.custom_clicks):
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError(f"custom_clicks[{i}]: probability {p} outside [0, 1]")
         if self.exposure_kind == "table" and not self.exposure_table:
             raise ValueError("exposure_kind 'table' needs an exposure_table file")
 
@@ -550,7 +554,9 @@ def sweep(config: ExperimentConfig, workers: int = 1):
     """Grid-search lam and alpha (and the controller gain where relevant)
     on validation offline NDCG; returns (best params, all results).
     ``check_sweep`` runs first, so a config without a validation split
-    fails before any job."""
+    fails before any job, as does ``workers`` < 1."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     check_sweep(config)
     tuned = POLICIES[config.algorithm].tuned
     grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]

@@ -278,10 +278,11 @@ def infer_pairs(
 
 def _loss_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float):
     z = x @ theta
+    s = sigmoid(z)
     # cross-entropy of sigmoid(z) against y, in the softplus form
     loss = float(np.sum(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * theta @ theta)
-    grad = x.T @ (sigmoid(z) - y) + lam * theta
-    return loss, grad
+    grad = x.T @ (s - y) + lam * theta
+    return loss, grad, s
 
 
 def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerState:
@@ -309,14 +310,13 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
         return state
 
     theta = state.theta.copy()
-    loss, grad = _loss_grad(theta, x, y, state.lam)
+    loss, grad, s = _loss_grad(theta, x, y, state.lam)
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite loss at warm start (round {state.round})")
     for _ in range(MAX_NEWTON_ITERS):
         if np.linalg.norm(grad) <= GRAD_TOL:
             break
-        z = x @ theta
-        s = sigmoid(z)
+        # Hessian weights from the accepted point's probabilities
         w = s * (1.0 - s)
         hess = (x * w[:, None]).T @ x + state.lam * np.eye(state.d)
         step = np.linalg.solve(hess, grad)
@@ -324,9 +324,9 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
         stepsize = 1.0
         for _ in range(50):
             cand = theta - stepsize * step
-            cand_loss, cand_grad = _loss_grad(cand, x, y, state.lam)
+            cand_loss, cand_grad, cand_s = _loss_grad(cand, x, y, state.lam)
             if np.isfinite(cand_loss) and cand_loss <= loss:
-                theta, loss, grad = cand, cand_loss, cand_grad
+                theta, loss, grad, s = cand, cand_loss, cand_grad, cand_s
                 break
             stepsize *= 0.5
         else:

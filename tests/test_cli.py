@@ -352,6 +352,34 @@ def test_sweep_with_no_synthetic_validation_queries_refuses(tmp_path, capsys, mo
     assert message == "sweep selects on the validation split, and n_validation is 0"
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_with_fewer_than_one_worker_refuses_before_any_job(capsys, monkeypatch, workers):
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    argv = ["sweep", "--synthetic", SYNTH, "--rounds", "2", "--k", "3", "--workers", workers]
+    assert _one_line_error(capsys, argv) == f"--workers must be >= 1, got {workers}"
+    from fairexp.harness import sweep
+
+    config = ExperimentConfig(synthetic=parse_synthetic_flag(SYNTH), rounds=2, k=3)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        sweep(config, workers=int(workers))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_undefined_auto_beta_is_one_line_before_any_round(
+    tmp_path, capsys, monkeypatch, command
+):
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "run_loaded", lambda *a: pytest.fail("a round ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    # the median split puts the grade-0 document alone in group B
+    fold = _fold(tmp_path / "fold")
+    argv = [command, "--dataset", str(fold), "--group-feature", "1", "--beta", "auto"]
+    assert _one_line_error(capsys, argv) == "group B has zero mean utility; beta undefined"
+
+
 def test_eval_rejects_a_malformed_test_file(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--synthetic", SYNTH, "--rounds", "5", "--k", "3", "--out", str(out)])
@@ -390,7 +418,7 @@ def _exposure_table(root, ranks):
         (
             ["click_model=custom", "custom_clicks=0.1,0.2,0.3,0.4,1.5,0,0,0,0,0"],
             [],
-            "probability 1.5 outside [0, 1]",
+            "custom_clicks[4]: probability 1.5 outside [0, 1]",
         ),
         ([], ["--seed", "-1"], "seed must be >= 0"),
     ],

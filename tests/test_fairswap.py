@@ -27,6 +27,8 @@ from fairexp.fairswap import (
     CalibratedRanking,
     InfeasibleTemplateError,
     MalformedPartitionError,
+    _donor_sort_key,
+    _prepare,
     _within_block_wins,
     added_regret,
     fair_swap,
@@ -406,6 +408,27 @@ class TestPreparedCalibration:
                 emptied += any(e.blocks_sizes[bi] == m for bi, m in e.donors_per_block.items())
         # the instances exercise every way the counts change
         assert min(multi_donor, displaced, emptied) >= 20
+
+    def test_two_groups_promote_once_per_host_from_blocks_in_donor_order(self):
+        # a host short of one group holds a surplus of the other, so the order
+        # of a segment's need counts never decides which group promotes first
+        rng = np.random.default_rng(20)
+        promoting_hosts = 0
+        for trial in range(300):
+            blocks, placement, certain, groups, scores = wide_instance(rng)
+            partition = BlockPartition(blocks=[list(b) for b in blocks])
+            result = swap_instance(blocks, placement, certain, groups, seed=trial, scores=scores)
+            hosts = [e.host_block for e in result.events]
+            assert len(hosts) == len(set(hosts)), (blocks, placement, groups)
+            promoting_hosts += len(hosts)
+
+            wins = _within_block_wins(partition, certain)
+            prepared = _prepare(partition, certain, groups, scores)
+            assert [sorted(b) for b in prepared.blocks] == [sorted(b) for b in blocks]
+            for block in prepared.blocks:
+                keys = [_donor_sort_key(d, wins, scores) for d in block]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert promoting_hosts >= 100
 
     def test_selection_equals_the_best_standalone_calibration(self):
         rng = np.random.default_rng(19)

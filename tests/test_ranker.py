@@ -492,8 +492,8 @@ class TestUpdate:
             warm = state.theta.copy()
             update(state, diffs, labels)
             x, y = state.pairs.x, state.pairs.y
-            warm_loss, _ = _loss_grad(warm, x, y, state.lam)
-            new_loss, _ = _loss_grad(state.theta, x, y, state.lam)
+            warm_loss, *_ = _loss_grad(warm, x, y, state.lam)
+            new_loss, *_ = _loss_grad(state.theta, x, y, state.lam)
             assert new_loss <= warm_loss + 1e-12
 
     def test_learns_true_preferences(self):
