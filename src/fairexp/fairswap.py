@@ -10,8 +10,10 @@ known superiority over everything below. Promotions merge documents of
 different original blocks into one block, and the randomized within-block
 presentation then no longer preserves their known relative order; the
 output realizes that loss explicitly by placing promoted documents above
-the block members they joined, so the reported added regret is the exact,
-deterministic cost of the calibration structure.
+the block members they joined. The reported added regret is that of the
+served fill: the seeded draw among members of one original block can
+invert a certain pair inside it that another draw avoids, so it is not a
+function of the calibration structure alone (ROADMAP item 2).
 
 Added regret is the count of certain pairs displayed in inverted order,
 restricted to the top-k since lower positions receive no exposure.
@@ -19,16 +21,17 @@ restricted to the top-k since lower positions receive no exposure.
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import GROUP_B
+from .data import GROUP_A, GROUP_B
 from .fairness import GroupTemplate
 from .ranker import BlockPartition, fewest_predecessors
+
+GROUPS = (GROUP_A, GROUP_B)
 
 
 class InfeasibleTemplateError(ValueError):
@@ -36,7 +39,8 @@ class InfeasibleTemplateError(ValueError):
 
 
 class MalformedPartitionError(ValueError):
-    """Raised when the input blocks are not a partition of distinct documents."""
+    """Raised when the input blocks are not a partition of distinct documents,
+    or a document is labelled neither ``GROUP_A`` nor ``GROUP_B``."""
 
 
 @dataclass
@@ -107,28 +111,31 @@ class _PreparedPartition(NamedTuple):
     call) from the partition, the certain set, the group labels and scores.
     """
 
-    n_docs: int
-    have_total: Counter  # documents per group over the whole partition
+    have: tuple[int, int]  # documents of group A and of group B over the partition
     origin: dict[int, int]  # document -> index of its original block
-    blocks: tuple[tuple[int, ...], ...]  # each block's members in donor order
-    b_counts: tuple[int, ...]  # group-B members per block
+    # each block as (its group-A members, its group-B members), each in donor order
+    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPartition:
     docs_all = partition.documents()
     if len(set(docs_all)) != len(docs_all):
         raise MalformedPartitionError("blocks contain duplicate documents")
+    for doc in docs_all:
+        if groups.get(doc) not in GROUPS:
+            raise MalformedPartitionError(
+                f"document {doc} has group {groups.get(doc)!r}, not {GROUP_A!r} or {GROUP_B!r}"
+            )
     wins = _within_block_wins(partition, certain)
     scores = scores or {}
+    blocks = []
+    for block in partition.blocks:
+        ranked = sorted(block, key=lambda d: _donor_sort_key(d, wins, scores))
+        blocks.append(tuple(tuple(d for d in ranked if groups[d] == g) for g in GROUPS))
     return _PreparedPartition(
-        n_docs=len(docs_all),
-        have_total=Counter(groups[doc] for doc in docs_all),
+        have=tuple(sum(len(block[g]) for block in blocks) for g in (0, 1)),
         origin={doc: bi for bi, block in enumerate(partition.blocks) for doc in block},
-        blocks=tuple(
-            tuple(sorted(block, key=lambda d: _donor_sort_key(d, wins, scores)))
-            for block in partition.blocks
-        ),
-        b_counts=tuple(sum(1 for d in block if groups[d] == GROUP_B) for block in partition.blocks),
+        blocks=tuple(blocks),
     )
 
 
@@ -145,100 +152,40 @@ def fair_swap(
 ) -> CalibratedRanking:
     """Calibrate the partition to one template with minimum added regret.
 
-    ``groups`` maps document ids to group labels and ``scores`` (optional)
-    to relevance scores used for deterministic tie-breaking. With
-    ``respect_certain`` (default), certain orders between documents of the
-    same original block are followed where the slot pattern allows;
+    ``groups`` maps document ids to group labels, ``GROUP_A`` or ``GROUP_B``
+    (any other label is a ``MalformedPartitionError``), and ``scores``
+    (optional) to relevance scores used for deterministic tie-breaking.
+    With ``respect_certain`` (default), certain orders between documents of
+    the same original block are followed where the slot pattern allows;
     disabling it recovers pure seeded shuffling within blocks.
 
-    Work that does not depend on the template (the duplicate check, the
-    group totals, each document's original block, each block's group-B
-    count, and each block sorted once into donor order) is ``prepared``:
-    ``select_ranking`` builds it once per round for every call, and a call
-    without it builds it from its own arguments. The walk takes prefixes of
-    the donor order: a host keeps its first members of each group with
-    slots left, a shortfall comes from the nearest lower blocks' first
-    members of the group, and the displaced carry on as the next host. It
-    keeps the lower blocks' group-B counts current, so an event's counts
-    cost one copy, not a pass over the lower documents.
+    Work that does not depend on the template (the duplicate and label
+    checks, the group totals, each document's original block, and each
+    block split by group and sorted once into donor order) is
+    ``prepared``: ``select_ranking`` builds it once per round for every
+    call, and a call without it builds it from its own arguments. A call
+    is then the feasibility check, the walk (``_walk``, which draws
+    nothing), and the seeded fill of each segment.
 
     One calibration looks ``certain`` up O(k^3 + sum(|b|^2)) times over the
     blocks b, and never scans it: its cost does not grow with len(certain).
     """
     if prepared is None:
         prepared = _prepare(partition, certain, groups, scores)
-    k = len(template)
-    if k > prepared.n_docs:
-        raise InfeasibleTemplateError(f"template length {k} exceeds {prepared.n_docs} documents")
-    have_total = prepared.have_total
-    for g, n in Counter(template.placement).items():
-        if n > have_total.get(g, 0):
+    have = dict(zip(GROUPS, prepared.have))
+    # every document is A or B, so meeting each group's count also bounds k
+    for g in dict.fromkeys(template.placement):
+        n = template.placement.count(g)
+        if n > have.get(g, 0):
             raise InfeasibleTemplateError(
-                f"template needs {n} documents of group {g}, only {have_total.get(g, 0)} available"
+                f"template needs {n} documents of group {g}, only {have.get(g, 0)} available"
             )
-    origin = prepared.origin
-
-    # the lower blocks in donor order; b_counts[i] counts group-B documents in work[i]
-    work: deque[list[int]] = deque(list(block) for block in prepared.blocks)
-    b_counts: deque[int] = deque(prepared.b_counts)
-    # members displaced from the previous segment: a new block just above
-    # the lower ones, so always the next host
-    displaced: list[int] = []
-    order: list[int] = []
     events: list[SwapEvent] = []
-    pos = 0
-    host_index = 0
-    while pos < k:
-        if displaced:
-            block = displaced
-        elif work:
-            block = work.popleft()
-            b_counts.popleft()
-        else:
-            raise MalformedPartitionError("ran out of blocks before filling the template")
-        seg = template.placement[pos : min(pos + len(block), k)]
-        # keep the strongest members while their group has slots left; the
-        # rest are displaced, and what is still needed is the shortfall
-        need = Counter(seg)
-        kept, displaced = [], []
-        for doc in block:
-            if need[groups[doc]] > 0:
-                need[groups[doc]] -= 1
-                kept.append(doc)
-            else:
-                displaced.append(doc)
-
-        donors: list[int] = []
-        for g, shortage in need.items():
-            if shortage <= 0:
-                continue
-            counts_before = list(b_counts)
-            sizes_before = list(map(len, work))
-            taken, per_block = _promote(work, b_counts, g, shortage, groups)
-            if len(taken) < shortage:
-                raise InfeasibleTemplateError(
-                    f"could not promote {shortage} documents of group {g}"
-                )
-            donors.extend(taken)
-            events.append(
-                SwapEvent(
-                    host_block=host_index,
-                    group=g,
-                    shortage=shortage,
-                    donors_per_block=per_block,
-                    host_members=len(block),
-                    displaced=max(len(block) + len(taken) - len(seg), 0),
-                    blocks_b_counts=counts_before,
-                    blocks_sizes=sizes_before,
-                )
-            )
-
+    order: list[int] = []
+    for seg, displayed in _walk(prepared, template, events):
         order.extend(
-            _fill_segment(seg, donors + kept, origin, certain, groups, rng, respect_certain)
+            _fill_segment(seg, displayed, prepared.origin, certain, groups, rng, respect_certain)
         )
-        pos += len(seg)
-        host_index += 1
-
     return CalibratedRanking(
         order=order,
         added_regret=added_regret(order, certain),
@@ -247,30 +194,80 @@ def fair_swap(
     )
 
 
-def _promote(
-    work: deque, b_counts: deque, group: str, shortage: int, groups
-) -> tuple[list[int], dict[int, int]]:
+def _walk(
+    prepared: _PreparedPartition, template: GroupTemplate, events: list[SwapEvent]
+) -> list[tuple[tuple[str, ...], list[int]]]:
+    """Each segment's slot pattern and displayed documents, in order, for a
+    feasible template; appends a ``SwapEvent`` per promotion to ``events``.
+
+    A host keeps its first members of each group, as many as the segment
+    has slots for, and the rest are displaced: a new block just above the
+    lower ones, so always the next host. A segment is never longer than
+    its host, so a host short of one group has a surplus of the other, and
+    at most one group promotes. Displayed documents are, within each
+    group, the donors and then the kept members, all in donor order. The
+    lower blocks are a list of the prepared (A, B) tuples; promotion
+    replaces an entry and changes none, so nothing is copied per template.
+    """
+    placement = template.placement
+    lower = list(prepared.blocks)
+    host: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
+    segments = []
+    pos = 0
+    while pos < len(placement):
+        if not (host[0] or host[1]):
+            host = lower.pop(0)
+        size = len(host[0]) + len(host[1])
+        seg = placement[pos : pos + size]
+        need_b = seg.count(GROUP_B)
+        need = (len(seg) - need_b, need_b)
+        displayed: list[int] = []
+        for g in (0, 1):
+            shortage = need[g] - len(host[g])
+            if shortage > 0:
+                b_counts = [len(b) for _, b in lower]
+                sizes = [len(a) + len(b) for a, b in lower]
+                per_block: dict[int, int] = {}
+                displayed = _promote(lower, g, shortage, per_block)
+                events.append(
+                    SwapEvent(
+                        host_block=len(segments),
+                        group=GROUPS[g],
+                        shortage=shortage,
+                        donors_per_block=per_block,
+                        host_members=size,
+                        displaced=max(size + shortage - len(seg), 0),
+                        blocks_b_counts=b_counts,
+                        blocks_sizes=sizes,
+                    )
+                )
+        displayed += host[0][: need[0]] + host[1][: need[1]]
+        segments.append((seg, displayed))
+        host = (host[0][need[0] :], host[1][need[1] :])
+        pos += len(seg)
+    return segments
+
+
+def _promote(lower: list, group: int, shortage: int, per_block: dict[int, int]) -> list[int]:
     """Take the shortfall as the nearest lower blocks' first members of
-    ``group`` (donor order), keeping ``b_counts`` in step with ``work``."""
+    ``GROUPS[group]`` (donor order), counting in ``per_block`` how many come
+    from each block by its position in ``lower`` (0 = nearest). The blocks
+    given are replaced by what is left of them, and emptied ones dropped."""
     taken: list[int] = []
-    per_block: dict[int, int] = {}
-    for bi, block in enumerate(work):
+    left = []
+    for bi, entry in enumerate(lower):
+        members = entry[group]
+        n = min(len(members), shortage - len(taken))
+        if n:
+            per_block[bi] = n
+            taken.extend(members[:n])
+            entry = (members[n:], entry[1]) if group == 0 else (entry[0], members[n:])
+        if entry[0] or entry[1]:
+            left.append(entry)
         if len(taken) == shortage:
             break
-        chosen = [d for d in block if groups[d] == group][: shortage - len(taken)]
-        if chosen:
-            per_block[bi] = len(chosen)
-            for d in chosen:
-                block.remove(d)
-            if group == GROUP_B:
-                b_counts[bi] -= len(chosen)
-            taken.extend(chosen)
-    # drop blocks emptied by promotion
-    empty = [i for i, blk in enumerate(work) if not blk]
-    for i in reversed(empty):
-        del work[i]
-        del b_counts[i]
-    return taken, per_block
+    lower[: bi + 1] = left
+    return taken
 
 
 def _fill_segment(
@@ -330,11 +327,12 @@ def select_ranking(
     gets an independently derived seed and one ``fair_swap`` call, whose
     cost does not grow with len(certain).
 
-    Once per round, before the templates are walked: the duplicate check,
-    the group totals, each document's original block, each block's group-B
-    count and the donor order (each block sorted by within-block certain
-    wins, then score, then index). Once per template: the feasibility check
-    and the walk, which takes prefixes of the donor order and sorts nothing.
+    Once per round, before the templates are walked: the duplicate and
+    label checks, the group totals, each document's original block, and the
+    donor order (each block split into its two groups, each sorted by
+    within-block certain wins, then score, then index). Once per template:
+    the feasibility check and the walk, which slices prefixes of the
+    per-group donor order and sorts nothing.
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")

@@ -138,19 +138,8 @@ def _check_dim(state: RankerState, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def score(state: RankerState, x) -> float:
-    """Linear relevance score of one document."""
-    return float(_check_dim(state, x) @ state.theta)
-
-
 def score_all(state: RankerState, features: np.ndarray) -> np.ndarray:
     return _check_dim(state, features) @ state.theta
-
-
-def pairwise_prob(state: RankerState, x_i, x_j) -> float:
-    """Predicted probability that document i ranks above document j."""
-    diff = _check_dim(state, x_i) - _check_dim(state, x_j)
-    return float(sigmoid(diff @ state.theta))
 
 
 def confidence_width(state: RankerState, x_i, x_j, alpha: float) -> float:
@@ -335,28 +324,6 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
             raise NumericError(f"non-finite gradient during update (round {state.round})")
     state.theta = theta
     return state
-
-
-def alpha_bound(
-    state: RankerState, k_mu: float, c_mu: float, r_noise: float, q_norm: float, delta: float
-) -> float:
-    """Theoretical width multiplier from the confidence analysis.
-
-    Takes the link-Lipschitz constants, the sub-Gaussian click-noise
-    scale, the parameter-norm bound and the failure probability
-    explicitly; all are unobservable in practice, so experiments tune a
-    constant multiplier instead and this serves as a diagnostic.
-    """
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    d = state.d
-    sign, logdet = np.linalg.slogdet(state.info_matrix)
-    if sign <= 0:
-        raise NumericError("information matrix is not positive definite")
-    log_ratio = logdet - (2.0 * np.log(delta) + d * np.log(state.lam))
-    return (2.0 * k_mu / c_mu) * (
-        np.sqrt(max(r_noise**2 * log_ratio, 0.0)) + np.sqrt(state.lam) * q_norm
-    )
 
 
 def save_checkpoint(state: RankerState, path: str | Path, include_pairs: bool = True) -> None:

@@ -120,6 +120,15 @@ class TestFairSwap:
         with pytest.raises(MalformedPartitionError):
             swap_instance([[0, 1], [1, 2]], ("A", "B"), set(), {0: "A", 1: "B", 2: "B"})
 
+    def test_a_document_in_neither_group_is_malformed(self):
+        groups = {0: "A", 1: None, 2: "B"}
+        partition = BlockPartition(blocks=[[0, 1], [2]])
+        template = make_template(("A", "B"), log_discount_model(2))
+        with pytest.raises(MalformedPartitionError, match="document 1"):
+            fair_swap(partition, template, set(), groups, np.random.default_rng(0))
+        with pytest.raises(MalformedPartitionError, match="document 1"):
+            select_ranking(partition, [template], set(), groups, np.random.default_rng(0))
+
     def test_donor_preference_uses_within_block_wins(self):
         # doc 3 beats doc 4 inside their own block, so doc 3 gets promoted
         blocks = [[1, 2], [3, 4, 5]]
@@ -424,10 +433,12 @@ class TestPreparedCalibration:
 
             wins = _within_block_wins(partition, certain)
             prepared = _prepare(partition, certain, groups, scores)
-            assert [sorted(b) for b in prepared.blocks] == [sorted(b) for b in blocks]
-            for block in prepared.blocks:
-                keys = [_donor_sort_key(d, wins, scores) for d in block]
-                assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert [sorted(a + b) for a, b in prepared.blocks] == [sorted(b) for b in blocks]
+            for by_group in prepared.blocks:
+                for label, members in zip(("A", "B"), by_group):
+                    assert all(groups[d] == label for d in members)
+                    keys = [_donor_sort_key(d, wins, scores) for d in members]
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
         assert promoting_hosts >= 100
 
     def test_selection_equals_the_best_standalone_calibration(self):

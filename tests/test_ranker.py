@@ -12,15 +12,13 @@ from fairexp.ranker import (
     GRAD_TOL,
     PairOrderSets,
     RankerState,
-    alpha_bound,
     classify_pairs,
     confidence_width,
     infer_pairs,
     load_checkpoint,
-    pairwise_prob,
     partition_blocks,
     save_checkpoint,
-    score,
+    score_all,
     sigmoid,
     update,
 )
@@ -34,17 +32,17 @@ def make_candidates(features: np.ndarray, grades=None) -> QueryCandidates:
 class TestScore:
     def test_zero_theta(self):
         state = RankerState.initial(3, lam=1.0)
-        assert score(state, [1.0, -2.0, 0.5]) == 0.0
+        assert score_all(state, np.array([[1.0, -2.0, 0.5]])).tolist() == [0.0]
 
     def test_dot_product(self):
         state = RankerState.initial(2, lam=1.0)
         state.theta = np.array([1.0, 2.0])
-        assert score(state, [3.0, 1.0]) == 5.0
+        assert score_all(state, np.array([[3.0, 1.0], [0.0, -1.0]])).tolist() == [5.0, -2.0]
 
     def test_dimension_mismatch(self):
         state = RankerState.initial(2, lam=1.0)
         with pytest.raises(DimensionError):
-            score(state, [1.0, 2.0, 3.0])
+            score_all(state, np.array([[1.0, 2.0, 3.0]]))
 
     def test_matches_grade_order_on_true_theta(self):
         from fairexp.data import SyntheticSpec, synthetic_splits
@@ -53,32 +51,29 @@ class TestScore:
         state = RankerState.initial(5, lam=1.0)
         state.theta = ds.true_theta
         for q in ds.queries:
-            scores = [score(state, x) for x in q.feature_matrix()]
-            order = np.argsort(-np.array(scores))
+            order = np.argsort(-score_all(state, q.feature_matrix()))
             grades = q.grades()[order]
             assert np.all(np.diff(grades) <= 0)
 
 
 class TestPairwiseProb:
+    """The probability that document i ranks above j, sigmoid((x_i - x_j) @ theta),
+    as ``classify_pairs`` and ``update`` compute it."""
+
     def test_equal_vectors(self):
         state = RankerState.initial(2, lam=1.0)
         state.theta = np.array([0.3, -0.7])
-        assert pairwise_prob(state, [1.0, 2.0], [1.0, 2.0]) == 0.5
+        assert sigmoid(np.subtract([1.0, 2.0], [1.0, 2.0]) @ state.theta) == 0.5
 
     def test_sigmoid_of_one(self):
-        state = RankerState.initial(1, lam=1.0)
-        state.theta = np.array([1.0])
-        assert pairwise_prob(state, [1.0], [0.0]) == pytest.approx(0.7310585786300049)
+        assert sigmoid(1.0) == pytest.approx(0.7310585786300049)
 
     def test_complement_identity(self):
         rng = np.random.default_rng(0)
-        state = RankerState.initial(4, lam=1.0)
-        state.theta = rng.normal(size=4)
-        for _ in range(500):
-            xi, xj = rng.normal(size=4), rng.normal(size=4)
-            assert pairwise_prob(state, xi, xj) + pairwise_prob(state, xj, xi) == pytest.approx(
-                1.0, abs=1e-12
-            )
+        theta = rng.normal(size=4)
+        diffs = rng.normal(size=(500, 4)) - rng.normal(size=(500, 4))
+        total = sigmoid(diffs @ theta) + sigmoid(-diffs @ theta)
+        np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
     def test_sigmoid_extremes_finite(self):
         assert sigmoid(1000.0) == 1.0
@@ -513,27 +508,6 @@ class TestUpdate:
         held = rng.normal(size=(2000, d))
         accuracy = np.mean((held @ state.theta > 0) == (held @ theta_star > 0))
         assert accuracy >= 0.95
-
-
-class TestAlphaBound:
-    def test_hand_computed_value(self):
-        state = RankerState.initial(2, lam=1.0)
-        state.info_matrix = 2.0 * np.eye(2)
-        # det(M)=4, det(lam I)=1, delta=0.5 -> log(4 / 0.25) = log 16
-        expected = 2.0 * (np.sqrt(np.log(16.0)) + 1.0)
-        got = alpha_bound(state, k_mu=1.0, c_mu=1.0, r_noise=1.0, q_norm=1.0, delta=0.5)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_grows_with_information(self):
-        state = RankerState.initial(3, lam=1.0)
-        base = alpha_bound(state, 1.0, 1.0, 1.0, 1.0, 0.1)
-        update(state, np.eye(3) * 3.0, np.ones(3))
-        assert alpha_bound(state, 1.0, 1.0, 1.0, 1.0, 0.1) > base
-
-    def test_delta_validation(self):
-        state = RankerState.initial(2, lam=1.0)
-        with pytest.raises(ValueError):
-            alpha_bound(state, 1.0, 1.0, 1.0, 1.0, 1.5)
 
 
 class TestCheckpoint:
