@@ -6,8 +6,11 @@ line, ``#`` comments); command-line flags override file values.
 
 Bad input (a config value, a dataset or checkpoint that does not load)
 ends the command with one ``fairexp <command>: error: <message>`` line on
-stderr and exit status 2, before any round runs. Errors raised inside the
-round loop propagate with their traceback.
+stderr and exit status 2, before any round runs. For ``run`` and ``sweep``
+the checks are ``harness.prepare_run``, the one boundary between a config
+and the round loop, which library callers of ``run_experiment`` and
+``sweep`` pass through too. Errors raised inside the round loop propagate
+with their traceback.
 """
 
 from __future__ import annotations
@@ -25,11 +28,8 @@ from .harness import (
     check_sweep,
     evaluate_offline,
     holdout_view,
-    load_datasets,
-    resolve_beta,
-    resolve_click_model,
-    resolve_exposure,
-    run_loaded,
+    prepare_run,
+    run_prepared,
     sweep,
 )
 from .ranker import DimensionError, load_checkpoint
@@ -205,14 +205,10 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             config = build_config(args)
-            # the round loop resolves these again; a bad one fails here instead
-            resolve_click_model(config)
-            resolve_exposure(config)
-            train, _, test = load_datasets(config)
-            resolve_beta(config, train)
+            inputs = prepare_run(config)[0]  # a run keeps no validation split
         except _INPUT_ERRORS as exc:
             return _error("run", exc)
-        result = run_loaded(config, train, test)
+        result = run_prepared(inputs)
         for key, value in result.summary.items():
             print(f"{key}={value}")
         if config.out_dir:
@@ -220,16 +216,13 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
+        if args.workers < 1:
+            return _error("sweep", f"--workers must be >= 1, got {args.workers}")
         try:
-            if args.workers < 1:
-                raise ValueError(f"--workers must be >= 1, got {args.workers}")
             config = build_config(args)
             check_sweep(config)
-            resolve_click_model(config)
-            resolve_exposure(config)
-            # each job loads its own copy; a bad dataset or beta fails before the first
-            train, _, _ = load_datasets(config)
-            resolve_beta(config, train)
+            # each job prepares its own copy; bad input fails here, before the first
+            prepare_run(config)
         except _INPUT_ERRORS as exc:
             return _error("sweep", exc)
         (best_params, best_ndcg), results = sweep(config, workers=args.workers)

@@ -70,15 +70,12 @@ def table_model(values) -> ExposureModel:
     return ExposureModel("table", tuple(float(v) for v in values))
 
 
-def make_exposure_model(kind: str, k: int, table=None) -> ExposureModel:
+def make_exposure_model(kind: str, k: int) -> ExposureModel:
+    """A built-in model; a table comes from ``load_exposure_table``."""
     if kind == "log_discount":
         return log_discount_model(k)
     if kind == "inverse_rank":
         return inverse_rank_model(k)
-    if kind == "table":
-        if table is None:
-            raise ExposureError("table exposure model needs explicit values")
-        return table_model(table).truncated(k)
     raise ExposureError(f"unknown exposure model kind {kind!r}")
 
 

@@ -179,32 +179,44 @@ def load_datasets(config: ExperimentConfig):
     return splits
 
 
-def resolve_beta(config: ExperimentConfig, train: GroupedDataset) -> float:
-    if config.beta == "auto":
-        return fairness.utility_ratio_beta(train)
-    return float(config.beta)
+class RunInputs(NamedTuple):
+    """A checked config and everything the round loop reads besides it."""
+
+    config: ExperimentConfig
+    train: GroupedDataset
+    test: GroupedDataset
+    beta: float
+    click_model: click_sim.ClickModelConfig
+    exposure_model: fairness.ExposureModel
 
 
-def resolve_click_model(config: ExperimentConfig) -> click_sim.ClickModelConfig:
+def prepare_run(config: ExperimentConfig) -> tuple[RunInputs, GroupedDataset | None]:
+    """The one place where a config becomes checked run inputs; returns
+    (inputs, validation split or None).
+
+    The cheap checks come first: ``validate()``, the click model, and the
+    exposure model (a table must cover ranks 1..k). Then the splits load
+    and ``beta`` resolves, since ``auto`` needs the train split. Bad input
+    raises ``ValueError`` or ``OSError`` here, before any round."""
+    config.validate()
     if config.click_model == "custom":
-        return click_sim.custom_model(config.custom_clicks[:5], config.custom_clicks[5:])
-    try:
-        return click_sim.BY_NAME[config.click_model]
-    except KeyError:
-        raise ValueError(f"unknown click model {config.click_model!r}") from None
-
-
-def resolve_exposure(config: ExperimentConfig) -> fairness.ExposureModel:
-    """The exposure model of a validated config; a table must cover ranks 1..k."""
+        click_model = click_sim.custom_model(config.custom_clicks[:5], config.custom_clicks[5:])
+    elif config.click_model in click_sim.BY_NAME:
+        click_model = click_sim.BY_NAME[config.click_model]
+    else:
+        raise ValueError(f"unknown click model {config.click_model!r}")
     if config.exposure_kind == "table":
-        model = fairness.load_exposure_table(config.exposure_table)
-        if model.k < config.k:
+        exposure_model = fairness.load_exposure_table(config.exposure_table)
+        if exposure_model.k < config.k:
             raise fairness.ExposureError(
-                f"exposure table {config.exposure_table} defines {model.k} ranks, "
+                f"exposure table {config.exposure_table} defines {exposure_model.k} ranks, "
                 f"fewer than k={config.k}"
             )
-        return model
-    return fairness.make_exposure_model(config.exposure_kind, config.k)
+    else:
+        exposure_model = fairness.make_exposure_model(config.exposure_kind, config.k)
+    train, valid, test = load_datasets(config)
+    beta = fairness.utility_ratio_beta(train) if config.beta == "auto" else float(config.beta)
+    return RunInputs(config, train, test, beta, click_model, exposure_model), valid
 
 
 def sample_block_order(
@@ -408,20 +420,13 @@ ALGORITHMS = tuple(POLICIES)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    config.validate()
-    train, _, test = load_datasets(config)
-    return run_loaded(config, train, test)
+    return run_prepared(prepare_run(config)[0])
 
 
-def run_loaded(
-    config: ExperimentConfig, train: GroupedDataset, test: GroupedDataset
-) -> ExperimentResult:
-    """The round loop of ``run_experiment`` on a validated config's splits,
-    already loaded by ``load_datasets``."""
+def run_prepared(inputs: RunInputs) -> ExperimentResult:
+    """The round loop of ``run_experiment`` on what ``prepare_run`` checked."""
+    config, train, test, beta, click_model, exposure_model = inputs
     policy = POLICIES[config.algorithm]
-    beta = resolve_beta(config, train)
-    click_model = resolve_click_model(config)
-    exposure_model = resolve_exposure(config)
     rng = np.random.default_rng(config.seed)
 
     state = ranker.RankerState.initial(train.dimension, config.lam)
@@ -536,10 +541,8 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 def _sweep_worker(args) -> tuple[dict, float]:
     config, params = args
-    cfg = replace(config, **params, out_dir=None)
-    cfg.validate()
-    train, valid, test = load_datasets(cfg)
-    result = run_loaded(cfg, train, test)
+    inputs, valid = prepare_run(replace(config, **params, out_dir=None))
+    result = run_prepared(inputs)
     return params, evaluate_offline(result.state, holdout_view(valid))
 
 

@@ -372,7 +372,7 @@ def test_an_undefined_auto_beta_is_one_line_before_any_round(
 ):
     import fairexp.cli
 
-    monkeypatch.setattr(fairexp.cli, "run_loaded", lambda *a: pytest.fail("a round ran"))
+    monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
     monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
     # the median split puts the grade-0 document alone in group B
     fold = _fold(tmp_path / "fold")
@@ -429,7 +429,7 @@ def test_a_bad_model_or_seed_is_one_line_before_any_round(
 ):
     import fairexp.cli
 
-    monkeypatch.setattr(fairexp.cli, "run_loaded", lambda *a: pytest.fail("a round ran"))
+    monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
     monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
     short = _exposure_table(tmp_path, 2)
     path = tmp_path / "run.cfg"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from calibration_oracle import cross_block_certain
 from fairexp.data import GroupedDataset, QueryCandidates, SyntheticSpec
 from fairexp.fairness import ExposureError, UnfairnessLedger
 from fairexp.harness import (
@@ -11,14 +12,21 @@ from fairexp.harness import (
     evaluate_offline,
     holdout_view,
     load_datasets,
+    prepare_run,
     prop_control_rank,
-    resolve_beta,
     run_experiment,
     sample_block_order,
     sweep,
 )
 from fairexp.metrics import TRACE_COLUMNS, ndcg_at_k
-from fairexp.ranker import BlockPartition, DimensionError, RankerState, load_checkpoint, score_all
+from fairexp.ranker import (
+    BlockPartition,
+    DimensionError,
+    RankerState,
+    fewest_predecessors,
+    load_checkpoint,
+    score_all,
+)
 
 
 def small_spec(**kwargs):
@@ -155,12 +163,30 @@ class TestConfig:
         config = small_config(k=5, rounds=5, exposure_kind="table", exposure_table=str(table))
         assert len(run_experiment(config).records) == 5
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(click_model="bogus"), "unknown click model 'bogus'"),
+            (dict(exposure_kind="table"), "defines 2 ranks, fewer than k=3"),
+        ],
+        ids=["click_model", "short_table"],
+    )
+    def test_model_checks_come_before_the_splits_load(
+        self, tmp_path, monkeypatch, fields, message
+    ):
+        from fairexp import harness
+
+        monkeypatch.setattr(harness, "load_datasets", lambda config: pytest.fail("a split loaded"))
+        table = tmp_path / "exposure.txt"
+        table.write_text("1 1.0\n2 0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            run_experiment(small_config(k=3, exposure_table=str(table), **fields))
+
     def test_beta_auto(self):
         config = small_config(beta="auto")
-        train, _, _ = load_datasets(config)
-        beta = resolve_beta(config, train)
+        beta = prepare_run(config)[0].beta
         assert beta > 0
-        assert resolve_beta(small_config(beta=1.5), train) == 1.5
+        assert prepare_run(small_config(beta=1.5))[0].beta == 1.5
 
 
 class TestDeterminism:
@@ -386,6 +412,42 @@ class TestSampleBlockOrder:
         seen = {tuple(sample_block_order(partition, set(), rng, False)) for _ in range(200)}
         assert len(seen) == 6
 
+    def test_the_heuristic_draws_as_the_calibration_fill_does(self):
+        # _fill_segment draws through ranker.fewest_predecessors, recounting
+        # at every slot; sample_block_order counts once per block and
+        # decrements. The same seed must give the same order.
+        rng = np.random.default_rng(21)
+        with_within_block = 0
+        for trial in range(300):
+            n = int(rng.integers(6, 31))
+            blocks, start = [], 0
+            while start < n:
+                size = int(rng.integers(1, 7))
+                blocks.append(list(range(start, min(start + size, n))))
+                start += size
+            certain = cross_block_certain(blocks)
+            within = set()
+            for block in blocks:
+                for i, a in enumerate(block):
+                    for b in block[i + 1 :]:
+                        if rng.random() < 0.4:
+                            within.add((a, b) if rng.random() < 0.5 else (b, a))
+            with_within_block += bool(within)
+            certain |= within
+
+            want, draw = [], np.random.default_rng(trial)
+            for block in blocks:
+                remaining = list(block)
+                while remaining:
+                    pool = fewest_predecessors(remaining, remaining, certain)
+                    choice = pool[int(draw.integers(len(pool)))] if len(pool) > 1 else pool[0]
+                    remaining.remove(choice)
+                    want.append(choice)
+            partition = BlockPartition(blocks=blocks)
+            got = sample_block_order(partition, certain, np.random.default_rng(trial), True)
+            assert got == want, (blocks, sorted(within))
+        assert with_within_block >= 200
+
 
 class TestOutputs:
     def test_files_written(self, tmp_path):
@@ -492,6 +554,21 @@ class TestRobustness:
         _, results = sweep(small_config(rounds=5), workers=1)
         assert len(results) == 9
         assert sorted(calls) == sorted((p["lam"], p["alpha"]) for p, _ in results)
+
+    def test_the_round_loop_receives_no_validation_split(self, monkeypatch):
+        from fairexp import harness
+
+        received = []
+        original = harness.run_prepared
+
+        def recording(inputs):
+            received.append([v.split for v in inputs if isinstance(v, GroupedDataset)])
+            return original(inputs)
+
+        monkeypatch.setattr(harness, "run_prepared", recording)
+        run_experiment(small_config(rounds=5))
+        sweep(small_config(rounds=5))
+        assert received == [["train", "test"]] * 10
 
     def test_sweep_with_two_workers_matches_serial(self):
         config = small_config(rounds=10)
