@@ -47,8 +47,8 @@ INFORMATIONAL = ClickModelConfig(
 BY_NAME = {m.name: m for m in (PERFECT, NAVIGATIONAL, INFORMATIONAL)}
 
 
-def custom_model(click_prob, stop_prob, name: str = "custom") -> ClickModelConfig:
-    return ClickModelConfig(name=name, click_prob=tuple(click_prob), stop_prob=tuple(stop_prob))
+def custom_model(click_prob, stop_prob) -> ClickModelConfig:
+    return ClickModelConfig(name="custom", click_prob=tuple(click_prob), stop_prob=tuple(stop_prob))
 
 
 @dataclass

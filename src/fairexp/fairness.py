@@ -30,9 +30,8 @@ class TemplateError(ValueError):
 
 @dataclass(frozen=True)
 class ExposureModel:
-    """Precomputed examination probabilities P(1..k), non-increasing and positive."""
+    """Precomputed examination probabilities P(1..k), non-increasing, finite and positive."""
 
-    kind: str
     values: tuple[float, ...]
 
     def __post_init__(self):
@@ -40,8 +39,8 @@ class ExposureModel:
             raise ExposureError("exposure model needs at least one position")
         prev = float("inf")
         for v in self.values:
-            if v <= 0.0:
-                raise ExposureError(f"exposure {v} must be positive")
+            if not 0.0 < v < math.inf:
+                raise ExposureError(f"exposure {v} must be finite and positive")
             if v > prev:
                 raise ExposureError("exposure must be non-increasing in rank")
             prev = v
@@ -55,19 +54,19 @@ class ExposureModel:
             raise ExposureError(f"model defines {self.k} positions, requested {k}")
         if k == self.k:
             return self
-        return ExposureModel(kind=self.kind, values=self.values[:k])
+        return ExposureModel(self.values[:k])
 
 
 def log_discount_model(k: int) -> ExposureModel:
-    return ExposureModel("log_discount", tuple(1.0 / math.log2(r + 1) for r in range(1, k + 1)))
+    return ExposureModel(tuple(1.0 / math.log2(r + 1) for r in range(1, k + 1)))
 
 
 def inverse_rank_model(k: int) -> ExposureModel:
-    return ExposureModel("inverse_rank", tuple(1.0 / r for r in range(1, k + 1)))
+    return ExposureModel(tuple(1.0 / r for r in range(1, k + 1)))
 
 
 def table_model(values) -> ExposureModel:
-    return ExposureModel("table", tuple(float(v) for v in values))
+    return ExposureModel(tuple(float(v) for v in values))
 
 
 def make_exposure_model(kind: str, k: int) -> ExposureModel:
@@ -205,7 +204,8 @@ def utility_ratio_beta(dataset) -> float:
     """Ratio of mean relevance grade of group A to group B over a dataset.
 
     Matches the merit-based reading of the unfairness coefficient: exposure
-    proportional to average group utility.
+    proportional to average group utility. Either group's mean being zero
+    leaves beta undefined, since beta must be finite and positive.
     """
     if not dataset.queries:
         raise ValueError("both groups must be present to compute beta")
@@ -221,4 +221,6 @@ def utility_ratio_beta(dataset) -> float:
     mean_b = int(grades[is_b].sum()) / int(is_b.sum())
     if mean_b == 0:
         raise ValueError("group B has zero mean utility; beta undefined")
+    if mean_a == 0:
+        raise ValueError("group A has zero mean utility; beta undefined")
     return mean_a / mean_b

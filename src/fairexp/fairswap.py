@@ -182,10 +182,8 @@ def fair_swap(
             )
     events: list[SwapEvent] = []
     order: list[int] = []
-    for seg, displayed in _walk(prepared, template, events):
-        order.extend(
-            _fill_segment(seg, displayed, prepared.origin, certain, groups, rng, respect_certain)
-        )
+    for seg, shown in _walk(prepared, template, events):
+        order.extend(_fill_segment(seg, shown, prepared.origin, certain, rng, respect_certain))
     return CalibratedRanking(
         order=order,
         added_regret=added_regret(order, certain),
@@ -196,18 +194,19 @@ def fair_swap(
 
 def _walk(
     prepared: _PreparedPartition, template: GroupTemplate, events: list[SwapEvent]
-) -> list[tuple[tuple[str, ...], list[int]]]:
-    """Each segment's slot pattern and displayed documents, in order, for a
-    feasible template; appends a ``SwapEvent`` per promotion to ``events``.
+) -> list[tuple[tuple[str, ...], list[list[int]]]]:
+    """Each segment's slot pattern and its shown documents as [group A,
+    group B] lists, in order, for a feasible template; appends a
+    ``SwapEvent`` per promotion to ``events``.
 
     A host keeps its first members of each group, as many as the segment
     has slots for, and the rest are displaced: a new block just above the
     lower ones, so always the next host. A segment is never longer than
     its host, so a host short of one group has a surplus of the other, and
-    at most one group promotes. Displayed documents are, within each
-    group, the donors and then the kept members, all in donor order. The
-    lower blocks are a list of the prepared (A, B) tuples; promotion
-    replaces an entry and changes none, so nothing is copied per template.
+    at most one group promotes. Each group's list holds the donors and
+    then the kept members, all in donor order. The lower blocks are a list
+    of the prepared (A, B) tuples; promotion replaces an entry and changes
+    none, so nothing is copied per template.
     """
     placement = template.placement
     lower = list(prepared.blocks)
@@ -221,14 +220,14 @@ def _walk(
         seg = placement[pos : pos + size]
         need_b = seg.count(GROUP_B)
         need = (len(seg) - need_b, need_b)
-        displayed: list[int] = []
+        shown: list[list[int]] = [[], []]
         for g in (0, 1):
             shortage = need[g] - len(host[g])
             if shortage > 0:
                 b_counts = [len(b) for _, b in lower]
                 sizes = [len(a) + len(b) for a, b in lower]
                 per_block: dict[int, int] = {}
-                displayed = _promote(lower, g, shortage, per_block)
+                shown[g] = _promote(lower, g, shortage, per_block)
                 events.append(
                     SwapEvent(
                         host_block=len(segments),
@@ -241,8 +240,8 @@ def _walk(
                         blocks_sizes=sizes,
                     )
                 )
-        displayed += host[0][: need[0]] + host[1][: need[1]]
-        segments.append((seg, displayed))
+            shown[g] += host[g][: need[g]]
+        segments.append((seg, shown))
         host = (host[0][need[0] :], host[1][need[1] :])
         pos += len(seg)
     return segments
@@ -272,39 +271,37 @@ def _promote(lower: list, group: int, shortage: int, per_block: dict[int, int]) 
 
 def _fill_segment(
     seg,
-    displayed: list[int],
+    shown: list[list[int]],
     origin: dict[int, int],
     certain: set[tuple[int, int]],
-    groups,
     rng: np.random.Generator,
     respect_certain: bool,
 ) -> list[int]:
-    """Assign the block's displayed documents to the segment's slots.
+    """Assign the segment's shown documents, given as its [group A, group B]
+    lists, to the segment's slots; each choice leaves its list.
 
     Documents promoted from farther blocks go first among their group's
-    slots: the merge already forfeited their known inferiority, and
-    realizing it keeps the reported regret equal to the structural cost.
-    Among documents of one original block, certain orders are respected
-    greedily when the heuristic is on; remaining ties are random.
+    slots: the merge already forfeited their known inferiority, and the
+    fill realizes that loss instead of hiding it. Among documents of one
+    original block, certain orders are respected greedily when the
+    heuristic is on, counting predecessors among the documents of that
+    block left in either list; remaining ties are random, so one draw can
+    invert a certain pair that another avoids (ROADMAP item 2).
     """
-    remaining: dict[str, list[int]] = {}
-    for doc in displayed:
-        remaining.setdefault(groups[doc], []).append(doc)
+    remaining = dict(zip(GROUPS, shown))
     filled: list[int] = []
-    placed: set[int] = set()
     for g in seg:
         cands = remaining[g]
         if respect_certain:
             top_origin = max(origin[d] for d in cands)
             pool = [d for d in cands if origin[d] == top_origin]
             if len(pool) > 1:
-                rivals = [d for d in displayed if d not in placed and origin[d] == top_origin]
+                rivals = [d for d in chain(*shown) if origin[d] == top_origin]
                 pool = fewest_predecessors(pool, rivals, certain)
         else:
             pool = cands
         choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         cands.remove(choice)
-        placed.add(choice)
         filled.append(choice)
     return filled
 

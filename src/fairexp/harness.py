@@ -133,8 +133,18 @@ class ExperimentConfig:
             for i, p in enumerate(self.custom_clicks):
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"custom_clicks[{i}]: probability {p} outside [0, 1]")
-        if self.exposure_kind == "table" and not self.exposure_table:
-            raise ValueError("exposure_kind 'table' needs an exposure_table file")
+        elif self.custom_clicks is not None:
+            raise ValueError(
+                f"custom_clicks is used only with click_model 'custom', not {self.click_model!r}"
+            )
+        if self.exposure_kind == "table":
+            if not self.exposure_table:
+                raise ValueError("exposure_kind 'table' needs an exposure_table file")
+        elif self.exposure_table is not None:
+            raise ValueError(
+                f"exposure_table is used only with exposure_kind 'table', "
+                f"not {self.exposure_kind!r}"
+            )
 
 
 @dataclass

@@ -326,23 +326,20 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
     return state
 
 
-def save_checkpoint(state: RankerState, path: str | Path, include_pairs: bool = True) -> None:
-    """Write a versioned checkpoint (theta, info matrix, lam, round).
-
-    The pair buffer is included by default so a resumed run can keep
-    re-fitting the full history.
+def save_checkpoint(state: RankerState, path: str | Path) -> None:
+    """Write a versioned checkpoint (theta, info matrix, lam, round, and
+    the pair buffer, so a resumed run can keep re-fitting the full history).
     """
-    arrays = {
-        "version": np.array(CHECKPOINT_VERSION),
-        "theta": state.theta,
-        "info_matrix": state.info_matrix,
-        "lam": np.array(state.lam),
-        "round": np.array(state.round),
-    }
-    if include_pairs:
-        arrays["pairs_x"] = state.pairs.x
-        arrays["pairs_y"] = state.pairs.y
-    np.savez(path, **arrays)
+    np.savez(
+        path,
+        version=np.array(CHECKPOINT_VERSION),
+        theta=state.theta,
+        info_matrix=state.info_matrix,
+        lam=np.array(state.lam),
+        round=np.array(state.round),
+        pairs_x=state.pairs.x,
+        pairs_y=state.pairs.y,
+    )
 
 
 def load_checkpoint(path: str | Path) -> RankerState:

@@ -24,10 +24,10 @@ from fairexp.fairswap import (
     MalformedPartitionError,
     SwapEvent,
     _donor_sort_key,
-    _fill_segment,
     _within_block_wins,
     added_regret,
 )
+from fairexp.ranker import fewest_predecessors
 
 
 def brute_added_regret(order, certain):
@@ -261,6 +261,32 @@ def reference_fair_swap(
         template=template,
         events=events,
     )
+
+
+def _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain):
+    """The calibration fill as it was when it took one displayed list: it
+    regroups the list by label and tracks placed documents in a set, so the
+    calibrator's per-group fill is checked against separate code."""
+    remaining = {}
+    for doc in displayed:
+        remaining.setdefault(groups[doc], []).append(doc)
+    filled = []
+    placed = set()
+    for g in seg:
+        cands = remaining[g]
+        if respect_certain:
+            top_origin = max(origin[d] for d in cands)
+            pool = [d for d in cands if origin[d] == top_origin]
+            if len(pool) > 1:
+                rivals = [d for d in displayed if d not in placed and origin[d] == top_origin]
+                pool = fewest_predecessors(pool, rivals, certain)
+        else:
+            pool = cands
+        choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
+        cands.remove(choice)
+        placed.add(choice)
+        filled.append(choice)
+    return filled
 
 
 def _reference_promote(work, group, shortage, groups, wins, scores):

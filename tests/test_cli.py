@@ -366,18 +366,32 @@ def test_sweep_with_fewer_than_one_worker_refuses_before_any_job(capsys, monkeyp
         sweep(config, workers=int(workers))
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+_ZERO_B = "1 qid:1 1:0.5 2:0.1\n0 qid:1 1:0.2 2:0.3\n"
+_ZERO_A = "0 qid:1 1:0.5 2:0.1\n1 qid:1 1:0.2 2:0.3\n"
+
+
+@pytest.mark.parametrize(
+    "command, train, group",
+    [
+        ("run", _ZERO_B, "B"),
+        ("sweep", _ZERO_B, "B"),
+        ("run", _ZERO_A, "A"),
+        ("sweep", _ZERO_A, "A"),
+    ],
+    ids=["run", "sweep", "zero_a-run", "zero_a-sweep"],
+)
 def test_an_undefined_auto_beta_is_one_line_before_any_round(
-    tmp_path, capsys, monkeypatch, command
+    tmp_path, capsys, monkeypatch, command, train, group
 ):
     import fairexp.cli
 
     monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
     monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
-    # the median split puts the grade-0 document alone in group B
-    fold = _fold(tmp_path / "fold")
+    # the median split puts the document with the larger feature 1 alone in
+    # group A, so the grade-0 document alone makes its group's mean 0
+    fold = _fold(tmp_path / "fold", train=train)
     argv = [command, "--dataset", str(fold), "--group-feature", "1", "--beta", "auto"]
-    assert _one_line_error(capsys, argv) == "group B has zero mean utility; beta undefined"
+    assert _one_line_error(capsys, argv) == f"group {group} has zero mean utility; beta undefined"
 
 
 def test_eval_rejects_a_malformed_test_file(tmp_path, capsys):
@@ -415,14 +429,37 @@ def _exposure_table(root, ranks):
         ([], ["--exposure", "bogus"], "unknown exposure model kind 'bogus'"),
         ([], ["--exposure", "table", "--exposure-table", "{tmp}/nope.txt"], "No such file"),
         ([], ["--exposure", "table", "--exposure-table", "{short}"], "2 ranks, fewer than k=3"),
+        ([], ["--exposure", "table", "--exposure-table", "{nan}"], "exposure nan must be finite"),
+        ([], ["--exposure", "table", "--exposure-table", "{inf}"], "exposure inf must be finite"),
+        (
+            [],
+            ["--exposure-table", "{short}"],
+            "exposure_table is used only with exposure_kind 'table', not 'log_discount'",
+        ),
         (
             ["click_model=custom", "custom_clicks=0.1,0.2,0.3,0.4,1.5,0,0,0,0,0"],
             [],
             "custom_clicks[4]: probability 1.5 outside [0, 1]",
         ),
+        (
+            ["custom_clicks=0.1,0.2,0.3,0.4,0.5,0,0,0,0,0"],
+            [],
+            "custom_clicks is used only with click_model 'custom', not 'perfect'",
+        ),
         ([], ["--seed", "-1"], "seed must be >= 0"),
     ],
-    ids=["click_model", "exposure_kind", "missing_table", "short_table", "custom_clicks", "seed"],
+    ids=[
+        "click_model",
+        "exposure_kind",
+        "missing_table",
+        "short_table",
+        "nan_table",
+        "inf_table",
+        "ignored_table",
+        "custom_clicks",
+        "ignored_clicks",
+        "seed",
+    ],
 )
 def test_a_bad_model_or_seed_is_one_line_before_any_round(
     tmp_path, capsys, monkeypatch, command, lines, flags, message
@@ -431,10 +468,13 @@ def test_a_bad_model_or_seed_is_one_line_before_any_round(
 
     monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
     monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
-    short = _exposure_table(tmp_path, 2)
+    tables = {"short": _exposure_table(tmp_path, 2)}
+    for value in ("nan", "inf"):
+        tables[value] = tmp_path / f"{value}.txt"
+        tables[value].write_text(f"1 1.0\n2 {value}\n3 0.5\n", encoding="utf-8")
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    flags = [f.format(tmp=tmp_path, short=short) for f in flags]
+    flags = [f.format(tmp=tmp_path, **tables) for f in flags]
     argv = [command, "--config", str(path), "--synthetic", SYNTH, "--rounds", "2", "--k", "3"]
     assert message in _one_line_error(capsys, argv + flags)
 

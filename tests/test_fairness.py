@@ -57,6 +57,14 @@ class TestExposure:
         with pytest.raises(ExposureError):
             load_exposure_table(bad)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_load_table_rejects_non_finite_values(self, tmp_path, value):
+        # NaN compares false both ways, so only an explicit finiteness check stops it
+        path = tmp_path / "exposure.txt"
+        path.write_text(f"1 1.0\n2 {value}\n3 0.5\n", encoding="utf-8")
+        with pytest.raises(ExposureError, match=f"exposure {value} must be finite and positive"):
+            load_exposure_table(path)
+
     def test_unknown_kind(self):
         with pytest.raises(ExposureError):
             make_exposure_model("zipf", 5)

@@ -96,6 +96,8 @@ class TestConfig:
             (dict(click_model="custom", custom_clicks=(0.5,) * 11), "custom_clicks"),
             (dict(exposure_kind="table"), "exposure_table"),
             (dict(exposure_kind="table", exposure_table=""), "exposure_table"),
+            (dict(exposure_table="exposure.txt"), "exposure_table is used only with"),
+            (dict(custom_clicks=(0.5,) * 10), "custom_clicks is used only with"),
         ],
     )
     def test_incomplete_settings_rejected(self, fields, missing):
@@ -179,8 +181,10 @@ class TestConfig:
         monkeypatch.setattr(harness, "load_datasets", lambda config: pytest.fail("a split loaded"))
         table = tmp_path / "exposure.txt"
         table.write_text("1 1.0\n2 0.5\n", encoding="utf-8")
+        if fields.get("exposure_kind") == "table":
+            fields = dict(fields, exposure_table=str(table))
         with pytest.raises(ValueError, match=message):
-            run_experiment(small_config(k=3, exposure_table=str(table), **fields))
+            run_experiment(small_config(k=3, **fields))
 
     def test_beta_auto(self):
         config = small_config(beta="auto")
@@ -651,6 +655,8 @@ def test_skewed_groups_still_run():
     result = run_experiment(config)
     assert len(result.records) == 80
     assert result.summary["ledger_violations"] >= 0
+    # templates come from each query's own group counts, so one always calibrates
+    assert result.flagged_rounds == []
 
 
 def test_short_queries_truncate_k():

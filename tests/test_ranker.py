@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fairexp.data import QueryCandidates
 from fairexp.ranker import (
+    CHECKPOINT_VERSION,
     DimensionError,
     GRAD_TOL,
     PairOrderSets,
@@ -621,7 +622,14 @@ class TestCheckpointValidation:
         state = RankerState.initial(3, lam=0.4)
         update(state, np.eye(3), np.ones(3))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(state, path, include_pairs=False)
+        np.savez(
+            path,
+            version=np.array(CHECKPOINT_VERSION),
+            theta=state.theta,
+            info_matrix=state.info_matrix,
+            lam=np.array(state.lam),
+            round=np.array(state.round),
+        )
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.info_matrix, state.info_matrix)
         assert loaded.pairs.n == 0
