@@ -79,7 +79,9 @@ def make_exposure_model(kind: str, k: int) -> ExposureModel:
 
 
 def load_exposure_table(path: str | Path) -> ExposureModel:
-    """Read a two-column text file of (rank, probability) rows, ranks 1..k."""
+    """Read a two-column text file of (rank, probability) rows, ranks 1..k.
+    Every ``ExposureError`` message starts with the file's path, and a bad
+    row's with its line too."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -88,19 +90,26 @@ def load_exposure_table(path: str | Path) -> ExposureModel:
                 continue
             parts = body.split()
             if len(parts) != 2:
-                raise ExposureError(f"line {lineno}: expected '<rank> <probability>'")
-            rows.append((int(parts[0]), float(parts[1])))
+                raise ExposureError(f"{path}: line {lineno}: expected '<rank> <probability>'")
+            try:
+                rank = int(parts[0])
+            except ValueError:
+                raise ExposureError(
+                    f"{path}: line {lineno}: rank {parts[0]!r} is not an integer"
+                ) from None
+            try:
+                rows.append((rank, float(parts[1])))
+            except ValueError:
+                raise ExposureError(
+                    f"{path}: line {lineno}: probability {parts[1]!r} is not a number"
+                ) from None
     rows.sort()
     if [r for r, _ in rows] != list(range(1, len(rows) + 1)):
-        raise ExposureError("ranks must be contiguous starting at 1")
-    return table_model([v for _, v in rows])
-
-
-def exposure(model: ExposureModel, position: int) -> float:
-    """Examination probability of a 1-based rank position."""
-    if not 1 <= position <= model.k:
-        raise ExposureError(f"position {position} outside 1..{model.k}")
-    return model.values[position - 1]
+        raise ExposureError(f"{path}: ranks must be contiguous starting at 1")
+    try:
+        return table_model([v for _, v in rows])
+    except ExposureError as exc:
+        raise ExposureError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -49,6 +49,7 @@ from .data import (
 )
 
 SWEEP_GRID = (0.1, 0.01, 0.001)
+_GROUPING = ("group_feature", "group_strategy", "group_threshold")
 
 
 @dataclass
@@ -56,7 +57,8 @@ class ExperimentConfig:
     """Everything one run needs; CLI flags and config files both map here."""
 
     algorithm: str = "fairexp_pairrank"
-    # data: either a directory of train/vali/test SVMLight files or a synthetic spec
+    # data: exactly one of a directory of train/vali/test SVMLight files, grouped
+    # by the group_* fields, or a synthetic spec, which draws its own groups
     dataset_dir: str | None = None
     group_feature: int | None = None
     group_strategy: str = "median_split"
@@ -88,8 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.rounds < 1 or self.k < 1:
             raise ValueError("rounds and k must be >= 1")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lam must be finite and positive")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
         if self.eval_stride < 1:
@@ -100,11 +102,16 @@ class ExperimentConfig:
             raise ValueError("beta must be 'auto' or a finite positive number")
         if not (self.epsilon > 0):
             raise ValueError("epsilon must be positive")
-        if not self.lambda_f >= 0:
-            raise ValueError("lambda_f must be >= 0")
-        if self.dataset_dir is None and self.synthetic is None:
-            raise ValueError("either dataset_dir or synthetic must be given")
-        if self.dataset_dir is not None and self.group_feature is None:
+        if not 0 <= self.lambda_f < math.inf:
+            raise ValueError("lambda_f must be finite and >= 0")
+        if (self.dataset_dir is None) == (self.synthetic is None):
+            raise ValueError("give exactly one data source: dataset_dir or synthetic")
+        if self.synthetic is not None:
+            # synthetic data draws its own groups, so a grouping setting would be ignored
+            for f in fields(self):
+                if f.name in _GROUPING and getattr(self, f.name) != f.default:
+                    raise ValueError(f"{f.name} is used only with dataset_dir, not synthetic")
+        elif self.group_feature is None:
             raise ValueError("file datasets need group_feature to assign groups")
         if self.group_strategy not in GROUP_STRATEGIES:
             raise ValueError(
@@ -153,6 +160,7 @@ class ExperimentResult:
     state: ranker.RankerState
     ledger: fairness.UnfairnessLedger
     summary: dict
+    # always empty; kept with summary v1's flagged_rounds=0, which bench/tracer.py reads
     flagged_rounds: list[int] = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
@@ -272,8 +280,8 @@ def prop_control_rank(
     gain ``lambda_f`` times the magnitude, and vice versa. Stable sort by
     index keeps equal adjusted scores reproducible.
     """
-    if lambda_f < 0:
-        raise ValueError("lambda_f must be non-negative")
+    if not 0 <= lambda_f < math.inf:
+        raise ValueError("lambda_f must be finite and non-negative")
     cum = ledger.cumulative
     boost_a = lambda_f * max(0.0, -cum)
     boost_b = lambda_f * max(0.0, cum)
@@ -368,7 +376,6 @@ class _Served(NamedTuple):
     added_regret: int = 0
     calibrated: fairswap.CalibratedRanking | None = None
     fallback: bool = False  # no template fit within epsilon
-    infeasible: bool = False  # no template could be calibrated: served unconstrained
 
 
 def _rank_blocks(run: _Run, query, k_t: int, constrained: bool) -> _Served:
@@ -377,31 +384,26 @@ def _rank_blocks(run: _Run, query, k_t: int, constrained: bool) -> _Served:
     config = run.config
     order_sets = ranker.classify_pairs(run.state, query, config.alpha)
     partition = ranker.partition_blocks(query, order_sets)
-    infeasible = False
     if constrained and not math.isinf(config.epsilon):
         templates = fairness.enumerate_templates(k_t, query.counts, run.exposure_model)
         qualified, fallback = fairness.qualified_templates(run.ledger, templates)
         projections = [fairness.projected_unfairness(run.ledger, t) for t in qualified]
         scores = ranker.score_all(run.state, query.feature_matrix())
-        try:
-            result = fairswap.select_ranking(
-                partition,
-                qualified,
-                order_sets.certain,
-                dict(enumerate(query.groups())),
-                run.rng,
-                projections=projections,
-                scores={i: float(s) for i, s in enumerate(scores)},
-                respect_certain=config.respect_certain,
-            )
-            return _Served(result.order, result.added_regret, result, fallback)
-        except fairswap.InfeasibleTemplateError:
-            # pathological skew: serve the unconstrained ranking and flag the round
-            infeasible = True
+        result = fairswap.select_ranking(
+            partition,
+            qualified,
+            order_sets.certain,
+            dict(enumerate(query.groups())),
+            run.rng,
+            projections=projections,
+            scores={i: float(s) for i, s in enumerate(scores)},
+            respect_certain=config.respect_certain,
+        )
+        return _Served(result.order, result.added_regret, result, fallback)
     order = sample_block_order(partition, order_sets.certain, run.rng, config.respect_certain)
     displayed = order[:k_t]
     added = fairswap.added_regret(displayed, order_sets.certain)
-    return _Served(displayed, added, infeasible=infeasible)
+    return _Served(displayed, added)
 
 
 def _rank_prop_control(run: _Run, query, k_t: int) -> _Served:
@@ -445,7 +447,6 @@ def run_prepared(inputs: RunInputs) -> ExperimentResult:
     holdout = holdout_view(test)
 
     records: list[metrics.RoundRecord] = []
-    flagged: list[int] = []
     swap_log: list[str] = []
     offline_value = None
     out_dir = Path(config.out_dir) if config.out_dir else None
@@ -460,8 +461,6 @@ def run_prepared(inputs: RunInputs) -> ExperimentResult:
             groups = query.groups()
 
             served = policy.rank(run, query, k_t)
-            if served.infeasible:
-                flagged.append(t)
             displayed = served.displayed
             displayed_grades = [int(grades[i]) for i in displayed]
             displayed_groups = [groups[i] for i in displayed]
@@ -517,11 +516,9 @@ def run_prepared(inputs: RunInputs) -> ExperimentResult:
         "ledger_violations": int(
             sum(1 for r in records if abs(r.cumulative_unfairness) > config.epsilon)
         ),
-        "flagged_rounds": len(flagged),
+        "flagged_rounds": 0,  # a failed calibration raises instead
     }
-    result = ExperimentResult(
-        records=records, state=state, ledger=ledger, summary=summary, flagged_rounds=flagged
-    )
+    result = ExperimentResult(records=records, state=state, ledger=ledger, summary=summary)
     if out_dir:
         _write_trace(out_dir / "trace.csv", records)
         _write_summary(out_dir / "summary.txt", summary)
@@ -541,11 +538,7 @@ def _write_trace(path: Path, records: list[metrics.RoundRecord]) -> None:
 
 def _write_summary(path: Path, summary: dict) -> None:
     lines = ["# fairexp-summary v1"]
-    for key, value in summary.items():
-        if isinstance(value, float):
-            lines.append(f"{key}={format(value, '.10g')}")
-        else:
-            lines.append(f"{key}={value}")
+    lines.extend(f"{key}={metrics.format_value(value)}" for key, value in summary.items())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

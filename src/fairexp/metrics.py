@@ -2,20 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 TRACE_FORMAT_VERSION = "fairexp-trace v1"
-TRACE_COLUMNS = (
-    "round",
-    "online_ndcg",
-    "offline_ndcg",
-    "instantaneous_unfairness",
-    "cumulative_unfairness",
-    "added_regret",
-    "pairwise_regret",
-)
 
 
 def dcg(grades, k: int) -> float:
@@ -71,9 +62,15 @@ def pairwise_regret(grades) -> int:
     return int(np.sum(later_is_higher & upper))
 
 
+def format_value(value) -> str:
+    """How ``trace.csv`` and ``summary.txt`` write a value: a float as
+    ``.10g``, anything else with ``str``."""
+    return format(value, ".10g") if isinstance(value, float) else str(value)
+
+
 @dataclass
 class RoundRecord:
-    """One row of the experiment trace."""
+    """One row of the experiment trace; its fields are the trace columns, in order."""
 
     round: int
     online_ndcg: float
@@ -84,17 +81,10 @@ class RoundRecord:
     pairwise_regret: int
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            (
-                str(self.round),
-                format(self.online_ndcg, ".10g"),
-                format(self.offline_ndcg, ".10g"),
-                format(self.instantaneous_unfairness, ".10g"),
-                format(self.cumulative_unfairness, ".10g"),
-                str(self.added_regret),
-                str(self.pairwise_regret),
-            )
-        )
+        return ",".join(format_value(getattr(self, name)) for name in TRACE_COLUMNS)
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
 def trace_header() -> str:

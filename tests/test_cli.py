@@ -105,7 +105,8 @@ def test_build_config_rejects_incomplete_settings(tmp_path, lines, flags, missin
         build_config(args)
 
 
-# a valid value different from the default for every field
+# a value different from the default for every field; each is valid alone, but
+# together they name two data sources, which validate() refuses
 NON_DEFAULT = {
     "algorithm": "prop_control",
     "dataset_dir": "data/letor",
@@ -164,10 +165,16 @@ def test_config_file_round_trips_every_field(tmp_path):
     )
     path = tmp_path / "all.cfg"
     path.write_text("\n".join(_config_lines(NON_DEFAULT)) + "\n", encoding="utf-8")
+    assert ExperimentConfig(**parse_config_file(path)) == ExperimentConfig(**NON_DEFAULT)
     parser = argparse.ArgumentParser()
     _add_common_flags(parser)
+    with pytest.raises(ValueError, match="exactly one data source"):
+        build_config(parser.parse_args(["--config", str(path)]))
+    # without the synthetic spec, the rest is one valid file-dataset config
+    file_config = {k: v for k, v in NON_DEFAULT.items() if k != "synthetic"}
+    path.write_text("\n".join(_config_lines(file_config)) + "\n", encoding="utf-8")
     config = build_config(parser.parse_args(["--config", str(path)]))
-    assert config == ExperimentConfig(**NON_DEFAULT)
+    assert config == ExperimentConfig(**file_config)
 
     for line in ("turbo=yes", "synthetic.turbo=1", "synthetic=n_queries=9"):
         path.write_text(line + "\n", encoding="utf-8")
@@ -447,6 +454,14 @@ def _exposure_table(root, ranks):
             "custom_clicks is used only with click_model 'custom', not 'perfect'",
         ),
         ([], ["--seed", "-1"], "seed must be >= 0"),
+        ([], ["--lambda", "inf"], "lam must be finite and positive"),
+        ([], ["--lambda-f", "inf"], "lambda_f must be finite and >= 0"),
+        (
+            [],
+            ["--dataset", "{tmp}/fold", "--group-feature", "1"],
+            "give exactly one data source: dataset_dir or synthetic",
+        ),
+        ([], ["--group-feature", "99"], "group_feature is used only with dataset_dir, not synthetic"),
     ],
     ids=[
         "click_model",
@@ -459,6 +474,10 @@ def _exposure_table(root, ranks):
         "custom_clicks",
         "ignored_clicks",
         "seed",
+        "infinite_lam",
+        "infinite_lambda_f",
+        "two_sources",
+        "synthetic_group_feature",
     ],
 )
 def test_a_bad_model_or_seed_is_one_line_before_any_round(

@@ -8,7 +8,6 @@ from fairexp.fairness import (
     TemplateError,
     UnfairnessLedger,
     enumerate_templates,
-    exposure,
     inverse_rank_model,
     load_exposure_table,
     log_discount_model,
@@ -26,18 +25,11 @@ from fairexp.data import SyntheticSpec, synthetic_splits
 class TestExposure:
     def test_log_discount_values(self):
         m = log_discount_model(5)
-        assert exposure(m, 1) == pytest.approx(1.0)
-        assert exposure(m, 3) == pytest.approx(0.5)
+        assert m.values[0] == pytest.approx(1.0)
+        assert m.values[2] == pytest.approx(0.5)
 
     def test_inverse_rank(self):
-        assert exposure(inverse_rank_model(5), 4) == pytest.approx(0.25)
-
-    def test_out_of_range(self):
-        m = log_discount_model(3)
-        with pytest.raises(ExposureError):
-            exposure(m, 0)
-        with pytest.raises(ExposureError):
-            exposure(m, 4)
+        assert inverse_rank_model(5).values[3] == pytest.approx(0.25)
 
     def test_table_must_be_positive_nonincreasing(self):
         with pytest.raises(ExposureError):
@@ -64,6 +56,23 @@ class TestExposure:
         path.write_text(f"1 1.0\n2 {value}\n3 0.5\n", encoding="utf-8")
         with pytest.raises(ExposureError, match=f"exposure {value} must be finite and positive"):
             load_exposure_table(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1 1.0\nx 0.5\n", "line 2: rank 'x' is not an integer"),
+            ("1 1.0\n2 abc\n", "line 2: probability 'abc' is not a number"),
+            ("# rank prob\n1 1.0 0.5\n", "line 2: expected '<rank> <probability>'"),
+            ("1 1.0\n3 0.5\n", "ranks must be contiguous starting at 1"),
+        ],
+        ids=["rank", "probability", "columns", "contiguous"],
+    )
+    def test_load_table_errors_name_the_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "exposure.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ExposureError) as caught:
+            load_exposure_table(path)
+        assert str(caught.value) == f"{path}: {message}"
 
     def test_unknown_kind(self):
         with pytest.raises(ExposureError):

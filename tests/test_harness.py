@@ -53,6 +53,10 @@ def small_config(**kwargs):
     return ExperimentConfig(**defaults)
 
 
+# the data-source fields of a file dataset, the only source that reads a grouping setting
+FOLD = dict(synthetic=None, dataset_dir="fold", group_feature=1)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -72,12 +76,14 @@ class TestConfig:
             ("alpha", -1.0),
             ("alpha", float("nan")),
             ("lam", float("nan")),
+            ("lam", float("inf")),
             ("beta", float("nan")),
             ("beta", float("inf")),
             ("beta", 0.0),
             ("beta", -1.0),
             ("lambda_f", -0.1),
             ("lambda_f", float("nan")),
+            ("lambda_f", float("inf")),
         ],
     )
     def test_out_of_range_values_rejected(self, field, value):
@@ -107,14 +113,18 @@ class TestConfig:
     @pytest.mark.parametrize(
         "fields, named",
         [
-            (dict(group_strategy="quantile"), "group_strategy"),
-            (dict(group_strategy="threshold"), "group_threshold"),
-            (dict(group_strategy="threshold", group_threshold=float("nan")), "group_threshold"),
-            (dict(group_threshold=0.5), "group_threshold"),
+            (dict(FOLD, group_strategy="quantile"), "group_strategy"),
+            (dict(FOLD, group_strategy="threshold"), "group_threshold"),
+            (dict(FOLD, group_strategy="threshold", group_threshold=float("nan")), "group_threshold"),
+            (dict(FOLD, group_threshold=0.5), "group_threshold"),
             (dict(n_test=0), "n_test"),
             (dict(n_test=-1), "n_test"),
             (dict(n_validation=-1), "n_validation"),
             (dict(synthetic=None, dataset_dir="fold"), "group_feature"),
+            (dict(dataset_dir="fold", group_feature=1), "exactly one data source"),
+            (dict(group_feature=1), "group_feature is used only with dataset_dir"),
+            (dict(group_strategy="quantile"), "group_strategy is used only with dataset_dir"),
+            (dict(group_threshold=0.5), "group_threshold is used only with dataset_dir"),
         ],
     )
     def test_grouping_and_split_sizes_rejected(self, fields, named):
@@ -126,7 +136,7 @@ class TestConfig:
         [
             dict(n_validation=0),
             dict(n_test=1),
-            dict(group_strategy="threshold", group_threshold=0.0),
+            dict(FOLD, group_strategy="threshold", group_threshold=0.0),
         ],
     )
     def test_grouping_and_split_size_edges_accepted(self, fields):
@@ -294,6 +304,12 @@ class TestPropControl:
         ledger = UnfairnessLedger(beta=1.0, epsilon=0.1)
         with pytest.raises(ValueError):
             prop_control_rank(np.array([1.0]), ["A"], ledger, -0.1)
+
+    def test_infinite_gain_rejected(self):
+        # with a zero ledger the boost would be inf * 0 = nan, not the score order
+        ledger = UnfairnessLedger(beta=1.0, epsilon=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            prop_control_rank(np.array([0.3, 0.9, 0.1]), ["A", "B", "A"], ledger, float("inf"))
 
 
 RAGGED_LENGTHS = (1, 2, 3, 5, 7, 8, 9, 10, 11, 15, 23)
@@ -663,6 +679,20 @@ def test_short_queries_truncate_k():
     config = small_config(synthetic=small_spec(docs_per_query=3), k=8)
     result = run_experiment(config)
     assert len(result.records) == 60
+    assert result.flagged_rounds == []
+    assert result.summary["flagged_rounds"] == 0
+
+
+def test_a_failed_calibration_ends_the_run(monkeypatch):
+    # no round serves an unconstrained ranking in place of a calibrated one
+    from fairexp import fairswap
+
+    def failing_select(*args, **kwargs):
+        raise fairswap.InfeasibleTemplateError("no template calibrates")
+
+    monkeypatch.setattr(fairswap, "select_ranking", failing_select)
+    with pytest.raises(fairswap.InfeasibleTemplateError, match="no template calibrates"):
+        run_experiment(small_config(rounds=3))
 
 
 @pytest.mark.parametrize(
