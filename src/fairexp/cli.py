@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .data import SyntheticSpec, load_svmlight
+from .metrics import format_value
 from .harness import (
     ALGORITHMS,
     ExperimentConfig,
@@ -210,7 +211,7 @@ def main(argv=None) -> int:
             return _error("run", exc)
         result = run_prepared(inputs)
         for key, value in result.summary.items():
-            print(f"{key}={value}")
+            print(f"{key}={format_value(value)}")
         if config.out_dir:
             print(f"outputs written to {config.out_dir}")
         return 0

@@ -104,17 +104,35 @@ def _donor_sort_key(doc: int, wins, scores):
     return (-wins[doc], -scores.get(doc, 0.0), doc)
 
 
+class _Step(NamedTuple):
+    """One segment of the walk. It depends only on the placement up to its
+    end, so every template with that prefix shares it."""
+
+    size: int  # the host's members as the segment starts: the most slots it takes
+    seg: tuple[str, ...]  # the segment's slot pattern
+    shown: tuple[tuple[int, ...], tuple[int, ...]]  # its documents of group A, of group B
+    events: list[SwapEvent]  # its promotion, if any
+    lower: tuple  # the lower blocks after it, as (A, B) pairs
+    host: tuple[tuple[int, ...], tuple[int, ...]]  # what is left of its host
+    fills: dict[bool, list[int]]  # by respect_certain, its fill where that draws nothing
+
+
 class _PreparedPartition(NamedTuple):
-    """What every calibration of one partition reads and none changes.
+    """What every calibration of one partition reads, and the walk steps
+    they share.
 
     Built once per round by ``select_ranking`` (or by a direct ``fair_swap``
     call) from the partition, the certain set, the group labels and scores.
+    Only ``trail`` changes: each walk cuts it back to the steps its
+    placement shares with the last one and appends its own, so templates
+    that arrive in lexicographic order build each prefix's step once.
     """
 
     have: tuple[int, int]  # documents of group A and of group B over the partition
     origin: dict[int, int]  # document -> index of its original block
     # each block as (its group-A members, its group-B members), each in donor order
     blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    trail: list[_Step]  # the steps of the placement walked last
 
 
 def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPartition:
@@ -136,6 +154,7 @@ def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPar
         have=tuple(sum(len(block[g]) for block in blocks) for g in (0, 1)),
         origin={doc: bi for bi, block in enumerate(partition.blocks) for doc in block},
         blocks=tuple(blocks),
+        trail=[],
     )
 
 
@@ -165,7 +184,11 @@ def fair_swap(
     ``prepared``: ``select_ranking`` builds it once per round for every
     call, and a call without it builds it from its own arguments. A call
     is then the feasibility check, the walk (``_walk``, which draws
-    nothing), and the seeded fill of each segment.
+    nothing), and the fill of each segment. Calls that share ``prepared``
+    share the walk steps of a common placement prefix, and each step's
+    fill where it draws nothing; a fill that draws is redone with each
+    call's own ``rng``, which is read only through ``integers`` and only
+    when a fill draws.
 
     One calibration looks ``certain`` up O(k^3 + sum(|b|^2)) times over the
     blocks b, and never scans it: its cost does not grow with len(certain).
@@ -182,8 +205,17 @@ def fair_swap(
             )
     events: list[SwapEvent] = []
     order: list[int] = []
-    for seg, shown in _walk(prepared, template, events):
-        order.extend(_fill_segment(seg, shown, prepared.origin, certain, rng, respect_certain))
+    for step in _walk(prepared, template.placement):
+        events += step.events
+        fill = step.fills.get(respect_certain)
+        if fill is None:
+            shown = [list(g) for g in step.shown]
+            fill, drew = _fill_segment(
+                step.seg, shown, prepared.origin, certain, rng, respect_certain
+            )
+            if not drew:
+                step.fills[respect_certain] = fill
+        order += fill
     return CalibratedRanking(
         order=order,
         added_regret=added_regret(order, certain),
@@ -192,81 +224,99 @@ def fair_swap(
     )
 
 
-def _walk(
-    prepared: _PreparedPartition, template: GroupTemplate, events: list[SwapEvent]
-) -> list[tuple[tuple[str, ...], list[list[int]]]]:
-    """Each segment's slot pattern and its shown documents as [group A,
-    group B] lists, in order, for a feasible template; appends a
-    ``SwapEvent`` per promotion to ``events``.
+def _walk(prepared: _PreparedPartition, placement: tuple[str, ...]) -> list[_Step]:
+    """The steps of a feasible placement, in order: ``prepared.trail``,
+    valid until the next walk over ``prepared``.
+
+    The walk state where a step starts depends only on the placement up to
+    there, so a trail step is this placement's too when the steps before
+    it are and the placement has the step's pattern over the ``size``
+    slots from its start. The walk keeps those steps and resumes after
+    the last of them.
+    """
+    trail = prepared.trail
+    pos = depth = 0
+    for step in trail:
+        if placement[pos : pos + step.size] != step.seg:
+            break
+        pos += len(step.seg)
+        depth += 1
+    del trail[depth:]
+    lower, host = (trail[-1].lower, trail[-1].host) if trail else (prepared.blocks, ((), ()))
+    while pos < len(placement):
+        step = _step(lower, host, placement, pos, len(trail))
+        trail.append(step)
+        lower, host = step.lower, step.host
+        pos += len(step.seg)
+    return trail
+
+
+def _step(lower: tuple, host, placement: tuple[str, ...], pos: int, depth: int) -> _Step:
+    """The segment of ``placement`` that starts at ``pos``, the walk's
+    ``depth``-th, given the lower blocks and what is left of the last host.
 
     A host keeps its first members of each group, as many as the segment
     has slots for, and the rest are displaced: a new block just above the
     lower ones, so always the next host. A segment is never longer than
     its host, so a host short of one group has a surplus of the other, and
-    at most one group promotes. Each group's list holds the donors and
-    then the kept members, all in donor order. The lower blocks are a list
-    of the prepared (A, B) tuples; promotion replaces an entry and changes
-    none, so nothing is copied per template.
+    at most one group promotes. Each group's shown documents are the
+    donors and then the kept members, all in donor order. The lower blocks
+    are a tuple of the prepared (A, B) pairs; promotion replaces an entry
+    and changes none, so steps share them.
     """
-    placement = template.placement
-    lower = list(prepared.blocks)
-    host: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
-    segments = []
-    pos = 0
-    while pos < len(placement):
-        if not (host[0] or host[1]):
-            host = lower.pop(0)
-        size = len(host[0]) + len(host[1])
-        seg = placement[pos : pos + size]
-        need_b = seg.count(GROUP_B)
-        need = (len(seg) - need_b, need_b)
-        shown: list[list[int]] = [[], []]
-        for g in (0, 1):
-            shortage = need[g] - len(host[g])
-            if shortage > 0:
-                b_counts = [len(b) for _, b in lower]
-                sizes = [len(a) + len(b) for a, b in lower]
-                per_block: dict[int, int] = {}
-                shown[g] = _promote(lower, g, shortage, per_block)
-                events.append(
-                    SwapEvent(
-                        host_block=len(segments),
-                        group=GROUPS[g],
-                        shortage=shortage,
-                        donors_per_block=per_block,
-                        host_members=size,
-                        displaced=max(size + shortage - len(seg), 0),
-                        blocks_b_counts=b_counts,
-                        blocks_sizes=sizes,
-                    )
+    if not (host[0] or host[1]):
+        host, lower = lower[0], lower[1:]
+    size = len(host[0]) + len(host[1])
+    seg = placement[pos : pos + size]
+    need_b = seg.count(GROUP_B)
+    need = (len(seg) - need_b, need_b)
+    shown = [host[0][: need[0]], host[1][: need[1]]]
+    events: list[SwapEvent] = []
+    for g in (0, 1):
+        shortage = need[g] - len(host[g])
+        if shortage > 0:
+            per_block: dict[int, int] = {}
+            taken, left = _promote(lower, g, shortage, per_block)
+            events.append(
+                SwapEvent(
+                    host_block=depth,
+                    group=GROUPS[g],
+                    shortage=shortage,
+                    donors_per_block=per_block,
+                    host_members=size,
+                    displaced=max(size + shortage - len(seg), 0),
+                    blocks_b_counts=[len(b) for _, b in lower],
+                    blocks_sizes=[len(a) + len(b) for a, b in lower],
                 )
-            shown[g] += host[g][: need[g]]
-        segments.append((seg, shown))
-        host = (host[0][need[0] :], host[1][need[1] :])
-        pos += len(seg)
-    return segments
+            )
+            shown[g] = taken + shown[g]
+            lower = left
+    host = (host[0][need[0] :], host[1][need[1] :])
+    return _Step(size, seg, tuple(shown), events, lower, host, {})
 
 
-def _promote(lower: list, group: int, shortage: int, per_block: dict[int, int]) -> list[int]:
+def _promote(
+    lower: tuple, group: int, shortage: int, per_block: dict[int, int]
+) -> tuple[tuple[int, ...], tuple]:
     """Take the shortfall as the nearest lower blocks' first members of
     ``GROUPS[group]`` (donor order), counting in ``per_block`` how many come
-    from each block by its position in ``lower`` (0 = nearest). The blocks
-    given are replaced by what is left of them, and emptied ones dropped."""
-    taken: list[int] = []
+    from each block by its position in ``lower`` (0 = nearest). Returns the
+    documents taken and the lower blocks left: the blocks given replaced by
+    what is left of them, and emptied ones dropped."""
+    taken: tuple[int, ...] = ()
     left = []
     for bi, entry in enumerate(lower):
         members = entry[group]
         n = min(len(members), shortage - len(taken))
         if n:
             per_block[bi] = n
-            taken.extend(members[:n])
+            taken += members[:n]
             entry = (members[n:], entry[1]) if group == 0 else (entry[0], members[n:])
         if entry[0] or entry[1]:
             left.append(entry)
         if len(taken) == shortage:
             break
-    lower[: bi + 1] = left
-    return taken
+    return taken, (*left, *lower[bi + 1 :])
 
 
 def _fill_segment(
@@ -276,9 +326,12 @@ def _fill_segment(
     certain: set[tuple[int, int]],
     rng: np.random.Generator,
     respect_certain: bool,
-) -> list[int]:
+) -> tuple[list[int], bool]:
     """Assign the segment's shown documents, given as its [group A, group B]
-    lists, to the segment's slots; each choice leaves its list.
+    lists, to the segment's slots; each choice leaves its list. Returns
+    the fill and whether it drew from ``rng``. Every choice before the
+    first draw is fixed, so a fill that does not draw never will, and
+    ``fair_swap`` keeps it for every template that shares the segment.
 
     Documents promoted from farther blocks go first among their group's
     slots: the merge already forfeited their known inferiority, and the
@@ -290,6 +343,7 @@ def _fill_segment(
     """
     remaining = dict(zip(GROUPS, shown))
     filled: list[int] = []
+    drew = False
     for g in seg:
         cands = remaining[g]
         if respect_certain:
@@ -300,10 +354,14 @@ def _fill_segment(
                 pool = fewest_predecessors(pool, rivals, certain)
         else:
             pool = cands
-        choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
+        if len(pool) > 1:
+            choice = pool[int(rng.integers(len(pool)))]
+            drew = True
+        else:
+            choice = pool[0]
         cands.remove(choice)
         filled.append(choice)
-    return filled
+    return filled, drew
 
 
 def select_ranking(
@@ -321,31 +379,38 @@ def select_ranking(
     Ties on added regret break toward the smaller projected unfairness
     magnitude (when given), then the lexicographically smallest placement,
     so concurrent evaluation can never change the outcome. Each template
-    gets an independently derived seed and one ``fair_swap`` call, whose
-    cost does not grow with len(certain).
+    gets one ``fair_swap`` call, whose cost does not grow with
+    len(certain), and its own child of ``rng``: the round spawns one seed
+    sequence per template, as ``rng.spawn`` does, and builds a template's
+    generator from its seed sequence only when its fill first draws.
 
     Once per round, before the templates are walked: the duplicate and
     label checks, the group totals, each document's original block, and the
     donor order (each block split into its two groups, each sorted by
-    within-block certain wins, then score, then index). Once per template:
-    the feasibility check and the walk, which slices prefixes of the
-    per-group donor order and sorts nothing.
+    within-block certain wins, then score, then index). Once per placement
+    prefix: the walk step that ends there, which slices prefixes of the
+    per-group donor order and sorts nothing, and its fill if that draws
+    nothing. Once per template: the feasibility check, the fills that
+    draw, and the added regret. ``enumerate_templates`` lists placements
+    in lexicographic order, so consecutive templates share the longest
+    prefixes.
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")
     if projections is None:
         projections = [0.0] * len(templates)
-    child_rngs = rng.spawn(len(templates))
+    seeds = rng.bit_generator.seed_seq.spawn(len(templates))
+    bit_generator = type(rng.bit_generator)
     prepared = _prepare(partition, certain, groups, scores)
     best: CalibratedRanking | None = None
     best_key = None
-    for template, projection, child in zip(templates, projections, child_rngs):
+    for template, projection, seed in zip(templates, projections, seeds):
         result = fair_swap(
             partition,
             template,
             certain,
             groups,
-            child,
+            _ChildOnFirstDraw(bit_generator, seed),
             scores=scores,
             respect_certain=respect_certain,
             prepared=prepared,
@@ -354,3 +419,20 @@ def select_ranking(
         if best is None or key < best_key:
             best, best_key = result, key
     return best
+
+
+class _ChildOnFirstDraw:
+    """The generator that ``rng.spawn`` would return for ``seed``, built on
+    its first draw: most calibrations never draw."""
+
+    __slots__ = ("_bit_generator", "_seed", "_generator")
+
+    def __init__(self, bit_generator: type, seed: np.random.SeedSequence):
+        self._bit_generator = bit_generator
+        self._seed = seed
+        self._generator: np.random.Generator | None = None
+
+    def integers(self, high: int) -> int:
+        if self._generator is None:
+            self._generator = np.random.Generator(self._bit_generator(self._seed))
+        return self._generator.integers(high)

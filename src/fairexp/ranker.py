@@ -12,6 +12,7 @@ orders are all certain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,17 @@ def confidence_width(state: RankerState, x_i, x_j, alpha: float) -> float:
     return alpha * np.sqrt(max(quad, 0.0))
 
 
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, built once per n and read-only, since
+    every caller shares the arrays. The bound caps what a split with many
+    query lengths keeps: n(n-1) indices per length."""
+    pairs = np.triu_indices(n, k=1)
+    for idx in pairs:
+        idx.flags.writeable = False
+    return pairs
+
+
 def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float) -> PairOrderSets:
     """The certain pairs of all candidate pairs, each directed winner to loser.
 
@@ -171,7 +183,7 @@ def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float
         raise ValueError("no candidates to classify")
     feats = _check_dim(state, candidates.feature_matrix())
     n = len(candidates)
-    idx_i, idx_j = np.triu_indices(n, k=1)
+    idx_i, idx_j = _upper_pairs(n)
     probs = sigmoid((feats[idx_i] - feats[idx_j]) @ state.theta)
     gram = feats @ state.info_inverse() @ feats.T
     sq_norms = gram.diagonal()

@@ -207,6 +207,16 @@ def test_run_subcommand(tmp_path, capsys):
     assert (out / "checkpoint.npz").exists()
 
 
+def test_run_prints_the_summary_as_the_file_writes_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--synthetic", SYNTH, "--rounds", "5", "--k", "3", "--out", str(out)])
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"outputs written to {out}"
+    body = (out / "summary.txt").read_text(encoding="utf-8").splitlines()[1:]
+    assert printed[:-1] == body
+    assert "beta=1" in body  # a float prints as .10g, not as repr's 1.0
+
+
 def test_eval_subcommand(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--synthetic", SYNTH, "--rounds", "10", "--k", "3", "--out", str(out)])

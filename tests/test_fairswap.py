@@ -22,7 +22,8 @@ from calibration_oracle import (
     random_instance,
     reference_fair_swap,
 )
-from fairexp.fairness import log_discount_model, make_template
+from fairexp import fairswap
+from fairexp.fairness import enumerate_templates, log_discount_model, make_template
 from fairexp.fairswap import (
     CalibratedRanking,
     InfeasibleTemplateError,
@@ -442,6 +443,7 @@ class TestPreparedCalibration:
         assert promoting_hosts >= 100
 
     def test_selection_equals_the_best_standalone_calibration(self):
+        # two calls on one generator: each spawns its children after the last
         rng = np.random.default_rng(19)
         for trial in range(150):
             blocks, placement, certain, groups, scores = wide_instance(rng)
@@ -454,18 +456,81 @@ class TestPreparedCalibration:
                 templates.append(make_template(tuple(labels), model))
             projections = list(rng.standard_normal(len(templates)))
             partition = BlockPartition(blocks=[list(b) for b in blocks])
-            got = select_ranking(
-                partition, templates, certain, groups, np.random.default_rng(trial),
-                projections=projections, scores=scores,
+            respect = bool(trial % 2)
+            served, reference = np.random.default_rng(trial), np.random.default_rng(trial)
+            for _ in range(2):
+                got = select_ranking(
+                    partition, templates, certain, groups, served,
+                    projections=projections, scores=scores, respect_certain=respect,
+                )
+                children = reference.spawn(len(templates))
+                standalone = [
+                    fair_swap(
+                        partition, t, certain, groups, child, scores=scores, respect_certain=respect
+                    )
+                    for t, child in zip(templates, children)
+                ]
+                want = min(
+                    zip(standalone, projections, templates),
+                    key=lambda item: (item[0].added_regret, abs(item[1]), item[2].placement),
+                )[0]
+                assert got == want
+            assert served.bit_generator.state == reference.bit_generator.state
+            assert (
+                served.bit_generator.seed_seq.n_children_spawned
+                == reference.bit_generator.seed_seq.n_children_spawned
             )
-            children = np.random.default_rng(trial).spawn(len(templates))
-            standalone = [
-                fair_swap(partition, t, certain, groups, child, scores=scores)
-                for t, child in zip(templates, children)
-            ]
-            want = min(
-                zip(standalone, projections, templates),
-                key=lambda item: (item[0].added_regret, abs(item[1]), item[2].placement),
-            )[0]
-            assert got == want
             assert partition.blocks == blocks  # calibration copies the blocks
+
+
+class TestSharedSteps:
+    def test_sharing_one_preparation_equals_preparing_per_template(self, monkeypatch):
+        # calls over one prepared partition share each prefix's walk step and
+        # each fill that draws nothing, in any order of the templates
+        built, fills = [], []
+        step, fill_segment = fairswap._step, fairswap._fill_segment
+        monkeypatch.setattr(fairswap, "_step", lambda *a: built.append(1) or step(*a))
+        monkeypatch.setattr(
+            fairswap, "_fill_segment", lambda *a: fills.append(1) or fill_segment(*a)
+        )
+        rng = np.random.default_rng(21)
+        # steps built by shared and fresh calls, by whether the order is
+        # lexicographic; every step built is filled by the call that built it,
+        # and any further fill is of a step whose first fill drew
+        shared_built, fresh_built, shared_fills = [0, 0], [0, 0], 0
+        for trial in range(25):
+            blocks, placement, certain, groups, scores = wide_instance(rng)
+            k = min(len(placement), 8)
+            counts = tuple(sum(groups[d] == g for d in groups) for g in ("A", "B"))
+            # lengths k - 1 and k: a segment cut short by the end of a
+            # placement is not the step of a longer one with that prefix
+            lengths = {max(k - 1, 1), k}
+            templates = sorted(
+                (t for j in lengths for t in enumerate_templates(j, counts, log_discount_model(j))),
+                key=lambda t: t.placement,
+            )
+            shuffled = [templates[i] for i in rng.permutation(len(templates))]
+            partition = BlockPartition(blocks=[list(b) for b in blocks])
+            prepared = _prepare(partition, certain, groups, scores)
+            for order in (templates, shuffled):
+                for respect in (True, False):
+                    for i, t in enumerate(order):
+                        seed = (trial, i)
+                        del built[:], fills[:]
+                        got = fair_swap(
+                            partition, t, certain, groups, np.random.default_rng(seed),
+                            scores=scores, respect_certain=respect, prepared=prepared,
+                        )
+                        shared_built[order is templates] += len(built)
+                        shared_fills += len(fills)
+                        del built[:]
+                        want = fair_swap(
+                            partition, t, certain, groups, np.random.default_rng(seed),
+                            scores=scores, respect_certain=respect,
+                        )
+                        fresh_built[order is templates] += len(built)
+                        assert got == want, (blocks, t.placement, groups, respect)
+        # lexicographic order walks each prefix once, and any order reuses some
+        assert shared_built[True] < fresh_built[True] / 2
+        assert shared_built[False] < fresh_built[False]
+        assert shared_fills - sum(shared_built) >= 100

@@ -13,6 +13,7 @@ from fairexp.ranker import (
     GRAD_TOL,
     PairOrderSets,
     RankerState,
+    _upper_pairs,
     classify_pairs,
     confidence_width,
     infer_pairs,
@@ -153,6 +154,14 @@ class TestClassifyPairs:
         assert sets.n == 7 and sets.n_pairs() == 21
         for i, j in sets.certain:
             assert 0 <= i < 7 and 0 <= j < 7 and (j, i) not in sets.certain
+
+
+def test_classify_pairs_shares_one_read_only_index_pair_per_n():
+    idx_i, idx_j = _upper_pairs(5)
+    assert _upper_pairs(5)[0] is idx_i
+    assert [a.tolist() for a in np.triu_indices(5, k=1)] == [idx_i.tolist(), idx_j.tolist()]
+    with pytest.raises(ValueError):
+        idx_j[0] = 0
 
 
 def classify_by_pair(state, feats, alpha):
