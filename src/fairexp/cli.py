@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -97,7 +97,8 @@ def parse_config_file(path: str | Path) -> dict:
 
     Keys are the ``ExperimentConfig`` field names, except that the synthetic
     spec is written one ``synthetic.<field>`` line per field. A value that
-    does not parse raises ``ValueError`` naming the file, line and key.
+    does not parse raises ``ValueError`` naming the file, line and key, and
+    a spec without a required field one naming the file and missing keys.
     """
     values: dict = {}
     synthetic: dict = {}
@@ -123,6 +124,13 @@ def parse_config_file(path: str | Path) -> dict:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if synthetic:
+        missing = [
+            f"synthetic.{f.name}"
+            for f in fields(SyntheticSpec)
+            if f.default is MISSING and f.name not in synthetic
+        ]
+        if missing:
+            raise ValueError(f"{path}: missing {', '.join(missing)}")
         values["synthetic"] = SyntheticSpec(**synthetic)
     return values
 
@@ -222,7 +230,7 @@ def main(argv=None) -> int:
         try:
             config = build_config(args)
             check_sweep(config)
-            # each job prepares its own copy; bad input fails here, before the first
+            # bad input fails here, before the sweep prepares its own inputs
             prepare_run(config)
         except _INPUT_ERRORS as exc:
             return _error("sweep", exc)
@@ -234,8 +242,8 @@ def main(argv=None) -> int:
             out = Path(config.out_dir)
             out.mkdir(parents=True, exist_ok=True)
             lines = ["# fairexp-sweep v1"]
-            lines += [f"{params} {ndcg:.10g}" for params, ndcg in results]
-            lines.append(f"best {best_params} {best_ndcg:.10g}")
+            lines += [f"{params} {format_value(ndcg)}" for params, ndcg in results]
+            lines.append(f"best {best_params} {format_value(best_ndcg)}")
             (out / "sweep_results.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
         return 0
 

@@ -343,8 +343,10 @@ class SyntheticSpec:
             raise ValidationError("grade_noise must be in [0, 1]")
         if self.n_queries < 1:
             raise ValidationError("n_queries must be >= 1")
-        if self.theta_norm <= 0:
-            raise ValidationError("theta_norm must be positive")
+        if not 0 < self.theta_norm < math.inf:
+            raise ValidationError("theta_norm must be finite and positive")
+        if self.seed < 0:
+            raise ValidationError("synthetic seed must be >= 0")
 
 
 def _unit_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

@@ -49,13 +49,6 @@ class ExposureModel:
     def k(self) -> int:
         return len(self.values)
 
-    def truncated(self, k: int) -> "ExposureModel":
-        if k > self.k:
-            raise ExposureError(f"model defines {self.k} positions, requested {k}")
-        if k == self.k:
-            return self
-        return ExposureModel(self.values[:k])
-
 
 def log_discount_model(k: int) -> ExposureModel:
     return ExposureModel(tuple(1.0 / math.log2(r + 1) for r in range(1, k + 1)))
@@ -63,10 +56,6 @@ def log_discount_model(k: int) -> ExposureModel:
 
 def inverse_rank_model(k: int) -> ExposureModel:
     return ExposureModel(tuple(1.0 / r for r in range(1, k + 1)))
-
-
-def table_model(values) -> ExposureModel:
-    return ExposureModel(tuple(float(v) for v in values))
 
 
 def make_exposure_model(kind: str, k: int) -> ExposureModel:
@@ -107,7 +96,7 @@ def load_exposure_table(path: str | Path) -> ExposureModel:
     if [r for r, _ in rows] != list(range(1, len(rows) + 1)):
         raise ExposureError(f"{path}: ranks must be contiguous starting at 1")
     try:
-        return table_model([v for _, v in rows])
+        return ExposureModel(tuple(v for _, v in rows))
     except ExposureError as exc:
         raise ExposureError(f"{path}: {exc}") from None
 
@@ -125,6 +114,8 @@ class GroupTemplate:
 
 
 def make_template(placement, model: ExposureModel) -> GroupTemplate:
+    """A placement reads the first ``len(placement)`` positions of the model,
+    so a query shorter than k uses the run's model as it is."""
     placement = tuple(placement)
     if len(placement) > model.k:
         raise ExposureError("placement longer than the exposure model")
@@ -152,7 +143,7 @@ def enumerate_templates(k: int, counts: tuple[int, int], model: ExposureModel) -
     avail_a, avail_b = counts
     if avail_a + avail_b < k:
         raise TemplateError(f"only {avail_a + avail_b} documents available for k={k}")
-    return list(_enumerate_cached(k, min(avail_a, k), min(avail_b, k), model.truncated(k)))
+    return list(_enumerate_cached(k, min(avail_a, k), min(avail_b, k), model))
 
 
 @dataclass

@@ -336,7 +336,7 @@ def holdout_view(split: GroupedDataset) -> HoldoutView:
                 positions=_frozen(np.array(positions)),
                 features=_frozen(np.stack([q.feature_matrix() for q in queries])),
                 grades=_frozen(grades),
-                ideal_dcg=_frozen(metrics.dcg_rows(np.sort(grades, axis=1)[:, ::-1], 10)),
+                ideal_dcg=_frozen(metrics.dcg(np.sort(grades, axis=1)[:, ::-1], 10)),
             )
         )
     return HoldoutView(n_queries=len(split.queries), groups=tuple(groups))
@@ -351,7 +351,7 @@ def evaluate_offline(state: ranker.RankerState, holdout: HoldoutView) -> float:
     for group in holdout.groups:
         scores = ranker.score_all(state, group.features)
         order = np.argsort(-scores, axis=1, kind="stable")[:, :10]
-        dcg = metrics.dcg_rows(np.take_along_axis(group.grades, order, axis=1), 10)
+        dcg = metrics.dcg(np.take_along_axis(group.grades, order, axis=1), 10)
         ideal = group.ideal_dcg
         ndcg[group.positions] = np.divide(dcg, ideal, out=np.ones_like(dcg), where=ideal != 0.0)
     # a left-to-right running sum in split order, not numpy's pairwise sum
@@ -466,7 +466,7 @@ def run_prepared(inputs: RunInputs) -> ExperimentResult:
             displayed_groups = [groups[i] for i in displayed]
             outcome = click_sim.simulate(displayed_grades, click_model, rng)
 
-            realized = fairness.make_template(displayed_groups, exposure_model.truncated(k_t))
+            realized = fairness.make_template(displayed_groups, exposure_model)
             fairness.record(ledger, realized)
 
             if policy.learns:
@@ -475,7 +475,7 @@ def run_prepared(inputs: RunInputs) -> ExperimentResult:
                 ranker.update(state, diffs, labels)
 
             online = metrics.ndcg_at_k(displayed_grades, 10, ideal_grades=grades)
-            if offline_value is None or t % config.eval_stride == 0:
+            if offline_value is None or t % config.eval_stride == 0 or t == config.rounds:
                 offline_value = evaluate_offline(state, holdout)
             records.append(
                 metrics.RoundRecord(
@@ -543,10 +543,9 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 
 def _sweep_worker(args) -> tuple[dict, float]:
-    config, params = args
-    inputs, valid = prepare_run(replace(config, **params, out_dir=None))
-    result = run_prepared(inputs)
-    return params, evaluate_offline(result.state, holdout_view(valid))
+    inputs, holdout, params = args
+    result = run_prepared(inputs._replace(config=replace(inputs.config, **params, out_dir=None)))
+    return params, evaluate_offline(result.state, holdout)
 
 
 def check_sweep(config: ExperimentConfig) -> None:
@@ -568,13 +567,16 @@ def sweep(config: ExperimentConfig, workers: int = 1):
     """Grid-search lam and alpha (and the controller gain where relevant)
     on validation offline NDCG; returns (best params, all results).
     ``check_sweep`` runs first, so a config without a validation split
-    fails before any job, as does ``workers`` < 1."""
+    fails before any job, as does ``workers`` < 1. The jobs share one
+    ``prepare_run``: nothing it checks or loads reads a tuned field."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     check_sweep(config)
+    inputs, valid = prepare_run(config)
+    holdout = holdout_view(valid)
     tuned = POLICIES[config.algorithm].tuned
     grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]
-    jobs = [(config, params) for params in grid]
+    jobs = [(inputs, holdout, params) for params in grid]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))

@@ -9,21 +9,13 @@ import numpy as np
 TRACE_FORMAT_VERSION = "fairexp-trace v1"
 
 
-def dcg(grades, k: int) -> float:
-    """Discounted cumulative gain with gain 2^grade - 1 and log2 discounts."""
-    g = np.asarray(grades, dtype=np.float64)[:k]
-    if g.size == 0:
-        return 0.0
-    discounts = 1.0 / np.log2(np.arange(2, g.size + 2))
-    return float(np.sum((2.0**g - 1.0) * discounts))
-
-
-def dcg_rows(grades: np.ndarray, k: int) -> np.ndarray:
-    """``dcg(row, k)`` of every row of a 2-D grade array, bit for bit: the
-    same gains and discounts, and the same numpy sum over each row."""
-    top = np.asarray(grades, dtype=np.float64)[:, :k]
-    discounts = 1.0 / np.log2(np.arange(2, top.shape[1] + 2))
-    return np.sum((2.0**top - 1.0) * discounts, axis=1)
+def dcg(grades, k: int):
+    """Discounted cumulative gain with gain 2^grade - 1 and log2 discounts,
+    summed over the last axis of the top k: one value for a sequence, one
+    per row for a 2-D array."""
+    top = np.asarray(grades, dtype=np.float64)[..., :k]
+    discounts = 1.0 / np.log2(np.arange(2, top.shape[-1] + 2))
+    return np.sum((2.0**top - 1.0) * discounts, axis=-1)
 
 
 def ndcg_at_k(grades, k: int, ideal_grades=None) -> float:
@@ -40,7 +32,7 @@ def ndcg_at_k(grades, k: int, ideal_grades=None) -> float:
     denom = dcg(ideal, k)
     if denom == 0.0:
         return 1.0
-    return dcg(grades, k) / denom
+    return float(dcg(grades, k) / denom)
 
 
 def cumulative_ndcg(series, gamma: float) -> float:

@@ -5,7 +5,8 @@ import pytest
 
 from fairexp.cli import build_config, main, parse_config_file, parse_synthetic_flag
 from fairexp.data import SyntheticSpec
-from fairexp.harness import ExperimentConfig
+from fairexp.harness import ExperimentConfig, sweep
+from fairexp.metrics import format_value
 
 
 SYNTH = "n_queries=10,docs_per_query=6,d=4,seed=3"
@@ -268,7 +269,14 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "best=" in printed
-    assert (out / "sweep_results.txt").exists()
+    # the file writes values as trace.csv and summary.txt do
+    config = ExperimentConfig(synthetic=parse_synthetic_flag(SYNTH), rounds=8, k=3)
+    (best_params, best_ndcg), results = sweep(config)
+    assert (out / "sweep_results.txt").read_text(encoding="utf-8").splitlines() == [
+        "# fairexp-sweep v1",
+        *(f"{params} {format_value(ndcg)}" for params, ndcg in results),
+        f"best {best_params} {format_value(best_ndcg)}",
+    ]
 
 
 def test_eval_subcommand_rejects_a_tampered_checkpoint(tmp_path, capsys):
@@ -334,6 +342,14 @@ def test_a_missing_dataset_directory_is_one_line(tmp_path, capsys, command):
         assert "vali.txt does not exist" in _one_line_error(capsys, argv)
     else:
         assert str(missing / "train.txt") in _one_line_error(capsys, argv)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_config_file_missing_a_required_synthetic_key_is_one_line(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    path.write_text("synthetic.n_queries=5\nsynthetic.seed=2\n", encoding="utf-8")
+    message = _one_line_error(capsys, [command, "--config", str(path)])
+    assert message == f"{path}: missing synthetic.docs_per_query, synthetic.d"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -472,6 +488,13 @@ def _exposure_table(root, ranks):
             "give exactly one data source: dataset_dir or synthetic",
         ),
         ([], ["--group-feature", "99"], "group_feature is used only with dataset_dir, not synthetic"),
+        ([], ["--synthetic", f"{SYNTH},theta_norm=inf"], "theta_norm must be finite and positive"),
+        ([], ["--synthetic", f"{SYNTH},theta_norm=nan"], "theta_norm must be finite and positive"),
+        (
+            [],
+            ["--synthetic", "n_queries=10,docs_per_query=6,d=4,seed=-1"],
+            "synthetic seed must be >= 0",
+        ),
     ],
     ids=[
         "click_model",
@@ -488,6 +511,9 @@ def _exposure_table(root, ranks):
         "infinite_lambda_f",
         "two_sources",
         "synthetic_group_feature",
+        "infinite_theta_norm",
+        "nan_theta_norm",
+        "synthetic_seed",
     ],
 )
 def test_a_bad_model_or_seed_is_one_line_before_any_round(

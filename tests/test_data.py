@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -268,6 +270,21 @@ class TestSynthetic:
             synthetic_splits(SyntheticSpec(n_queries=1, docs_per_query=4, d=1), 0, 0)
         with pytest.raises(ValidationError):
             synthetic_splits(SyntheticSpec(n_queries=1, docs_per_query=4, d=3, group_balance=1.5), 0, 0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("theta_norm", math.inf, "theta_norm must be finite and positive"),
+            ("theta_norm", math.nan, "theta_norm must be finite and positive"),
+            ("theta_norm", 0.0, "theta_norm must be finite and positive"),
+            ("seed", -1, "synthetic seed must be >= 0"),
+        ],
+        ids=["inf_theta_norm", "nan_theta_norm", "zero_theta_norm", "negative_seed"],
+    )
+    def test_invalid_spec_names_the_field(self, field, value, message):
+        spec = SyntheticSpec(n_queries=1, docs_per_query=4, d=3, **{field: value})
+        with pytest.raises(ValidationError, match=message):
+            synthetic_splits(spec, 0, 0)
 
     def test_splits_share_theta(self):
         spec = SyntheticSpec(n_queries=4, docs_per_query=5, d=4, seed=2)

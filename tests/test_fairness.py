@@ -5,6 +5,7 @@ import pytest
 
 from fairexp.fairness import (
     ExposureError,
+    ExposureModel,
     TemplateError,
     UnfairnessLedger,
     enumerate_templates,
@@ -16,7 +17,6 @@ from fairexp.fairness import (
     projected_unfairness,
     qualified_templates,
     record,
-    table_model,
     utility_ratio_beta,
 )
 from fairexp.data import SyntheticSpec, synthetic_splits
@@ -33,10 +33,10 @@ class TestExposure:
 
     def test_table_must_be_positive_nonincreasing(self):
         with pytest.raises(ExposureError):
-            table_model([0.5, 0.6])
+            ExposureModel((0.5, 0.6))
         with pytest.raises(ExposureError):
-            table_model([0.5, 0.0])
-        m = table_model([0.9, 0.4, 0.4])
+            ExposureModel((0.5, 0.0))
+        m = ExposureModel((0.9, 0.4, 0.4))
         assert m.values == (0.9, 0.4, 0.4)
 
     def test_load_table_file(self, tmp_path):

@@ -263,6 +263,16 @@ class TestAlgorithms:
             assert c == running  # exact telescoping, same additions
         assert result.ledger.cumulative == cum[-1]
 
+    def test_the_final_offline_ndcg_comes_from_the_final_model(self):
+        # 150 rounds is no multiple of the stride: round 100 is the last stride point
+        config = small_config(synthetic=small_spec(seed=3), seed=2, rounds=150, eval_stride=100)
+        result = run_experiment(config)
+        offline = result.column("offline_ndcg")
+        assert set(offline[99:149]) == {offline[99]}
+        final = evaluate_offline(result.state, holdout_view(load_datasets(config)[2]))
+        assert offline[-1] == result.summary["final_offline_ndcg10"] == final
+        assert final != offline[99]
+
     def test_learning_improves_offline_ndcg(self):
         result = run_experiment(small_config(rounds=300, algorithm="pairrank"))
         offline = result.column("offline_ndcg")
@@ -561,19 +571,27 @@ class TestRobustness:
         with pytest.raises(ValueError, match="vali.txt does not exist"):
             sweep(config)
 
-    def test_sweep_loads_each_jobs_datasets_once(self, monkeypatch):
+    def test_one_sweep_loads_the_datasets_once(self, tmp_path, monkeypatch):
         from fairexp import harness
 
-        calls = []
+        loads, runs = [], []
+        original = harness.run_prepared
 
         def counting_load(config):
-            calls.append((config.lam, config.alpha))
+            loads.append(config)
             return load_datasets(config)
 
+        def recording(inputs):
+            runs.append((inputs.config.lam, inputs.config.alpha, inputs.config.out_dir))
+            return original(inputs)
+
         monkeypatch.setattr(harness, "load_datasets", counting_load)
-        _, results = sweep(small_config(rounds=5), workers=1)
+        monkeypatch.setattr(harness, "run_prepared", recording)
+        _, results = sweep(small_config(rounds=5, out_dir=str(tmp_path)), workers=1)
         assert len(results) == 9
-        assert sorted(calls) == sorted((p["lam"], p["alpha"]) for p, _ in results)
+        assert len(loads) == 1
+        # every job runs on the shared inputs with its own grid values and no outputs
+        assert runs == [(p["lam"], p["alpha"], None) for p, _ in results]
 
     def test_the_round_loop_receives_no_validation_split(self, monkeypatch):
         from fairexp import harness

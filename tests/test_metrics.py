@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from fairexp.metrics import (
     RoundRecord,
     cumulative_ndcg,
     dcg,
-    dcg_rows,
     ndcg_at_k,
     pairwise_regret,
     trace_header,
@@ -54,17 +55,35 @@ class TestNdcg:
         expected = dcg(shown, 2) / dcg(sorted(full, reverse=True), 2)
         assert ndcg_at_k(shown, 2, ideal_grades=full) == pytest.approx(expected)
 
+    def test_returns_a_python_float(self):
+        assert type(ndcg_at_k([0, 4, 2], 2)) is float
+
     def test_k_validation(self):
         with pytest.raises(ValueError):
             ndcg_at_k([1], 0)
 
 
-def test_dcg_rows_equals_dcg_of_each_row():
+def one_row_dcg(grades, k):
+    """The 1-D DCG formula that ``dcg`` replaced, kept as its reference."""
+    g = np.asarray(grades, dtype=np.float64)[:k]
+    if g.size == 0:
+        return 0.0
+    discounts = 1.0 / np.log2(np.arange(2, g.size + 2))
+    return float(np.sum((2.0**g - 1.0) * discounts))
+
+
+def test_dcg_equals_the_one_row_formula_on_sequences_and_rows():
+    # empty, shorter than 8, 8 to 10 long, and longer than k; integer and fractional grades
     rng = np.random.default_rng(4)
-    for n in (0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 15, 23):
-        grades = rng.integers(0, 5, size=(6, n))
-        for k in (1, 5, 10):
-            assert dcg_rows(grades, k).tolist() == [dcg(row, k) for row in grades]
+    lengths = (0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 15, 23, 40)
+    for n, k, fractional in product(lengths, (1, 5, 8, 10, 12, 40), (False, True)):
+        grades = rng.integers(0, 5, size=(6, n)).astype(np.float64)
+        if fractional:
+            grades += rng.random((6, n))
+        expected = [one_row_dcg(row, k) for row in grades]
+        assert [dcg(row, k) for row in grades] == expected
+        assert [dcg(list(row), k) for row in grades] == expected
+        assert dcg(grades, k).tolist() == expected
 
 
 class TestCumulativeNdcg:
