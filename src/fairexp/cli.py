@@ -31,7 +31,7 @@ from .harness import (
     holdout_view,
     prepare_run,
     run_prepared,
-    sweep,
+    sweep_prepared,
 )
 from .ranker import DimensionError, load_checkpoint
 
@@ -74,21 +74,36 @@ def _key_parsers(cls, special: dict) -> dict:
 _SYNTHETIC_KEYS = _key_parsers(SyntheticSpec, {})
 
 
+def _missing_synthetic_keys(given) -> list[str]:
+    return [f.name for f in fields(SyntheticSpec) if f.default is MISSING and f.name not in given]
+
+
 def parse_synthetic_flag(text: str) -> SyntheticSpec:
-    """Parse 'n_queries=40,docs_per_query=12,d=8,...' into a spec."""
+    """Parse 'n_queries=40,docs_per_query=12,d=8,...' into a spec.
+
+    An unknown key, a value that does not parse (named with its key) and
+    missing required keys raise ``ValueError``."""
     kwargs = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in _SYNTHETIC_KEYS:
             raise ValueError(f"unknown synthetic key {key!r}")
-        kwargs[key] = _SYNTHETIC_KEYS[key](value.strip())
+        try:
+            kwargs[key] = _SYNTHETIC_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    missing = _missing_synthetic_keys(kwargs)
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
     return SyntheticSpec(**kwargs)
 
 
+# the --synthetic flag is kept as text for build_config to parse, so that a
+# bad spec ends in one error line rather than argparse's usage block
 _CONFIG_KEYS = _key_parsers(
     ExperimentConfig,
-    {"beta": _parse_beta, "custom_clicks": _parse_floats, "synthetic": parse_synthetic_flag},
+    {"beta": _parse_beta, "custom_clicks": _parse_floats, "synthetic": str},
 )
 
 
@@ -124,13 +139,9 @@ def parse_config_file(path: str | Path) -> dict:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     if synthetic:
-        missing = [
-            f"synthetic.{f.name}"
-            for f in fields(SyntheticSpec)
-            if f.default is MISSING and f.name not in synthetic
-        ]
+        missing = _missing_synthetic_keys(synthetic)
         if missing:
-            raise ValueError(f"{path}: missing {', '.join(missing)}")
+            raise ValueError(f"{path}: missing {', '.join('synthetic.' + m for m in missing)}")
         values["synthetic"] = SyntheticSpec(**synthetic)
     return values
 
@@ -179,6 +190,11 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             values[f.name] = value
+    if getattr(args, "synthetic", None) is not None:
+        try:
+            values["synthetic"] = parse_synthetic_flag(args.synthetic)
+        except ValueError as exc:
+            raise ValueError(f"--synthetic: {exc}") from None
     config = ExperimentConfig(**values)
     config.validate()
     return config
@@ -230,11 +246,10 @@ def main(argv=None) -> int:
         try:
             config = build_config(args)
             check_sweep(config)
-            # bad input fails here, before the sweep prepares its own inputs
-            prepare_run(config)
+            inputs, valid = prepare_run(config)
         except _INPUT_ERRORS as exc:
             return _error("sweep", exc)
-        (best_params, best_ndcg), results = sweep(config, workers=args.workers)
+        (best_params, best_ndcg), results = sweep_prepared(inputs, valid, args.workers)
         for params, ndcg in results:
             print(f"params={params} validation_ndcg10={ndcg:.6f}")
         print(f"best={best_params} validation_ndcg10={best_ndcg:.6f}")

@@ -569,12 +569,19 @@ def sweep(config: ExperimentConfig, workers: int = 1):
     ``check_sweep`` runs first, so a config without a validation split
     fails before any job, as does ``workers`` < 1. The jobs share one
     ``prepare_run``: nothing it checks or loads reads a tuned field."""
+    check_sweep(config)
+    return sweep_prepared(*prepare_run(config), workers)
+
+
+def sweep_prepared(inputs: RunInputs, valid: GroupedDataset, workers: int = 1):
+    """``sweep`` on what ``prepare_run`` returned for a config that passed
+    ``check_sweep``, so that a caller which has prepared the run to report
+    bad input does not load the splits again. Raises ``ValueError`` when
+    ``workers`` < 1, before any job."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    check_sweep(config)
-    inputs, valid = prepare_run(config)
     holdout = holdout_view(valid)
-    tuned = POLICIES[config.algorithm].tuned
+    tuned = POLICIES[inputs.config.algorithm].tuned
     grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]
     jobs = [(inputs, holdout, params) for params in grid]
     if workers > 1:

@@ -7,6 +7,12 @@ vector under its inverse yields a confidence width for that pair's
 predicted order. Pairs whose interval excludes 1/2 are "certain", the
 rest "uncertain"; candidates partition into blocks whose cross-block
 orders are all certain.
+
+The parameters are re-fitted over the whole pair history every round.
+The same query showing the same list again yields the same difference
+vectors, so the history is kept as its distinct (difference vector,
+label) pairs with their counts, and the fit runs on these sufficient
+statistics: each distinct pair once, weighted by its count.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ class NumericError(RuntimeError):
     """Raised when the loss or gradient turns non-finite."""
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 GRAD_TOL = 1e-6
 MAX_NEWTON_ITERS = 100
 
@@ -45,32 +51,60 @@ def sigmoid(z):
 
 
 class _PairBuffer:
-    """Growable store of (difference vector, preference label) pairs."""
+    """Growable store of preference pairs, each distinct (difference vector,
+    label) kept once with the number of times it was observed.
+
+    ``rows``, ``labels`` and ``counts`` hold the u distinct pairs in order of
+    first occurrence; a dict keyed by the exact bytes of row and label finds
+    a repeat. ``n`` is the number of pairs buffered, the sum of the counts,
+    and ``x`` and ``y`` expand the distinct pairs back into all n of them,
+    each row repeated by its count (not in the order they arrived).
+    """
 
     def __init__(self, d: int):
-        self.d = d
-        self._x = np.empty((16, d), dtype=np.float64)
-        self._y = np.empty(16, dtype=np.float64)
+        self._rows = np.empty((16, d), dtype=np.float64)
+        self._labels = np.empty(16, dtype=np.float64)
+        self._counts = np.empty(16, dtype=np.int64)
+        self._index: dict[bytes, int] = {}
         self.n = 0
 
-    def extend(self, diffs: np.ndarray, labels: np.ndarray) -> None:
-        m = len(labels)
-        if m == 0:
-            return
-        while self.n + m > len(self._y):
-            self._x = np.concatenate([self._x, np.empty_like(self._x)])
-            self._y = np.concatenate([self._y, np.empty_like(self._y)])
-        self._x[self.n : self.n + m] = diffs
-        self._y[self.n : self.n + m] = labels
-        self.n += m
+    def extend(self, diffs: np.ndarray, labels: np.ndarray, counts=None) -> None:
+        """Add each pair ``counts`` times (default once); ``diffs`` and
+        ``labels`` must be float64."""
+        if counts is None:
+            counts = np.ones(len(labels), dtype=np.int64)
+        for row, label, count in zip(diffs, labels, counts):
+            key = row.tobytes() + label.tobytes()
+            i = self._index.get(key)
+            if i is None:
+                i = self._index[key] = len(self._index)
+                if i == len(self._labels):
+                    self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+                    self._labels = np.concatenate([self._labels, np.empty_like(self._labels)])
+                    self._counts = np.concatenate([self._counts, np.empty_like(self._counts)])
+                self._rows[i], self._labels[i], self._counts[i] = row, label, 0
+            self._counts[i] += count
+            self.n += int(count)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: len(self._index)]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels[: len(self._index)]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self._counts[: len(self._index)]
 
     @property
     def x(self) -> np.ndarray:
-        return self._x[: self.n]
+        return np.repeat(self.rows, self.counts, axis=0)
 
     @property
     def y(self) -> np.ndarray:
-        return self._y[: self.n]
+        return np.repeat(self.labels, self.counts)
 
 
 @dataclass
@@ -78,7 +112,8 @@ class RankerState:
     """Model parameters plus the accumulated pair evidence.
 
     ``info_matrix`` equals lam * I plus the sum of outer products of all
-    buffered difference vectors, so it stays symmetric positive definite.
+    buffered difference vectors (``pairs.x``, every repeat included), so it
+    stays symmetric positive definite.
     """
 
     theta: np.ndarray
@@ -280,12 +315,13 @@ def infer_pairs(
     return np.stack(diffs), np.ones(len(diffs))
 
 
-def _loss_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, lam: float):
+def _loss_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, c: np.ndarray, lam: float):
     z = x @ theta
     s = sigmoid(z)
-    # cross-entropy of sigmoid(z) against y, in the softplus form
-    loss = float(np.sum(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * theta @ theta)
-    grad = x.T @ (s - y) + lam * theta
+    # cross-entropy of sigmoid(z) against y, in the softplus form, of each
+    # distinct pair times its count
+    loss = float(np.sum(c * (np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * theta @ theta)
+    grad = x.T @ (c * (s - y)) + lam * theta
     return loss, grad, s
 
 
@@ -295,8 +331,13 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
     The information matrix gains the new outer products; the parameter
     vector is re-optimized over the full pair history by damped Newton
     iterations warm-started at the previous value, stopping at gradient
-    norm 1e-6 or 100 iterations. The final loss never exceeds the warm
-    start's.
+    norm 1e-6 or 100 iterations. The fit runs over the u distinct pairs
+    weighted by their counts c: the loss is sum c (softplus(z) - y z) plus
+    the ridge term, and the Hessian X^T diag(c s (1 - s)) X costs O(u d^2)
+    instead of O(n d^2) over all n pairs buffered. A backtracking line
+    search accepts a step only if it strictly lowers the loss, and the fit
+    ends when 50 halvings find none, so the final loss is below the warm
+    start's or equal to it.
     """
     diffs = np.asarray(diffs, dtype=np.float64).reshape(-1, state.d)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -308,28 +349,29 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
         state._info_inv = None
     state.round += 1
 
-    x, y = state.pairs.x, state.pairs.y
     if state.pairs.n == 0:
         state.theta = np.zeros(state.d)
         return state
+    x, y, c = state.pairs.rows, state.pairs.labels, state.pairs.counts
 
     theta = state.theta.copy()
-    loss, grad, s = _loss_grad(theta, x, y, state.lam)
+    loss, grad, s = _loss_grad(theta, x, y, c, state.lam)
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite loss at warm start (round {state.round})")
     for _ in range(MAX_NEWTON_ITERS):
         if np.linalg.norm(grad) <= GRAD_TOL:
             break
         # Hessian weights from the accepted point's probabilities
-        w = s * (1.0 - s)
+        w = c * s * (1.0 - s)
         hess = (x * w[:, None]).T @ x + state.lam * np.eye(state.d)
         step = np.linalg.solve(hess, grad)
-        # backtracking keeps the loss monotone even far from the optimum
+        # backtracking keeps the loss monotone even far from the optimum; a
+        # step that only ties the loss is rounding, not progress
         stepsize = 1.0
         for _ in range(50):
             cand = theta - stepsize * step
-            cand_loss, cand_grad, cand_s = _loss_grad(cand, x, y, state.lam)
-            if np.isfinite(cand_loss) and cand_loss <= loss:
+            cand_loss, cand_grad, cand_s = _loss_grad(cand, x, y, c, state.lam)
+            if np.isfinite(cand_loss) and cand_loss < loss:
                 theta, loss, grad, s = cand, cand_loss, cand_grad, cand_s
                 break
             stepsize *= 0.5
@@ -343,7 +385,8 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
 
 def save_checkpoint(state: RankerState, path: str | Path) -> None:
     """Write a versioned checkpoint (theta, info matrix, lam, round, and
-    the pair buffer, so a resumed run can keep re-fitting the full history).
+    the distinct pairs with their counts, so a resumed run can keep
+    re-fitting the full history).
     """
     np.savez(
         path,
@@ -352,26 +395,31 @@ def save_checkpoint(state: RankerState, path: str | Path) -> None:
         info_matrix=state.info_matrix,
         lam=np.array(state.lam),
         round=np.array(state.round),
-        pairs_x=state.pairs.x,
-        pairs_y=state.pairs.y,
+        pairs_x=state.pairs.rows,
+        pairs_y=state.pairs.labels,
+        pairs_count=state.pairs.counts,
     )
 
 
 def load_checkpoint(path: str | Path) -> RankerState:
-    """Read a checkpoint written by ``save_checkpoint``.
+    """Read a checkpoint written by ``save_checkpoint``, of this version or
+    of version 1.
 
     Raises ``ValueError`` unless the arrays describe a valid state: theta of
     shape (d,), an information matrix of shape (d, d) that is symmetric
-    positive definite, pair arrays of shapes (m, d) and (m,), and every
-    value finite. Arrays it does not read, such as the ``q_norm`` of older
-    checkpoints, are ignored.
+    positive definite, pair arrays of shapes (m, d) and (m,), every value
+    finite, and (from version 2 on) a ``pairs_count`` of shape (m,) that
+    holds positive integers up to 2**53. A version 1 file has no counts:
+    each of its rows counts once, and repeated rows merge on load. Arrays it
+    does not read, such as the ``q_norm`` of older checkpoints, are ignored.
     """
     with np.load(path) as data:
         version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         arrays = {name: data[name] for name in data.files}
-    _check_checkpoint(arrays)
+    pair_names = ["pairs_x", "pairs_y"] + (["pairs_count"] if version > 1 else [])
+    _check_checkpoint(arrays, pair_names)
     theta = arrays["theta"]
     state = RankerState(
         theta=theta,
@@ -381,14 +429,18 @@ def load_checkpoint(path: str | Path) -> RankerState:
         pairs=_PairBuffer(len(theta)),
     )
     if "pairs_x" in arrays:
-        state.pairs.extend(arrays["pairs_x"], arrays["pairs_y"])
+        state.pairs.extend(
+            arrays["pairs_x"].astype(np.float64),
+            arrays["pairs_y"].astype(np.float64),
+            arrays["pairs_count"].astype(np.int64) if version > 1 else None,
+        )
     return state
 
 
-def _check_checkpoint(arrays: dict[str, np.ndarray]) -> None:
+def _check_checkpoint(arrays: dict[str, np.ndarray], pair_names: list[str]) -> None:
     names = ["theta", "info_matrix", "lam", "round"]
-    if "pairs_x" in arrays or "pairs_y" in arrays:
-        names += ["pairs_x", "pairs_y"]
+    if any(name in arrays for name in pair_names):
+        names += pair_names
     for name in names:
         if name not in arrays:
             raise ValueError(f"checkpoint has no {name}")
@@ -396,14 +448,27 @@ def _check_checkpoint(arrays: dict[str, np.ndarray]) -> None:
     if theta.ndim != 1:
         raise ValueError(f"checkpoint theta has shape {theta.shape}, expected (d,)")
     d = len(theta)
-    m = arrays["pairs_y"].size if "pairs_y" in arrays else 0
-    shapes = {"theta": (d,), "info_matrix": (d, d), "pairs_x": (m, d), "pairs_y": (m,)}
+    m = arrays["pairs_y"].size if "pairs_y" in names else 0
+    shapes = {
+        "theta": (d,),
+        "info_matrix": (d, d),
+        "pairs_x": (m, d),
+        "pairs_y": (m,),
+        "pairs_count": (m,),
+    }
     for name in names:
         value, shape = arrays[name], shapes.get(name, ())
         if value.shape != shape:
             raise ValueError(f"checkpoint {name} has shape {value.shape}, expected {shape}")
         if value.dtype.kind not in "biuf" or not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint {name} holds values that are not finite numbers")
+    if "pairs_count" in names:
+        # the fit weighs rows by their counts in float64, exact up to 2**53
+        counts = arrays["pairs_count"]
+        if np.any(counts < 1) or np.any(counts > 2**53) or np.any(counts != np.floor(counts)):
+            raise ValueError(
+                "checkpoint pairs_count holds values that are not positive integers up to 2**53"
+            )
     info = arrays["info_matrix"]
     # a sum of outer products is symmetric up to rounding in the products
     if np.max(np.abs(info - info.T), initial=0.0) > 1e-9 * np.max(np.abs(info), initial=0.0):

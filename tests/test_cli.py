@@ -302,6 +302,32 @@ def test_eval_subcommand_rejects_a_tampered_checkpoint(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (lambda c: c * 0, "checkpoint pairs_count holds values that are not positive integers"),
+        (lambda c: c - 0.5, "checkpoint pairs_count holds values that are not positive integers"),
+        (lambda c: c[:-1], "checkpoint pairs_count has shape"),
+    ],
+    ids=["zero", "fractional", "shape"],
+)
+def test_eval_rejects_a_checkpoint_with_bad_pair_counts(tmp_path, capsys, counts, message):
+    import numpy as np
+
+    out = tmp_path / "out"
+    main(["run", "--synthetic", SYNTH, "--rounds", "5", "--k", "3", "--out", str(out)])
+    capsys.readouterr()
+    checkpoint = out / "checkpoint.npz"
+    with np.load(checkpoint) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["pairs_count"] = counts(arrays["pairs_count"])
+    np.savez(checkpoint, **arrays)
+    test_file = tmp_path / "test.txt"
+    test_file.write_text("1 qid:1 1:0.1 2:0.2 3:0.3 4:0.0\n", encoding="utf-8")
+    argv = ["eval", "--checkpoint", str(checkpoint), "--test-file", str(test_file)]
+    assert _one_line_error(capsys, argv).startswith(f"{checkpoint}: {message}")
+
+
 def _one_line_error(capsys, argv) -> str:
     """Run the CLI on bad input: exit status 2, nothing on stdout, and one
     ``fairexp <command>: error:`` line on stderr, whose message is returned."""
@@ -367,7 +393,7 @@ def test_a_degenerate_group_feature_is_one_line(tmp_path, capsys):
 def test_sweep_without_vali_txt_refuses_before_any_job(tmp_path, capsys, monkeypatch):
     import fairexp.cli
 
-    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
     fold = _fold(tmp_path / "fold", vali=False)
     message = _one_line_error(capsys, ["sweep", "--dataset", str(fold), "--group-feature", "1"])
     assert message == (
@@ -378,7 +404,7 @@ def test_sweep_without_vali_txt_refuses_before_any_job(tmp_path, capsys, monkeyp
 def test_sweep_with_no_synthetic_validation_queries_refuses(tmp_path, capsys, monkeypatch):
     import fairexp.cli
 
-    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
     path = tmp_path / "sweep.cfg"
     path.write_text("n_validation=0\n", encoding="utf-8")
     message = _one_line_error(capsys, ["sweep", "--config", str(path), "--synthetic", SYNTH])
@@ -389,7 +415,7 @@ def test_sweep_with_no_synthetic_validation_queries_refuses(tmp_path, capsys, mo
 def test_sweep_with_fewer_than_one_worker_refuses_before_any_job(capsys, monkeypatch, workers):
     import fairexp.cli
 
-    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
     argv = ["sweep", "--synthetic", SYNTH, "--rounds", "2", "--k", "3", "--workers", workers]
     assert _one_line_error(capsys, argv) == f"--workers must be >= 1, got {workers}"
     from fairexp.harness import sweep
@@ -419,7 +445,7 @@ def test_an_undefined_auto_beta_is_one_line_before_any_round(
     import fairexp.cli
 
     monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
-    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
     # the median split puts the document with the larger feature 1 alone in
     # group A, so the grade-0 document alone makes its group's mean 0
     fold = _fold(tmp_path / "fold", train=train)
@@ -522,7 +548,7 @@ def test_a_bad_model_or_seed_is_one_line_before_any_round(
     import fairexp.cli
 
     monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
-    monkeypatch.setattr(fairexp.cli, "sweep", lambda *a, **kw: pytest.fail("a job ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
     tables = {"short": _exposure_table(tmp_path, 2)}
     for value in ("nan", "inf"):
         tables[value] = tmp_path / f"{value}.txt"
@@ -558,3 +584,52 @@ def test_a_config_boolean_outside_both_spellings_is_rejected(tmp_path, capsys, l
     assert _one_line_error(capsys, ["run", "--config", str(path), "--synthetic", SYNTH]) == str(
         caught.value
     )
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("n_queries=5", "--synthetic: missing docs_per_query, d"),
+        ("n_queries=5,d=4", "--synthetic: missing docs_per_query"),
+        (
+            "n_queries=5,docs_per_query=x,d=4",
+            "--synthetic: docs_per_query: invalid literal for int() with base 10: 'x'",
+        ),
+        ("n_queries=5,docs_per_query=6,d=4,bogus=1", "--synthetic: unknown synthetic key 'bogus'"),
+    ],
+    ids=["two_missing", "one_missing", "bad_value", "unknown_key"],
+)
+def test_a_bad_synthetic_flag_is_one_line(capsys, monkeypatch, command, spec, message):
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
+    assert _one_line_error(capsys, [command, "--synthetic", spec]) == message
+
+
+def test_a_cli_sweep_loads_its_splits_once(monkeypatch, capsys):
+    from fairexp import harness
+
+    loads = []
+    original = harness.load_datasets
+
+    def counting_load(config):
+        loads.append(config)
+        return original(config)
+
+    monkeypatch.setattr(harness, "load_datasets", counting_load)
+    assert main(["sweep", "--synthetic", SYNTH, "--rounds", "2", "--k", "3"]) == 0
+    assert "best=" in capsys.readouterr().out
+    assert len(loads) == 1
+
+
+def test_errors_inside_a_sweep_job_propagate(monkeypatch):
+    from fairexp import ranker
+
+    def failing_update(*args):
+        raise ranker.NumericError("refit diverged")
+
+    monkeypatch.setattr(ranker, "update", failing_update)
+    with pytest.raises(ranker.NumericError, match="refit diverged"):
+        main(["sweep", "--synthetic", SYNTH, "--rounds", "2", "--k", "3"])

@@ -11,6 +11,7 @@ from fairexp.ranker import (
     CHECKPOINT_VERSION,
     DimensionError,
     GRAD_TOL,
+    MAX_NEWTON_ITERS,
     PairOrderSets,
     RankerState,
     _upper_pairs,
@@ -456,6 +457,37 @@ class TestInferPairs:
         assert len(labels) == 0
 
 
+def pairwise_loss(theta, x, y, lam):
+    """The fit's objective summed over every buffered pair, one row each."""
+    z = x @ theta
+    return float(np.sum(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * theta @ theta)
+
+
+def newton_fit_per_pair(theta, x, y, lam):
+    """Reference for ``update``'s fit: damped Newton over every pair, one
+    row per pair, with a line search that accepts only a lower loss."""
+
+    def loss_grad(t):
+        s = sigmoid(x @ t)
+        return pairwise_loss(t, x, y, lam), x.T @ (s - y) + lam * t, s
+
+    loss, grad, s = loss_grad(theta)
+    for _ in range(MAX_NEWTON_ITERS):
+        if np.linalg.norm(grad) <= GRAD_TOL:
+            break
+        hess = (x * (s * (1.0 - s))[:, None]).T @ x + lam * np.eye(len(theta))
+        step = np.linalg.solve(hess, grad)
+        for halving in range(50):
+            cand = theta - 0.5**halving * step
+            cand_loss, cand_grad, cand_s = loss_grad(cand)
+            if cand_loss < loss:
+                theta, loss, grad, s = cand, cand_loss, cand_grad, cand_s
+                break
+        else:
+            break
+    return theta
+
+
 class TestUpdate:
     def test_empty_buffer_theta_zero(self):
         state = RankerState.initial(3, lam=0.7)
@@ -487,8 +519,6 @@ class TestUpdate:
             np.testing.assert_allclose(state.info_matrix, state.info_matrix.T)
 
     def test_loss_non_increasing_versus_warm_start(self):
-        from fairexp.ranker import _loss_grad
-
         rng = np.random.default_rng(5)
         state = RankerState.initial(4, lam=0.3)
         for _ in range(10):
@@ -497,9 +527,67 @@ class TestUpdate:
             warm = state.theta.copy()
             update(state, diffs, labels)
             x, y = state.pairs.x, state.pairs.y
-            warm_loss, *_ = _loss_grad(warm, x, y, state.lam)
-            new_loss, *_ = _loss_grad(state.theta, x, y, state.lam)
-            assert new_loss <= warm_loss + 1e-12
+            warm_loss = pairwise_loss(warm, x, y, state.lam)
+            assert pairwise_loss(state.theta, x, y, state.lam) <= warm_loss + 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_newton_fit_over_every_pair(self, seed):
+        # each row repeats 1-5 times in a round, with mixed labels, and rows
+        # come back in later rounds
+        rng = np.random.default_rng(seed)
+        d, lam = 5, 0.3
+        base = rng.normal(size=(8, d))
+        state = RankerState.initial(d, lam=lam)
+        theta = np.zeros(d)
+        xs, ys = [], []
+        for _ in range(6):
+            rows = rng.integers(0, len(base), size=3)
+            diffs = np.repeat(base[rows], rng.integers(1, 6, size=3), axis=0)
+            labels = rng.integers(0, 2, size=len(diffs)).astype(float)
+            update(state, diffs, labels)
+            xs.append(diffs)
+            ys.append(labels)
+            x, y = np.concatenate(xs), np.concatenate(ys)
+            theta = newton_fit_per_pair(theta, x, y, lam)
+            assert np.linalg.norm(state.theta - theta) <= 1e-9 * np.linalg.norm(theta)
+            assert state.pairs.n == len(state.pairs.x) == len(x)
+            assert len(state.pairs.rows) < len(x)
+            expected = lam * np.eye(d) + state.pairs.x.T @ state.pairs.x
+            np.testing.assert_allclose(state.info_matrix, expected, rtol=1e-12)
+
+    def test_repeated_pairs_are_stored_once_with_their_counts(self):
+        state = RankerState.initial(2, lam=0.5)
+        a, b = [1.0, 0.0], [0.0, 2.0]
+        update(state, np.array([a, b, a]), np.array([1.0, 1.0, 1.0]))
+        update(state, np.array([a, a]), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(state.pairs.rows, [a, b, a])
+        np.testing.assert_array_equal(state.pairs.labels, [1.0, 1.0, 0.0])
+        np.testing.assert_array_equal(state.pairs.counts, [3, 1, 1])
+        assert state.pairs.n == 5
+        np.testing.assert_array_equal(state.pairs.x, [a, a, a, b, a])
+        np.testing.assert_array_equal(state.pairs.y, [1.0, 1.0, 1.0, 1.0, 0.0])
+
+    def test_a_step_that_ties_the_loss_ends_the_fit(self, monkeypatch):
+        from fairexp import ranker
+
+        state = RankerState.initial(3, lam=0.4)
+        update(state, np.eye(3), np.ones(3))
+        warm = state.theta.copy()
+        real = ranker._loss_grad
+        losses = []
+
+        def tying(theta, *args):
+            # every candidate ties the warm start's loss, as rounding can make it
+            loss, grad, s = real(theta, *args)
+            losses.append(loss)
+            return (losses[0], grad, s)
+
+        monkeypatch.setattr(ranker, "_loss_grad", tying)
+        diffs = np.array([[1.0, -1.0, 0.5]])
+        update(state, diffs, np.ones(1))
+        # the warm start and 50 halvings, none of them accepted
+        assert len(losses) == 51
+        np.testing.assert_array_equal(state.theta, warm)
 
     def test_learns_true_preferences(self):
         # pairs labeled by a hidden vector; the fit must order held-out pairs
@@ -520,32 +608,72 @@ class TestUpdate:
         assert accuracy >= 0.95
 
 
+def state_with_repeated_pairs(seed: int, d: int = 3) -> RankerState:
+    """A state whose buffer holds repeated pairs: rows drawn from a few
+    base vectors, with mixed labels."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(4, d))
+    state = RankerState.initial(d, lam=0.4)
+    for _ in range(3):
+        diffs = base[rng.integers(0, len(base), size=6)]
+        update(state, diffs, (rng.random(6) < 0.5).astype(float))
+    assert len(state.pairs.rows) < state.pairs.n
+    return state
+
+
+def assert_same_state(loaded: RankerState, state: RankerState) -> None:
+    np.testing.assert_array_equal(loaded.theta, state.theta)
+    np.testing.assert_array_equal(loaded.info_matrix, state.info_matrix)
+    assert loaded.lam == state.lam
+    assert loaded.round == state.round
+    assert loaded.pairs.n == state.pairs.n
+    np.testing.assert_array_equal(loaded.pairs.rows, state.pairs.rows)
+    np.testing.assert_array_equal(loaded.pairs.labels, state.pairs.labels)
+    np.testing.assert_array_equal(loaded.pairs.counts, state.pairs.counts)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        state = RankerState.initial(3, lam=0.4)
-        update(state, rng.normal(size=(6, 3)), (rng.random(6) < 0.5).astype(float))
+        state = state_with_repeated_pairs(7)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
-        loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.theta, state.theta)
-        np.testing.assert_array_equal(loaded.info_matrix, state.info_matrix)
-        assert loaded.lam == state.lam
-        assert loaded.round == state.round
-        np.testing.assert_array_equal(loaded.pairs.x, state.pairs.x)
-        np.testing.assert_array_equal(loaded.pairs.y, state.pairs.y)
+        with np.load(path) as data:
+            assert int(data["version"]) == CHECKPOINT_VERSION == 2
+            assert data["pairs_x"].shape == (len(state.pairs.rows), state.d)
+            np.testing.assert_array_equal(data["pairs_count"], state.pairs.counts)
+        assert_same_state(load_checkpoint(path), state)
 
     def test_resumed_state_updates_like_original(self, tmp_path):
-        rng = np.random.default_rng(8)
-        state = RankerState.initial(2, lam=0.5)
-        update(state, rng.normal(size=(4, 2)), np.ones(4))
+        state = state_with_repeated_pairs(8, d=2)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
         resumed = load_checkpoint(path)
-        extra = rng.normal(size=(3, 2))
-        update(state, extra, np.ones(3))
-        update(resumed, extra, np.ones(3))
-        np.testing.assert_allclose(resumed.theta, state.theta)
+        extra = np.concatenate([state.pairs.rows[:2], np.random.default_rng(8).normal(size=(3, 2))])
+        update(state, extra, np.ones(5))
+        update(resumed, extra, np.ones(5))
+        assert_same_state(resumed, state)
+
+    def test_a_version_1_file_with_repeated_rows_loads_to_the_same_state(self, tmp_path):
+        # version 1 stored every pair as its own row, with no counts
+        state = state_with_repeated_pairs(10)
+        path = tmp_path / "ckpt.npz"
+        np.savez(
+            path,
+            version=np.array(1),
+            theta=state.theta,
+            info_matrix=state.info_matrix,
+            lam=np.array(state.lam),
+            round=np.array(state.round),
+            pairs_x=state.pairs.x,
+            pairs_y=state.pairs.y,
+        )
+        assert_same_state(load_checkpoint(path), state)
+
+    def test_an_unknown_version_is_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        write_tampered_checkpoint(path, lambda arrays: arrays.update(version=np.array(3)))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+            load_checkpoint(path)
 
 
 def _replace(name, value):
@@ -595,6 +723,13 @@ TAMPERED_CHECKPOINTS = [
     (_set("info_matrix", (0, 1), 5.0), "info_matrix is not symmetric"),
     (_negative_direction, "info_matrix is not positive definite"),
     (_replace("info_matrix", lambda a: np.zeros_like(a)), "info_matrix is not positive definite"),
+    (_drop("pairs_count"), "no pairs_count"),
+    (_replace("pairs_count", lambda a: a[:-1]), "pairs_count has shape"),
+    (_set("pairs_count", 2, 0), "pairs_count holds values that are not positive integers"),
+    (_set("pairs_count", 2, -3), "pairs_count holds values that are not positive integers"),
+    (_replace("pairs_count", lambda a: a + 0.5), "pairs_count holds values that are not positive"),
+    (_replace("pairs_count", lambda a: a * np.nan), "pairs_count holds values that are not finite"),
+    (_set("pairs_count", 2, 2**62), "pairs_count holds values that are not positive integers up"),
 ]
 
 
