@@ -2,11 +2,14 @@
 evaluate a saved checkpoint.
 
 Configuration can come from a plain-text ``key=value`` file (one pair per
-line, ``#`` comments); command-line flags override file values.
+line, ``#`` comments, each key at most once); command-line flags override
+file values. File lines, flags and ``--synthetic`` items share one reader.
 
 Bad input (a config value, a dataset or checkpoint that does not load)
 ends the command with one ``fairexp <command>: error: <message>`` line on
-stderr and exit status 2, before any round runs. For ``run`` and ``sweep``
+stderr and exit status 2, before any round runs; a setting that does not
+parse, is unknown or repeats a key names its place first: ``path:line:``,
+``--flag:`` or ``--synthetic:``. For ``run`` and ``sweep``
 the checks are ``harness.prepare_run``, the one boundary between a config
 and the round loop, which library callers of ``run_experiment`` and
 ``sweep`` pass through too. Errors raised inside the round loop propagate
@@ -71,40 +74,54 @@ def _key_parsers(cls, special: dict) -> dict:
     return parsers
 
 
-_SYNTHETIC_KEYS = _key_parsers(SyntheticSpec, {})
+def _read(items, parsers: dict, noun: str = "key") -> dict:
+    """Parse ``(at, key, text)`` items into ``{key: value}``, one parser per
+    key. An unknown key, a value its parser refuses and a key given twice
+    raise one ``ValueError`` that starts with ``at``: ``"path:line: "`` for
+    a config line, empty for a flag (whose key is the flag itself) or a
+    ``--synthetic`` item (the flag's own read prefixes its error)."""
+    values, first = {}, {}
+    for at, key, text in items:
+        if key not in parsers:
+            raise ValueError(f"{at}unknown {noun} {key!r}")
+        if key in first:
+            raise ValueError(f"{at}{key}: given twice ({first[key]} and {at}{key}={text})")
+        first[key] = f"{at}{key}={text}"
+        try:
+            values[key] = parsers[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{at}{key}: {exc}") from None
+    return values
 
 
-def _missing_synthetic_keys(given) -> list[str]:
-    return [f.name for f in fields(SyntheticSpec) if f.default is MISSING and f.name not in given]
+def _synthetic_spec(values: dict, at: str = "", prefix: str = "") -> SyntheticSpec:
+    """Pop the ``prefix + <field>`` entries of ``values`` into a spec; a
+    missing required field raises ``ValueError`` starting with ``at``."""
+    spec = {key[len(prefix) :]: values.pop(key) for key in list(values) if key.startswith(prefix)}
+    missing = [f.name for f in fields(SyntheticSpec) if f.default is MISSING and f.name not in spec]
+    if missing:
+        raise ValueError(f"{at}missing {', '.join(prefix + name for name in missing)}")
+    return SyntheticSpec(**spec)
 
 
 def parse_synthetic_flag(text: str) -> SyntheticSpec:
     """Parse 'n_queries=40,docs_per_query=12,d=8,...' into a spec.
 
-    An unknown key, a value that does not parse (named with its key) and
-    missing required keys raise ``ValueError``."""
-    kwargs = {}
-    for item in text.split(","):
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _SYNTHETIC_KEYS:
-            raise ValueError(f"unknown synthetic key {key!r}")
-        try:
-            kwargs[key] = _SYNTHETIC_KEYS[key](value.strip())
-        except ValueError as exc:
-            raise ValueError(f"{key}: {exc}") from None
-    missing = _missing_synthetic_keys(kwargs)
-    if missing:
-        raise ValueError(f"missing {', '.join(missing)}")
-    return SyntheticSpec(**kwargs)
+    An unknown key, a value that does not parse or a key given twice (each
+    named with its key) and missing required keys raise ``ValueError``."""
+    pairs = [pair.partition("=") for pair in text.split(",")]
+    items = [("", key.strip(), value.strip()) for key, _, value in pairs]
+    return _synthetic_spec(_read(items, _SYNTHETIC_KEYS, "synthetic key"))
 
 
-# the --synthetic flag is kept as text for build_config to parse, so that a
-# bad spec ends in one error line rather than argparse's usage block
+_SYNTHETIC_KEYS = _key_parsers(SyntheticSpec, {})
 _CONFIG_KEYS = _key_parsers(
     ExperimentConfig,
-    {"beta": _parse_beta, "custom_clicks": _parse_floats, "synthetic": str},
+    {"beta": _parse_beta, "custom_clicks": _parse_floats, "synthetic": parse_synthetic_flag},
 )
+# a config file writes the synthetic spec one synthetic.<field> line per field
+_FILE_KEYS = {key: parse for key, parse in _CONFIG_KEYS.items() if key != "synthetic"}
+_FILE_KEYS.update({f"synthetic.{key}": parse for key, parse in _SYNTHETIC_KEYS.items()})
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -112,11 +129,11 @@ def parse_config_file(path: str | Path) -> dict:
 
     Keys are the ``ExperimentConfig`` field names, except that the synthetic
     spec is written one ``synthetic.<field>`` line per field. A value that
-    does not parse raises ``ValueError`` naming the file, line and key, and
-    a spec without a required field one naming the file and missing keys.
+    does not parse and an unknown or repeated key raise ``ValueError`` naming
+    the file, line and key, and a spec without a required field one naming
+    the file and missing keys.
     """
-    values: dict = {}
-    synthetic: dict = {}
+    items = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -124,31 +141,21 @@ def parse_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("synthetic."):
-            sub = key[len("synthetic.") :]
-            if sub not in _SYNTHETIC_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown synthetic key {sub!r}")
-            target, name, parse = synthetic, sub, _SYNTHETIC_KEYS[sub]
-        elif key in _CONFIG_KEYS and key != "synthetic":
-            target, name, parse = values, key, _CONFIG_KEYS[key]
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            target[name] = parse(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    if synthetic:
-        missing = _missing_synthetic_keys(synthetic)
-        if missing:
-            raise ValueError(f"{path}: missing {', '.join('synthetic.' + m for m in missing)}")
-        values["synthetic"] = SyntheticSpec(**synthetic)
+        items.append((f"{path}:{lineno}: ", key.strip(), value.strip()))
+    values = _read(items, _FILE_KEYS)
+    if any(key.startswith("synthetic.") for key in values):
+        values["synthetic"] = _synthetic_spec(values, f"{path}: ", "synthetic.")
     return values
 
 
-# (flag, config field, extra add_argument keywords) of every flag that takes a value
-_VALUE_FLAGS = (
-    ("--algo", "algorithm", {"choices": ALGORITHMS}),
+def _switch(const: str, help_text: str) -> dict:
+    return {"action": "store_const", "const": const, "help": help_text}
+
+
+# (flag, config field, extra add_argument keywords) of every flag; each stores text
+# for build_config to parse, so a bad value is one error line, not argparse's usage
+_FLAGS = (
+    ("--algo", "algorithm", {"help": f"one of {', '.join(ALGORITHMS)}"}),
     ("--dataset", "dataset_dir", {"help": "directory with train/vali/test.txt"}),
     ("--group-feature", "group_feature", {}),
     ("--synthetic", "synthetic", {"help": "synthetic spec, e.g. n_queries=40,docs_per_query=12,d=8"}),
@@ -166,35 +173,25 @@ _VALUE_FLAGS = (
     ("--seed", "seed", {}),
     ("--out", "out_dir", {}),
     ("--eval-stride", "eval_stride", {}),
+    ("--no-heuristic", "respect_certain", _switch("off", "disable within-block certain-order heuristic")),
+    ("--diagnostics", "diagnostics", _switch("on", "write fairswap.log")),
+    ("--minmax", "minmax", _switch("on", "min-max scale features per dimension")),
 )
-# (flag, config field, value set, help) of every flag that takes no value
-_SWITCHES = (
-    ("--no-heuristic", "respect_certain", False, "disable within-block certain-order heuristic"),
-    ("--diagnostics", "diagnostics", True, "write fairswap.log"),
-    ("--minmax", "minmax", True, "min-max scale features per dimension"),
-)
+_FLAG_KEYS = {flag: _CONFIG_KEYS[dest] for flag, dest, _ in _FLAGS}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
-    for flag, dest, extra in _VALUE_FLAGS:
-        parser.add_argument(flag, dest=dest, type=_CONFIG_KEYS[dest], default=None, **extra)
-    for flag, dest, const, help_text in _SWITCHES:
-        parser.add_argument(flag, dest=dest, action="store_const", const=const, help=help_text)
+    for flag, dest, extra in _FLAGS:
+        parser.add_argument(flag, dest=dest, default=None, **extra)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     """File values, overridden by every flag given; then validated."""
     values = parse_config_file(args.config) if args.config else {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            values[f.name] = value
-    if getattr(args, "synthetic", None) is not None:
-        try:
-            values["synthetic"] = parse_synthetic_flag(args.synthetic)
-        except ValueError as exc:
-            raise ValueError(f"--synthetic: {exc}") from None
+    given = [(flag, dest) for flag, dest, _ in _FLAGS if getattr(args, dest) is not None]
+    parsed = _read([("", flag, getattr(args, dest)) for flag, dest in given], _FLAG_KEYS)
+    values.update({dest: parsed[flag] for flag, dest in given})
     config = ExperimentConfig(**values)
     config.validate()
     return config
@@ -219,7 +216,7 @@ def main(argv=None) -> int:
 
     sweep_p = sub.add_parser("sweep", help="grid-search hyperparameters on validation NDCG")
     _add_common_flags(sweep_p)
-    sweep_p.add_argument("--workers", type=int, default=1)
+    sweep_p.add_argument("--workers", default="1")
 
     eval_p = sub.add_parser("eval", help="offline NDCG@10 of a checkpoint on a test file")
     eval_p.add_argument("--checkpoint", required=True)
@@ -241,15 +238,16 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "sweep":
-        if args.workers < 1:
-            return _error("sweep", f"--workers must be >= 1, got {args.workers}")
         try:
+            workers = _read([("", "--workers", args.workers)], {"--workers": int})["--workers"]
+            if workers < 1:
+                raise ValueError(f"--workers must be >= 1, got {workers}")
             config = build_config(args)
             check_sweep(config)
             inputs, valid = prepare_run(config)
         except _INPUT_ERRORS as exc:
             return _error("sweep", exc)
-        (best_params, best_ndcg), results = sweep_prepared(inputs, valid, args.workers)
+        (best_params, best_ndcg), results = sweep_prepared(inputs, valid, workers)
         for params, ndcg in results:
             print(f"params={params} validation_ndcg10={ndcg:.6f}")
         print(f"best={best_params} validation_ndcg10={best_ndcg:.6f}")

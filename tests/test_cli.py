@@ -608,6 +608,97 @@ def test_a_bad_synthetic_flag_is_one_line(capsys, monkeypatch, command, spec, me
     assert _one_line_error(capsys, [command, "--synthetic", spec]) == message
 
 
+
+def _no_round_or_job(monkeypatch):
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
+
+
+# every value flag whose parser can refuse text: the int, float and beta ones
+PARSED_FLAGS = [
+    "--group-feature",
+    "--rounds",
+    "--k",
+    "--epsilon",
+    "--beta",
+    "--lambda",
+    "--alpha",
+    "--gamma",
+    "--lambda-f",
+    "--seed",
+    "--eval-stride",
+]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag", PARSED_FLAGS)
+def test_an_unparseable_flag_value_is_one_line_naming_the_flag(
+    capsys, monkeypatch, command, flag
+):
+    _no_round_or_job(monkeypatch)
+    message = _one_line_error(capsys, [command, "--synthetic", SYNTH, flag, "x"])
+    assert message in (
+        f"{flag}: invalid literal for int() with base 10: 'x'",
+        f"{flag}: could not convert string to float: 'x'",
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_unknown_algorithm_is_one_line(capsys, monkeypatch, command):
+    _no_round_or_job(monkeypatch)
+    argv = [command, "--synthetic", SYNTH, "--algo", "nope"]
+    assert _one_line_error(capsys, argv) == "unknown algorithm 'nope'"
+
+
+def test_sweep_with_an_unparseable_worker_count_refuses_before_any_job(capsys, monkeypatch):
+    _no_round_or_job(monkeypatch)
+    argv = ["sweep", "--synthetic", SYNTH, "--workers", "x"]
+    assert _one_line_error(capsys, argv) == "--workers: invalid literal for int() with base 10: 'x'"
+
+
+_SYNTHETIC_LINES = ["synthetic.n_queries=5", "synthetic.docs_per_query=6", "synthetic.d=4"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        (
+            ["rounds=3", "# the same key again", "rounds=4"],
+            ["--synthetic", SYNTH],
+            "{path}:3: rounds: given twice ({path}:1: rounds=3 and {path}:3: rounds=4)",
+        ),
+        (
+            [*_SYNTHETIC_LINES, "synthetic.d=4"],
+            [],
+            "{path}:4: synthetic.d: given twice ({path}:3: synthetic.d=4 and {path}:4: synthetic.d=4)",
+        ),
+        ([], ["--synthetic", f"{SYNTH},d=5"], "--synthetic: d: given twice (d=4 and d=5)"),
+    ],
+    ids=["file", "file_synthetic", "synthetic_flag"],
+)
+def test_a_repeated_key_is_one_line_naming_both_places(
+    tmp_path, capsys, monkeypatch, command, lines, flags, message
+):
+    _no_round_or_job(monkeypatch)
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--config", str(path), *flags]
+    assert _one_line_error(capsys, argv) == message.format(path=path)
+
+
+def test_a_flag_given_twice_keeps_the_last():
+    import argparse
+
+    from fairexp.cli import _add_common_flags
+
+    parser = argparse.ArgumentParser()
+    _add_common_flags(parser)
+    args = parser.parse_args(["--synthetic", SYNTH, "--rounds", "3", "--rounds", "7"])
+    assert build_config(args).rounds == 7
+
 def test_a_cli_sweep_loads_its_splits_once(monkeypatch, capsys):
     from fairexp import harness
 
