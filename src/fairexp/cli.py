@@ -180,6 +180,32 @@ _FLAGS = (
 _FLAG_KEYS = {flag: _CONFIG_KEYS[dest] for flag, dest, _ in _FLAGS}
 
 
+def _negative_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return text.startswith("-")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Write each ``--flag`` followed by a negative number as ``--flag=value``.
+
+    argparse reads ``-1`` and ``-.5`` as values but ``-inf`` and ``-1e-3``
+    as unknown flags, which ends in its usage block instead of the value's
+    own check; the joined form reaches that check on every Python version,
+    abbreviated flags included.
+    """
+    joined: list[str] = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if flag.startswith("--") and "=" not in flag and _negative_number(token):
+            joined[-1] += f"={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value configuration file")
     for flag, dest, extra in _FLAGS:
@@ -222,7 +248,7 @@ def main(argv=None) -> int:
     eval_p.add_argument("--checkpoint", required=True)
     eval_p.add_argument("--test-file", required=True)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
 
     if args.command == "run":
         try:

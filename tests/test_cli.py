@@ -646,6 +646,24 @@ def test_an_unparseable_flag_value_is_one_line_naming_the_flag(
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--epsilon", "-inf"],
+        ["--epsilon", "-1e-3"],
+        ["--epsilon=-1e-3"],
+        ["--epsilon", "-1"],
+        ["--eps", "-1e-3"],
+    ],
+    ids=["minus_inf", "exponent", "joined", "integer", "abbreviated"],
+)
+def test_a_negative_value_reaches_its_check(capsys, monkeypatch, command, flags):
+    _no_round_or_job(monkeypatch)
+    argv = [command, "--synthetic", SYNTH, *flags]
+    assert _one_line_error(capsys, argv) == "epsilon must be positive"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
 def test_an_unknown_algorithm_is_one_line(capsys, monkeypatch, command):
     _no_round_or_job(monkeypatch)
     argv = [command, "--synthetic", SYNTH, "--algo", "nope"]

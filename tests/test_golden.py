@@ -31,7 +31,14 @@ navigational clicks, so few pairs are buffered (138 in 150 rounds) and
 about half of the classified pairs stay uncertain. Each confidence width
 is then a sum over 136 x 136 terms, where a change in the order of the
 width arithmetic is far more likely to round a pair across p +/- w = 1/2
-than at the d=6 of the other runs.
+than at the d=6 of the other runs. It is also the one run whose refit
+takes its Newton steps from preconditioned conjugate gradients, since 136
+is above ``ranker.DIRECT_SOLVE_MAX_D``; the d=6 runs form the Hessian and
+solve it. CG stops at a residual of 1e-3 of the gradient, so its fits end
+at other points inside the gradient tolerance than direct solves would,
+and this hash pins the path as it is. Every hash here is meant to hold for
+any number of BLAS threads: CI runs the suite with the default and with
+``OPENBLAS_NUM_THREADS=1``.
 
 The hashes were recorded with numpy 2.4.6 and scipy-openblas 0.3.31 on
 x86-64. Another BLAS or numpy version may round the ranker's arithmetic

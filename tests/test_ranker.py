@@ -6,14 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairexp import ranker
 from fairexp.data import QueryCandidates
 from fairexp.ranker import (
+    CG_RTOL,
     CHECKPOINT_VERSION,
+    DIRECT_SOLVE_MAX_D,
     DimensionError,
     GRAD_TOL,
     MAX_NEWTON_ITERS,
     PairOrderSets,
     RankerState,
+    _cg_step,
     _upper_pairs,
     classify_pairs,
     confidence_width,
@@ -463,6 +467,11 @@ def pairwise_loss(theta, x, y, lam):
     return float(np.sum(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * theta @ theta)
 
 
+def pairwise_grad(theta, x, y, lam):
+    """The gradient of ``pairwise_loss``."""
+    return x.T @ (sigmoid(x @ theta) - y) + lam * theta
+
+
 def newton_fit_per_pair(theta, x, y, lam):
     """Reference for ``update``'s fit: damped Newton over every pair, one
     row per pair, with a line search that accepts only a lower loss."""
@@ -554,6 +563,103 @@ class TestUpdate:
             assert len(state.pairs.rows) < len(x)
             expected = lam * np.eye(d) + state.pairs.x.T @ state.pairs.x
             np.testing.assert_allclose(state.info_matrix, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_a_newton_fit_over_every_pair_on_the_cg_path(self, seed, monkeypatch):
+        # The loss is lam-strongly convex, so a point with gradient g lies
+        # within ||g|| / lam of the optimum, and two fits within the sum of
+        # those radii of each other.
+        rng = np.random.default_rng(seed)
+        d, lam = DIRECT_SOLVE_MAX_D + 8, 0.3
+        base = rng.normal(size=(30, d))
+        steps = []
+        real_step = ranker._cg_step
+        monkeypatch.setattr(ranker, "_cg_step", lambda *a: steps.append(1) or real_step(*a))
+        state = RankerState.initial(d, lam=lam)
+        theta = np.zeros(d)
+        xs, ys = [], []
+        for _ in range(6):
+            rows = rng.integers(0, len(base), size=10)
+            diffs = np.repeat(base[rows], rng.integers(1, 4, size=10), axis=0)
+            labels = rng.integers(0, 2, size=len(diffs)).astype(float)
+            update(state, diffs, labels)
+            xs.append(diffs)
+            ys.append(labels)
+            x, y = np.concatenate(xs), np.concatenate(ys)
+            theta = newton_fit_per_pair(theta, x, y, lam)
+            radii = (
+                np.linalg.norm(pairwise_grad(state.theta, x, y, lam))
+                + np.linalg.norm(pairwise_grad(theta, x, y, lam))
+            ) / lam
+            assert np.linalg.norm(state.theta - theta) <= radii
+        assert steps
+
+    @pytest.mark.parametrize("u, d, lam", [(20, 40, 0.5), (200, 40, 0.1), (500, 136, 0.1)])
+    def test_cg_step_solves_the_newton_system_to_its_residual(self, u, d, lam):
+        # u < d leaves x^T W x singular, so only the ridge makes H invertible
+        rng = np.random.default_rng(u + d)
+        x = rng.normal(size=(u, d)) * rng.uniform(0.1, 2.0, size=d)
+        counts = rng.integers(1, 4, size=u).astype(float)
+        s = sigmoid(x @ rng.normal(size=d))
+        w = counts * s * (1.0 - s)
+        grad = rng.normal(size=d)
+        precond = np.linalg.inv(lam * np.eye(d) + (x * counts[:, None]).T @ x)
+        step = _cg_step(x, w, lam, grad, precond)
+        hess = x.T @ np.diag(w) @ x + lam * np.eye(d)
+        assert np.linalg.norm(hess @ step - grad) <= CG_RTOL * np.linalg.norm(grad)
+
+    def test_an_empty_round_after_a_converged_fit_does_not_refit(self, monkeypatch):
+        state = RankerState.initial(3, lam=0.4)
+        update(state, np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -1.0]]), np.ones(2))
+        x, y = state.pairs.x, state.pairs.y
+        assert np.linalg.norm(pairwise_grad(state.theta, x, y, state.lam)) <= GRAD_TOL
+        self.assert_no_refit(state, monkeypatch)
+
+    def test_an_empty_round_after_a_stalled_fit_does_not_refit(self, monkeypatch):
+        state = RankerState.initial(3, lam=0.4)
+        real = ranker._loss_grad
+        losses = []
+
+        def tying(theta, *args):
+            # every candidate ties the warm start's loss, so the fit stalls
+            loss, grad, s = real(theta, *args)
+            losses.append(loss)
+            return (losses[0], grad, s)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ranker, "_loss_grad", tying)
+            update(state, np.array([[1.0, -1.0, 0.5]]), np.ones(1))
+        assert len(losses) == 51
+        self.assert_no_refit(state, monkeypatch)
+
+    @staticmethod
+    def assert_no_refit(state, monkeypatch):
+        theta, rounds = state.theta.copy(), state.round
+        monkeypatch.setattr(ranker, "_loss_grad", lambda *a: pytest.fail("the fit ran"))
+        update(state, np.empty((0, 3)), np.empty(0))
+        np.testing.assert_array_equal(state.theta, theta)
+        assert state.round == rounds + 1
+
+    def test_an_empty_round_refits_after_running_out_of_iterations(self, monkeypatch):
+        state = RankerState.initial(3, lam=0.4)
+        diffs = np.array([[1.0, -1.0, 0.5], [0.2, 0.3, -1.0]])
+        with monkeypatch.context() as patch:
+            patch.setattr(ranker, "MAX_NEWTON_ITERS", 1)
+            update(state, diffs, np.ones(2))
+        x, y = state.pairs.x, state.pairs.y
+        assert np.linalg.norm(pairwise_grad(state.theta, x, y, state.lam)) > GRAD_TOL
+        update(state, np.empty((0, 3)), np.empty(0))
+        assert np.linalg.norm(pairwise_grad(state.theta, x, y, state.lam)) <= GRAD_TOL
+
+    def test_an_empty_round_refits_a_loaded_checkpoint(self, tmp_path, monkeypatch):
+        state = state_with_repeated_pairs(9)
+        save_checkpoint(state, tmp_path / "ckpt.npz")
+        resumed = load_checkpoint(tmp_path / "ckpt.npz")
+        calls = []
+        real = ranker._loss_grad
+        monkeypatch.setattr(ranker, "_loss_grad", lambda *a: calls.append(1) or real(*a))
+        update(resumed, np.empty((0, 3)), np.empty(0))
+        assert calls
 
     def test_repeated_pairs_are_stored_once_with_their_counts(self):
         state = RankerState.initial(2, lam=0.5)
