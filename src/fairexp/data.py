@@ -145,13 +145,22 @@ class GroupedDataset:
         return len(self.queries)
 
 
+def read_number(kind, token: str):
+    """``kind(token)`` for ``int`` or ``float``, refusing the ``_`` separators
+    and non-ASCII digits that both read, so that ``1_0`` does not load as 10.
+    Raises ``ValueError`` as ``kind`` does."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"{token!r} is not a plain ASCII number")
+    return kind(token)
+
+
 def _parse_line(line: str, lineno: int) -> tuple[int, str, dict[int, float]]:
     body = line.split("#", 1)[0].strip()
     tokens = body.split()
     if len(tokens) < 2:
         raise ParseError(f"line {lineno}: expected '<grade> qid:<id> ...', got {line!r}")
     try:
-        grade = int(tokens[0])
+        grade = read_number(int, tokens[0])
     except ValueError:
         raise ParseError(f"line {lineno}: grade {tokens[0]!r} is not an integer") from None
     if grade not in VALID_GRADES:
@@ -167,8 +176,8 @@ def _parse_line(line: str, lineno: int) -> tuple[int, str, dict[int, float]]:
         if not sep:
             raise ParseError(f"line {lineno}: malformed feature token {tok!r}")
         try:
-            fid = int(fid_str)
-            val = float(val_str)
+            fid = read_number(int, fid_str)
+            val = read_number(float, val_str)
         except ValueError:
             raise ParseError(f"line {lineno}: malformed feature token {tok!r}") from None
         if fid < 1:

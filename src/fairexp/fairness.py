@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GROUP_A, GROUP_B
+from .data import GROUP_A, GROUP_B, read_number
 
 
 class ExposureError(ValueError):
@@ -81,13 +81,13 @@ def load_exposure_table(path: str | Path) -> ExposureModel:
             if len(parts) != 2:
                 raise ExposureError(f"{path}: line {lineno}: expected '<rank> <probability>'")
             try:
-                rank = int(parts[0])
+                rank = read_number(int, parts[0])
             except ValueError:
                 raise ExposureError(
                     f"{path}: line {lineno}: rank {parts[0]!r} is not an integer"
                 ) from None
             try:
-                rows.append((rank, float(parts[1])))
+                rows.append((rank, read_number(float, parts[1])))
             except ValueError:
                 raise ExposureError(
                     f"{path}: line {lineno}: probability {parts[1]!r} is not a number"

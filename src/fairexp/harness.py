@@ -283,12 +283,10 @@ def prop_control_rank(
     if not 0 <= lambda_f < math.inf:
         raise ValueError("lambda_f must be finite and non-negative")
     cum = ledger.cumulative
-    boost_a = lambda_f * max(0.0, -cum)
-    boost_b = lambda_f * max(0.0, cum)
-    adjusted = np.array(
-        [s + (boost_a if g == GROUP_A else boost_b) for s, g in zip(scores, groups)]
+    boost = np.where(
+        np.asarray(groups) == GROUP_A, lambda_f * max(0.0, -cum), lambda_f * max(0.0, cum)
     )
-    return list(np.argsort(-adjusted, kind="stable"))
+    return list(np.argsort(-(scores + boost), kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -584,6 +582,8 @@ def sweep_prepared(inputs: RunInputs, valid: GroupedDataset, workers: int = 1):
     tuned = POLICIES[inputs.config.algorithm].tuned
     grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]
     jobs = [(inputs, holdout, params) for params in grid]
+    # a forking pool starts all its workers at the first submit: no more than there are jobs
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))

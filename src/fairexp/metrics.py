@@ -46,12 +46,7 @@ def cumulative_ndcg(series, gamma: float) -> float:
 def pairwise_regret(grades) -> int:
     """Count of mis-ordered pairs: a strictly higher grade displayed below a lower one."""
     g = np.asarray(grades, dtype=np.float64)
-    n = len(g)
-    if n < 2:
-        return 0
-    later_is_higher = g[None, :] > g[:, None]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    return int(np.sum(later_is_higher & upper))
+    return int(np.count_nonzero(np.triu(g[None, :] > g[:, None], k=1)))
 
 
 def format_value(value) -> str:

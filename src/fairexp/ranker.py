@@ -325,19 +325,12 @@ def infer_pairs(
     or above the last clicked position; positions below the last click
     carry no signal. Returns (difference matrix, labels), labels all 1.
     """
-    clicks = list(clicks)
-    clicked = [p for p, c in enumerate(clicks) if c]
-    if not clicked:
-        d = displayed_features.shape[1] if displayed_features.ndim == 2 else 0
-        return np.empty((0, d)), np.empty(0)
-    last = clicked[-1]
-    unclicked = [p for p in range(last + 1) if not clicks[p]]
-    diffs = [
-        displayed_features[m] - displayed_features[n] for m in clicked for n in unclicked
-    ]
-    if not diffs:
-        return np.empty((0, displayed_features.shape[1])), np.empty(0)
-    return np.stack(diffs), np.ones(len(diffs))
+    clicks = np.asarray(clicks, dtype=bool)
+    # unclicked with a click at or below it, that is at or above the last click
+    skipped = ~clicks & np.logical_or.accumulate(clicks[::-1])[::-1]
+    d = displayed_features.shape[1]
+    diffs = (displayed_features[clicks][:, None] - displayed_features[skipped]).reshape(-1, d)
+    return diffs, np.ones(len(diffs))
 
 
 def _loss_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, c: np.ndarray, lam: float):

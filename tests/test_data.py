@@ -71,6 +71,24 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2: feature 2 has non-finite value"):
             parse_svmlight(f"1 qid:1 1:0.5 2:0.1\n0 qid:1 1:0.5 2:{value}")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0_1 qid:1 1_0:0.5 2:1_0.5", "grade '0_1' is not an integer"),
+            ("1 qid:1 1_0:0.5", "malformed feature token '1_0:0.5'"),
+            ("1 qid:1 2:1_0.5", "malformed feature token '2:1_0.5'"),
+            ("\u0661 qid:1 1:0.5", "grade '\u0661' is not an integer"),
+            ("1 qid:1 \uff12:0.5", "malformed feature token '\uff12:0.5'"),
+            ("1 qid:1 2:\u0661.5", "malformed feature token '2:\u0661.5'"),
+        ],
+        ids=["grade", "feature_id", "value", "grade_arabic", "feature_id_fullwidth", "value_arabic"],
+    )
+    def test_separators_and_non_ascii_digits_are_refused(self, line, message):
+        # int() and float() read both: '1_0' as 10 and Arabic-Indic '\u0661' as 1
+        with pytest.raises(ParseError) as caught:
+            parse_svmlight(f"1 qid:1 1:0.5\n{line}")
+        assert str(caught.value) == f"line 2: {message}"
+
     def test_repeated_feature_id_is_parse_error_with_line(self):
         with pytest.raises(ParseError, match="line 2: feature id 1 appears twice"):
             parse_svmlight("1 qid:1 1:0.5\n0 qid:1 1:0.5 2:0.3 1:0.7")

@@ -64,8 +64,22 @@ class TestExposure:
             ("1 1.0\n2 abc\n", "line 2: probability 'abc' is not a number"),
             ("# rank prob\n1 1.0 0.5\n", "line 2: expected '<rank> <probability>'"),
             ("1 1.0\n3 0.5\n", "ranks must be contiguous starting at 1"),
+            # int() and float() read '_' separators and non-ASCII digits
+            ("1 1.0\n0_2 0.5\n", "line 2: rank '0_2' is not an integer"),
+            ("1 1_0.5\n", "line 1: probability '1_0.5' is not a number"),
+            ("1 1.0\n\u0662 0.5\n", "line 2: rank '\u0662' is not an integer"),
+            ("1 \u0661.0\n", "line 1: probability '\u0661.0' is not a number"),
         ],
-        ids=["rank", "probability", "columns", "contiguous"],
+        ids=[
+            "rank",
+            "probability",
+            "columns",
+            "contiguous",
+            "rank_separator",
+            "probability_separator",
+            "rank_arabic",
+            "probability_arabic",
+        ],
     )
     def test_load_table_errors_name_the_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "exposure.txt"

@@ -614,6 +614,34 @@ class TestRobustness:
         parallel = sweep(config, workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("algorithm, jobs", [("fairexp_pairrank", 9), ("random", 1)])
+    def test_the_pool_gets_no_more_workers_than_jobs(self, monkeypatch, algorithm, jobs):
+        # a stand-in pool records its size and runs the jobs in this process
+        from fairexp import harness
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        config = small_config(rounds=3, algorithm=algorithm)
+        swept = sweep(config, workers=64)
+        assert len(swept[1]) == jobs
+        # a grid of one job runs serially, without a pool
+        assert sizes == ([jobs] if jobs > 1 else [])
+        assert swept == sweep(config, workers=1)
+
 
 def _svmlight(rng, prefix, n_queries, n_docs, fids, fixed=None):
     """SVMLight lines naming only the feature ids ``fids`` (values in (0, 1],

@@ -3,8 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fairexp import ranker
 from fairexp.data import QueryCandidates
@@ -440,7 +441,42 @@ class TestPartitionBlocks:
             assert partition.blocks == old
 
 
+def infer_pairs_by_loop(features, clicks):
+    """The reference: every clicked position over every unclicked one at or
+    above the last click, by a double loop over positions, clicked-major."""
+    clicked = [p for p, c in enumerate(clicks) if c]
+    last = clicked[-1] if clicked else -1
+    unclicked = [p for p in range(last + 1) if not clicks[p]]
+    diffs = [features[m] - features[n] for m in clicked for n in unclicked]
+    return np.stack(diffs) if diffs else np.empty((0, features.shape[1]))
+
+
+@st.composite
+def click_patterns(draw):
+    k = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 9))
+    values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    features = draw(arrays(np.float64, (k, d), elements=values))
+    return features, draw(st.lists(st.booleans(), min_size=k, max_size=k))
+
+
 class TestInferPairs:
+    # _PairBuffer keeps rows in first-occurrence order and the refit sums in
+    # that order, so the rows must come out in the reference's order, bit for bit
+    @settings(max_examples=500)
+    @given(instance=click_patterns())
+    @example(instance=(np.arange(12.0).reshape(4, 3), [False] * 4))
+    @example(instance=(np.arange(12.0).reshape(4, 3), [True, False, False, False]))
+    @example(instance=(np.arange(12.0).reshape(4, 3), [True, True, True, False]))
+    @example(instance=(np.arange(15.0).reshape(5, 3) ** 2, [False, True, False, True, False]))
+    def test_rows_match_the_double_loop_in_order(self, instance):
+        features, clicks = instance
+        expected = infer_pairs_by_loop(features, clicks)
+        diffs, labels = infer_pairs(features, clicks)
+        assert diffs.dtype == expected.dtype and diffs.shape == expected.shape
+        assert diffs.tobytes() == expected.tobytes()
+        assert labels.dtype == np.float64 and labels.tolist() == [1.0] * len(expected)
+
     def test_no_clicks_no_pairs(self):
         diffs, labels = infer_pairs(np.eye(3), [False, False, False])
         assert diffs.shape == (0, 3) and labels.shape == (0,)
