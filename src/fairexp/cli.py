@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .data import SyntheticSpec, load_svmlight
+from .data import SyntheticSpec, load_svmlight, read_number, widen
 from .metrics import format_value
 from .harness import (
     ALGORITHMS,
@@ -52,15 +53,19 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}") from None
 
 
+# numbers read as data files read them: no ``_`` separators, ASCII digits only
+_parse_int, _parse_float = partial(read_number, int), partial(read_number, float)
+
+
 def _parse_beta(text: str) -> float | str:
-    return text if text == "auto" else float(text)
+    return text if text == "auto" else _parse_float(text)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    return tuple(map(_parse_float, text.split(",")))
 
 
-_TYPE_PARSERS = {bool: _parse_bool, int: int, float: float, str: str}
+_TYPE_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: str}
 
 
 def _key_parsers(cls, special: dict) -> dict:
@@ -265,7 +270,8 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         try:
-            workers = _read([("", "--workers", args.workers)], {"--workers": int})["--workers"]
+            workers = _read([("", "--workers", args.workers)], {"--workers": _parse_int})
+            workers = workers["--workers"]
             if workers < 1:
                 raise ValueError(f"--workers must be >= 1, got {workers}")
             config = build_config(args)
@@ -296,6 +302,8 @@ def main(argv=None) -> int:
         except _INPUT_ERRORS as exc:
             return _error("eval", exc)
         try:
+            # a split that never mentions the last feature ids parses narrower
+            widen(test, max(test.dimension, state.d))
             ndcg = evaluate_offline(state, holdout_view(test))
         except DimensionError as exc:
             return _error("eval", f"{args.test_file} does not fit the checkpoint: {exc}")

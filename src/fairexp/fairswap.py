@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import GROUP_A, GROUP_B
 from .fairness import GroupTemplate
-from .ranker import BlockPartition, fewest_predecessors
+from .ranker import BlockPartition
 
 GROUPS = (GROUP_A, GROUP_B)
 
@@ -209,9 +209,10 @@ def fair_swap(
         events += step.events
         fill = step.fills.get(respect_certain)
         if fill is None:
-            shown = [list(g) for g in step.shown]
-            fill, drew = _fill_segment(
-                step.seg, shown, prepared.origin, certain, rng, respect_certain
+            shown = dict(zip(GROUPS, map(list, step.shown)))
+            slots = [shown[g] for g in step.seg]
+            fill, drew = draw_slots(
+                slots, shown.values(), prepared.origin, certain, rng, respect_certain
             )
             if not drew:
                 step.fills[respect_certain] = fill
@@ -319,49 +320,58 @@ def _promote(
     return taken, (*left, *lower[bi + 1 :])
 
 
-def _fill_segment(
-    seg,
-    shown: list[list[int]],
-    origin: dict[int, int],
-    certain: set[tuple[int, int]],
-    rng: np.random.Generator,
-    respect_certain: bool,
+def draw_slots(
+    slots, lists, origin: dict[int, int], certain, rng, respect_certain: bool = True
 ) -> tuple[list[int], bool]:
-    """Assign the segment's shown documents, given as its [group A, group B]
-    lists, to the segment's slots; each choice leaves its list. Returns
-    the fill and whether it drew from ``rng``. Every choice before the
-    first draw is fixed, so a fill that does not draw never will, and
-    ``fair_swap`` keeps it for every template that shares the segment.
+    """Fill each of ``slots``, a candidate list of ``lists`` per slot, with
+    one of its documents, which then leaves its list. Returns the fill and
+    whether it drew from ``rng``. Every choice before the first draw is
+    fixed, so a fill that does not draw never will, and ``fair_swap`` keeps
+    it for every template that shares the segment. This is the one
+    within-block draw: ``fair_swap`` fills each segment with it, and
+    ``harness.sample_block_order`` each block.
 
-    Documents promoted from farther blocks go first among their group's
-    slots: the merge already forfeited their known inferiority, and the
-    fill realizes that loss instead of hiding it. Among documents of one
-    original block, certain orders are respected greedily when the
-    heuristic is on, counting predecessors among the documents of that
-    block left in either list; remaining ties are random, so one draw can
-    invert a certain pair that another avoids (ROADMAP item 2).
+    With the heuristic on, a slot chooses among its candidates of the
+    deepest ``origin`` (documents promoted from farther blocks go first: the
+    merge already forfeited their known inferiority, and the fill realizes
+    that loss instead of hiding it), and among those the ones with the
+    fewest certain predecessors left unplaced in ``lists`` with the same
+    origin; remaining ties are random, so one draw can invert a certain
+    pair that another avoids (ROADMAP item 2). With it off, a slot draws
+    among all its candidates.
+
+    The predecessors are counted once, at the first slot with a choice, into
+    one integer key per document with its origin folded in, and a placement
+    decrements the keys of its same-origin certain successors: O(n^2)
+    lookups in ``certain`` for the n documents of ``lists``.
     """
-    remaining = dict(zip(GROUPS, shown))
-    filled: list[int] = []
+    fill: list[int] = []
     drew = False
-    for g in seg:
-        cands = remaining[g]
-        if respect_certain:
-            top_origin = max(origin[d] for d in cands)
-            pool = [d for d in cands if origin[d] == top_origin]
-            if len(pool) > 1:
-                rivals = [d for d in chain(*shown) if origin[d] == top_origin]
-                pool = fewest_predecessors(pool, rivals, certain)
-        else:
-            pool = cands
+    key, succ = None, {}
+    for cands in slots:
+        pool = cands
+        if len(cands) > 1 and respect_certain:
+            if key is None:
+                docs = [d for each in lists for d in each]
+                span = len(docs) + 1  # more than any count
+                key = {d: -origin[d] * span for d in docs}
+                for r in docs:
+                    o = origin[r]
+                    succ[r] = [d for d in docs if (r, d) in certain and d != r and origin[d] == o]
+                    for d in succ[r]:
+                        key[d] += 1
+            low = min(map(key.__getitem__, cands))
+            pool = [d for d in cands if key[d] == low]
         if len(pool) > 1:
             choice = pool[int(rng.integers(len(pool)))]
             drew = True
         else:
             choice = pool[0]
         cands.remove(choice)
-        filled.append(choice)
-    return filled, drew
+        fill.append(choice)
+        for d in succ.get(choice, ()):
+            key[d] -= 1
+    return fill, drew
 
 
 def select_ranking(

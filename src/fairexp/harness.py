@@ -244,27 +244,17 @@ def sample_block_order(
     respect_certain: bool,
 ) -> list[int]:
     """Blocks in order; within each block a seeded random permutation,
-    drawn as repeated random choice among the unplaced documents with the
-    fewest unplaced certain predecessors when the heuristic is on.
-
-    Each member's predecessors are counted once per block and decremented
-    as they are placed: O(b^2) lookups in ``certain`` for a block of b."""
+    drawn by ``fairswap.draw_slots`` (repeated random choice among the
+    unplaced documents with the fewest unplaced certain predecessors) when
+    the heuristic is on, and by one ``rng.permutation`` when it is off."""
     order: list[int] = []
     for block in partition.blocks:
         remaining = list(block)
         if not respect_certain:
             order.extend(remaining[i] for i in rng.permutation(len(remaining)))
             continue
-        preds = {d: sum(1 for r in block if (r, d) in certain) for d in block}
-        while remaining:
-            fewest = min(preds[d] for d in remaining)
-            pool = [d for d in remaining if preds[d] == fewest]
-            choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
-            remaining.remove(choice)
-            order.append(choice)
-            for d in remaining:
-                if (choice, d) in certain:
-                    preds[d] -= 1
+        slots = [remaining] * len(block)
+        order += fairswap.draw_slots(slots, [remaining], dict.fromkeys(block, 0), certain, rng)[0]
     return order
 
 

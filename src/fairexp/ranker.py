@@ -301,21 +301,6 @@ def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> 
     return BlockPartition(blocks=blocks)
 
 
-def fewest_predecessors(pool, rivals, certain: set[tuple[int, int]]) -> list[int]:
-    """The members of ``pool`` with the fewest certain predecessors among
-    ``rivals``, in pool order: the within-block choice set when certain
-    orders inside a block are respected.
-
-    When some member has no predecessor these are exactly the undominated
-    members. Only a directed cycle of certain pairs inside a block leaves
-    every member dominated, and a cycle needs every score difference around
-    it to be positive, which only rounding at the 1e-16 level can produce.
-    """
-    counts = [sum(1 for r in rivals if r != d and (r, d) in certain) for d in pool]
-    fewest = min(counts)
-    return [d for d, c in zip(pool, counts) if c == fewest]
-
-
 def infer_pairs(
     displayed_features: np.ndarray, clicks
 ) -> tuple[np.ndarray, np.ndarray]:

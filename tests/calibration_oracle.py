@@ -27,7 +27,21 @@ from fairexp.fairswap import (
     _within_block_wins,
     added_regret,
 )
-from fairexp.ranker import fewest_predecessors
+
+
+def fewest_predecessors(pool, rivals, certain):
+    """The members of ``pool`` with the fewest certain predecessors among
+    ``rivals``, in pool order, recounted at every call: the reference for
+    the count-once keys of ``fairswap.draw_slots``.
+
+    When some member has no predecessor these are exactly the undominated
+    members. Only a directed cycle of certain pairs inside a block leaves
+    every member dominated, and a cycle needs every score difference around
+    it to be positive, which only rounding at the 1e-16 level can produce.
+    """
+    counts = [sum(1 for r in rivals if r != d and (r, d) in certain) for d in pool]
+    fewest = min(counts)
+    return [d for d, c in zip(pool, counts) if c == fewest]
 
 
 def brute_added_regret(order, certain):
@@ -247,9 +261,7 @@ def reference_fair_swap(
             displayed.extend(ranked[:keep])
             displaced.extend(ranked[keep:])
 
-        order.extend(
-            _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain)
-        )
+        order += reference_fill(seg, displayed, origin, certain, groups, rng, respect_certain)[0]
         if displaced:
             work.appendleft(sorted(displaced))
         pos += len(seg)
@@ -263,15 +275,18 @@ def reference_fair_swap(
     )
 
 
-def _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain):
+def reference_fill(seg, displayed, origin, certain, groups, rng, respect_certain):
     """The calibration fill as it was when it took one displayed list: it
-    regroups the list by label and tracks placed documents in a set, so the
-    calibrator's per-group fill is checked against separate code."""
+    regroups the list by label, tracks placed documents in a set and
+    recounts predecessors at every slot, so the calibrator's count-once
+    ``fairswap.draw_slots`` is checked against separate code. Returns the
+    fill and whether it drew."""
     remaining = {}
     for doc in displayed:
         remaining.setdefault(groups[doc], []).append(doc)
     filled = []
     placed = set()
+    drew = False
     for g in seg:
         cands = remaining[g]
         if respect_certain:
@@ -282,11 +297,12 @@ def _fill_segment(seg, displayed, origin, certain, groups, rng, respect_certain)
                 pool = fewest_predecessors(pool, rivals, certain)
         else:
             pool = cands
+        drew |= len(pool) > 1
         choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         cands.remove(choice)
         placed.add(choice)
         filled.append(choice)
-    return filled
+    return filled, drew
 
 
 def _reference_promote(work, group, shortage, groups, wins, scores):

@@ -240,15 +240,39 @@ def test_eval_subcommand_rejects_a_test_file_of_another_width(tmp_path, capsys):
     capsys.readouterr()
 
     test_file = tmp_path / "test.txt"
-    test_file.write_text("1 qid:1 1:0.1 2:0.2 3:0.3\n0 qid:1 1:0.3 2:0.1 3:0.0\n", encoding="utf-8")
+    # a narrower file is widened (SVMLight omits zeros); a wider one is refused
+    test_file.write_text("1 qid:1 1:0.1 5:0.2\n0 qid:1 1:0.3 2:0.1\n", encoding="utf-8")
     code = main(["eval", "--checkpoint", str(out / "checkpoint.npz"), "--test-file", str(test_file)])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"fairexp eval: error: {test_file} does not fit the checkpoint: "
-        "feature dimension 3 != model dimension 4"
+        "feature dimension 5 != model dimension 4"
     ]
+
+
+def test_eval_widens_a_test_file_narrower_than_the_checkpoint(tmp_path, capsys):
+    # test.txt never mentions feature 3, so it parses 2 wide; the run widens
+    # it to the fold's 3, and eval must score it as the run did
+    fold = tmp_path / "fold"
+    fold.mkdir()
+    train = [
+        f"{i % 3} qid:{i // 4} 1:{0.1 * (i % 5)} 2:{0.3 * (i % 2)} 3:{0.05 * i}" for i in range(24)
+    ]
+    test = [f"{i % 4} qid:{i // 5} 1:{0.2 * (i % 3)} 2:{0.1 * i}" for i in range(15)]
+    (fold / "train.txt").write_text("\n".join(train) + "\n", encoding="utf-8")
+    (fold / "test.txt").write_text("\n".join(test) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--dataset", str(fold), "--group-feature", "1", "--rounds", "10", "--k", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = dict(
+        line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line
+    )
+    checkpoint, test_file = str(out / "checkpoint.npz"), str(fold / "test.txt")
+    assert main(["eval", "--checkpoint", checkpoint, "--test-file", test_file]) == 0
+    final = float(summary["final_offline_ndcg10"])
+    assert capsys.readouterr().out == f"offline_ndcg10={final:.6f}\n"
 
 
 def test_sweep_subcommand(tmp_path, capsys):
@@ -451,6 +475,44 @@ def test_an_undefined_auto_beta_is_one_line_before_any_round(
     fold = _fold(tmp_path / "fold", train=train)
     argv = [command, "--dataset", str(fold), "--group-feature", "1", "--beta", "auto"]
     assert _one_line_error(capsys, argv) == f"group {group} has zero mean utility; beta undefined"
+
+
+@pytest.mark.parametrize(
+    "command, lines, flags, message",
+    [
+        ("run", [], ["--rounds", "1_0"], "--rounds: '1_0' is not a plain ASCII number"),
+        ("run", [], ["--k", "\u0663"], "--k: '\u0663' is not a plain ASCII number"),
+        ("run", ["rounds=1_0"], [], "{cfg}:1: rounds: '1_0' is not a plain ASCII number"),
+        ("run", ["k=3", "lam=\u0661"], [], "{cfg}:2: lam: '\u0661' is not a plain ASCII number"),
+        (
+            "run",
+            [],
+            ["--synthetic", "n_queries=1_0,docs_per_query=6,d=3"],
+            "--synthetic: n_queries: '1_0' is not a plain ASCII number",
+        ),
+        ("run", [], ["--beta", "1_0"], "--beta: '1_0' is not a plain ASCII number"),
+        (
+            "run",
+            ["custom_clicks=0.5,1_0"],
+            [],
+            "{cfg}:1: custom_clicks: '1_0' is not a plain ASCII number",
+        ),
+        ("sweep", [], ["--workers", "\u0662"], "--workers: '\u0662' is not a plain ASCII number"),
+    ],
+    ids=["flag", "flag_digit", "line", "line_digit", "synthetic", "beta", "clicks", "workers"],
+)
+def test_a_number_with_separators_or_other_digits_is_one_line(
+    tmp_path, capsys, monkeypatch, command, lines, flags, message
+):
+    # int() and float() read both: '1_0' as 10 and Arabic-Indic digits as theirs
+    import fairexp.cli
+
+    monkeypatch.setattr(fairexp.cli, "run_prepared", lambda *a: pytest.fail("a round ran"))
+    monkeypatch.setattr(fairexp.cli, "sweep_prepared", lambda *a: pytest.fail("a job ran"))
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--config", str(path), "--synthetic", SYNTH, *flags]
+    assert _one_line_error(capsys, argv) == message.format(cfg=path)
 
 
 def test_eval_rejects_a_malformed_test_file(tmp_path, capsys):

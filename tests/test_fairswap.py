@@ -21,6 +21,7 @@ from calibration_oracle import (
     oracle_min_regret,
     random_instance,
     reference_fair_swap,
+    reference_fill,
 )
 from fairexp import fairswap
 from fairexp.fairness import enumerate_templates, log_discount_model, make_template
@@ -290,6 +291,50 @@ class TestCertainLookups:
         assert got == scan_within_block_wins(blocks, certain)
 
 
+@st.composite
+def segments(draw):
+    """A segment's shown documents in drawn order, of both groups and of at
+    least two origins; its slot pattern over all of them or a prefix; and
+    certain pairs among them, self-pairs, cycles and pairs across origins
+    included."""
+    n = draw(st.integers(2, 13))
+    displayed = draw(st.permutations(range(n)))
+    several = lambda values: len(set(values)) > 1  # noqa: E731
+    origins = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(several))
+    labels = draw(st.lists(st.sampled_from("AB"), min_size=n, max_size=n).filter(several))
+    seg = tuple(draw(st.permutations(labels))[: draw(st.integers(1, n))])
+    certain = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return seg, displayed, dict(enumerate(origins)), dict(enumerate(labels)), certain
+
+
+class TestDrawSlots:
+    @PROPERTY
+    @given(segment=segments(), respect=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # a placement lifts its successor, 1, to a forced choice over 2
+    @example(
+        segment=(("A", "A", "A"), [0, 1, 2, 3], {0: 0, 1: 0, 2: 0, 3: 1},
+                 {0: "A", 1: "A", 2: "A", 3: "B"}, {(0, 1), (1, 2)}),
+        respect=True, seed=0,
+    )
+    # the deeper origin goes first though it has a certain predecessor
+    @example(
+        segment=(("A", "B", "A"), [0, 1, 2], {0: 0, 1: 1, 2: 1},
+                 {0: "A", 1: "A", 2: "B"}, {(2, 1)}),
+        respect=True, seed=0,
+    )
+    def test_draws_as_the_per_slot_recount(self, segment, respect, seed):
+        # the count-once keys must choose, draw and advance the generator
+        # exactly as recounting predecessors at every slot does
+        seg, displayed, origin, groups, certain = segment
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = reference_fill(seg, displayed, origin, certain, groups, want_rng, respect)
+        lists = {g: [d for d in displayed if groups[d] == g] for g in "AB"}
+        slots = [lists[g] for g in seg]
+        got = fairswap.draw_slots(slots, lists.values(), origin, certain, got_rng, respect)
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestSelectRanking:
     def _setup(self):
         blocks = [[0, 1], [2, 3, 4]]
@@ -488,11 +533,9 @@ class TestSharedSteps:
         # calls over one prepared partition share each prefix's walk step and
         # each fill that draws nothing, in any order of the templates
         built, fills = [], []
-        step, fill_segment = fairswap._step, fairswap._fill_segment
+        step, draw_slots = fairswap._step, fairswap.draw_slots
         monkeypatch.setattr(fairswap, "_step", lambda *a: built.append(1) or step(*a))
-        monkeypatch.setattr(
-            fairswap, "_fill_segment", lambda *a: fills.append(1) or fill_segment(*a)
-        )
+        monkeypatch.setattr(fairswap, "draw_slots", lambda *a: fills.append(1) or draw_slots(*a))
         rng = np.random.default_rng(21)
         # steps built by shared and fresh calls, by whether the order is
         # lexicographic; every step built is filled by the call that built it,

@@ -16,8 +16,9 @@ evaluation sees queries shorter and longer than its cut-off of 10.
 
 With ``respect_certain=False`` (the ``--no-heuristic`` flag) the blocks are
 shuffled by other random draws: one ``permutation`` per block in
-``harness.sample_block_order`` and one ``integers`` per slot in
-``fairswap._fill_segment``, so those runs pin a second random stream.
+``harness.sample_block_order`` and one ``integers`` per slot with more than
+one candidate in ``fairswap.draw_slots``, the calibration fill, so those
+runs pin a second random stream.
 
 The calibration run serves 40 candidates per query at k=10, so every round
 calibrates dozens of qualified templates and promotes documents between
@@ -40,18 +41,27 @@ and this hash pins the path as it is. Every hash here is meant to hold for
 any number of BLAS threads: CI runs the suite with the default and with
 ``OPENBLAS_NUM_THREADS=1``.
 
+The four benchmark workloads of ``bench/run.py`` run here too, untimed and
+untraced, at seed 1 with their full round counts, so the benchmark's
+outputs are pinned by the test suite and not only by a manual comparison.
+
 The hashes were recorded with numpy 2.4.6 and scipy-openblas 0.3.31 on
 x86-64. Another BLAS or numpy version may round the ranker's arithmetic
 differently, which moves the hashes without any change in the package.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fairexp.data import SyntheticSpec
 from fairexp.harness import ALGORITHMS, ExperimentConfig, run_experiment
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import run as bench_run  # noqa: E402  bench/run.py, imported as bench/test_bench.py does
 
 D = 6
 TRAIN_LENGTHS = (2, 3, 5, 7, 8, 9, 10, 11, 12, 15)
@@ -99,6 +109,26 @@ CALIBRATION_NO_HEURISTIC_GOLDEN = (
     "c03f02727a446ac1d027a8f889a13cc6b89d7e5e8b6eff527985d31c09772761",
     "5fe4e376242b261430dc9492d62969118f2e5f32404d7ad3abee566f76a3ca0c",
 )
+
+# trace.csv and summary.txt of each bench/run.py workload at seed 1
+BENCH_GOLDEN = {
+    "paper_default": (
+        "d4220fa2c84c4e0701d4e27c6d6a3baf3968369b2590ead29077ac6db105f1a5",
+        "101add430b7b692b576bd9951c515ecf3cfeb8116518f76d49992f60c510bff2",
+    ),
+    "wide_pool": (
+        "a488687d7b1e51872ad4b43d7cdedb15364bec6b7bc5b4b7ed2f2b377b30b6aa",
+        "2ad7c295e4b0bd0bd263dd73d9c3a52c1adbaa77e81bb3fd22e28df954f7ec73",
+    ),
+    "high_dim": (
+        "110ba6ea5158202e8595c9c170b8677b5ea822a1adc309972c1ea4e8d49929ed",
+        "60098f02de3f552b46afcb47d6d1e703800697c3ed3b5ef6302d2a64492b11f2",
+    ),
+    "sparse_clicks": (
+        "782b99dcc61f75adbd3423d561fdaa22dc34cbaf3a803a53124cf29b5ff4bfd8",
+        "7b77662b3830a4f9a273fc74d4bb4300d92d0db7dcd3734d0be9ed4989a4d8be",
+    ),
+}
 
 HIGH_DIM_GOLDEN = (
     "9db763f2ff17ee9d98ce4caa04a2401c0e988e00f42fe4c0fe80f7d2461713d8",
@@ -223,3 +253,18 @@ def test_high_dimension_fingerprints(tmp_path):
     run_experiment(config)
     got = tuple(sha256(tmp_path / name) for name in ("trace.csv", "summary.txt"))
     assert got == HIGH_DIM_GOLDEN
+
+
+def test_bench_table_covers_every_workload():
+    assert set(BENCH_GOLDEN) == set(bench_run.WORKLOADS)
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_GOLDEN))
+def test_bench_workload_fingerprints(workload, tmp_path):
+    jobs = bench_run.jobs_for(workload, 1, False)
+    config = ExperimentConfig(
+        synthetic=SyntheticSpec(**jobs["spec"]), out_dir=str(tmp_path), **jobs["config"]
+    )
+    run_experiment(config)
+    got = tuple(sha256(tmp_path / name) for name in ("trace.csv", "summary.txt"))
+    assert got == BENCH_GOLDEN[workload]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from calibration_oracle import cross_block_certain
+from calibration_oracle import cross_block_certain, fewest_predecessors
 from fairexp.data import GroupedDataset, QueryCandidates, SyntheticSpec
 from fairexp.fairness import ExposureError, UnfairnessLedger
 from fairexp.harness import (
@@ -23,7 +23,6 @@ from fairexp.ranker import (
     BlockPartition,
     DimensionError,
     RankerState,
-    fewest_predecessors,
     load_checkpoint,
     score_all,
 )
@@ -443,9 +442,10 @@ class TestSampleBlockOrder:
         assert len(seen) == 6
 
     def test_the_heuristic_draws_as_the_calibration_fill_does(self):
-        # _fill_segment draws through ranker.fewest_predecessors, recounting
-        # at every slot; sample_block_order counts once per block and
-        # decrements. The same seed must give the same order.
+        # the reference recounts predecessors at every slot;
+        # sample_block_order draws through fairswap.draw_slots, which counts
+        # once per block and decrements. The same seed must give the same
+        # order.
         rng = np.random.default_rng(21)
         with_within_block = 0
         for trial in range(300):
