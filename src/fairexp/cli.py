@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .data import SyntheticSpec, load_svmlight, read_number, widen
+from .data import SyntheticSpec, load_svmlight, minmax_scale, read_number, widen
 from .metrics import format_value
 from .harness import (
     ALGORITHMS,
@@ -304,6 +304,10 @@ def main(argv=None) -> int:
         try:
             # a split that never mentions the last feature ids parses narrower
             widen(test, max(test.dimension, state.d))
+            # a run with --minmax scored features scaled by the train split's
+            # bounds; a wider file fails in evaluate_offline
+            if state.minmax_bounds is not None and test.dimension == state.d:
+                minmax_scale(test, state.minmax_bounds)
             ndcg = evaluate_offline(state, holdout_view(test))
         except DimensionError as exc:
             return _error("eval", f"{args.test_file} does not fit the checkpoint: {exc}")

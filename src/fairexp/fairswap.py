@@ -15,6 +15,20 @@ served fill: the seeded draw among members of one original block can
 invert a certain pair inside it that another draw avoids, so it is not a
 function of the calibration structure alone (ROADMAP item 2).
 
+The walk's state is two counters: the documents of group A and of group B
+shown so far. Each group's shown documents are always a prefix of that
+group's documents taken block by block, each block in donor order, and the
+current block is what is left of the earliest block with documents
+unshown. So a step follows from the two counters and its segment's slot
+pattern alone, and templates that reach the same state share it whatever
+their prefix.
+
+Every cross-block pair is certain, and the fill takes the deepest origin
+first, so the walk alone fixes every cross-block inversion a calibration
+serves. That count bounds its added regret from below, exactly when no
+certain pair lies inside an original block, and ``select_ranking``
+calibrates only the templates whose bound can still win.
+
 Added regret is the count of certain pairs displayed in inverted order,
 restricted to the top-k since lower positions receive no exposure.
 """
@@ -39,8 +53,10 @@ class InfeasibleTemplateError(ValueError):
 
 
 class MalformedPartitionError(ValueError):
-    """Raised when the input blocks are not a partition of distinct documents,
-    or a document is labelled neither ``GROUP_A`` nor ``GROUP_B``."""
+    """Raised when the input blocks are not a partition of distinct documents
+    into non-empty blocks, a document is labelled neither ``GROUP_A`` nor
+    ``GROUP_B``, or (in ``select_ranking``) two documents of different
+    blocks are not a certain pair from the earlier block to the later."""
 
 
 @dataclass
@@ -105,16 +121,18 @@ def _donor_sort_key(doc: int, wins, scores):
 
 
 class _Step(NamedTuple):
-    """One segment of the walk. It depends only on the placement up to its
-    end, so every template with that prefix shares it."""
+    """One segment of the walk. The walk's state where it starts is two
+    counters, the documents of group A and of group B shown so far, and the
+    step follows from that state and the segment's slot pattern alone, so
+    every template that reaches both shares it."""
 
-    size: int  # the host's members as the segment starts: the most slots it takes
+    start: tuple[int, int]  # documents of group A and of group B shown before it
+    host: int  # the earliest block with documents unshown, whose members it keeps
+    size: int  # the host's unshown members as the segment starts: the most slots it takes
     seg: tuple[str, ...]  # the segment's slot pattern
-    shown: tuple[tuple[int, ...], tuple[int, ...]]  # its documents of group A, of group B
-    events: list[SwapEvent]  # its promotion, if any
-    lower: tuple  # the lower blocks after it, as (A, B) pairs
-    host: tuple[tuple[int, ...], tuple[int, ...]]  # what is left of its host
-    fills: dict[bool, list[int]]  # by respect_certain, its fill where that draws nothing
+    shortage: tuple[int, int]  # documents of each group promoted from the lower blocks
+    after: tuple[int, int, int]  # the next step's two counters and its host's size
+    forced: tuple[int, int]  # cross-block inversions it makes whatever it draws: heuristic off, on
 
 
 class _PreparedPartition(NamedTuple):
@@ -123,22 +141,28 @@ class _PreparedPartition(NamedTuple):
 
     Built once per round by ``select_ranking`` (or by a direct ``fair_swap``
     call) from the partition, the certain set, the group labels and scores.
-    Only ``trail`` changes: each walk cuts it back to the steps its
-    placement shares with the last one and appends its own, so templates
-    that arrive in lexicographic order build each prefix's step once.
+    Only ``steps`` grows: a walk that reaches a state with a segment
+    pattern no earlier walk did builds that step and keeps it.
     """
 
-    have: tuple[int, int]  # documents of group A and of group B over the partition
     origin: dict[int, int]  # document -> index of its original block
-    # each block as (its group-A members, its group-B members), each in donor order
-    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    trail: list[_Step]  # the steps of the placement walked last
+    # each group's documents, block by block, each block's in donor order
+    seqs: tuple[tuple[int, ...], tuple[int, ...]]
+    # for each group, the block of each of those documents, then the number of blocks
+    where: tuple[tuple[int, ...], tuple[int, ...]]
+    # for each group and each block j, that group's documents in blocks 0..j;
+    # one more entry, for no block, is the group's total
+    ends: tuple[tuple[int, ...], tuple[int, ...]]
+    begin: tuple[int, int, int]  # the first step's two counters and its host's size
+    steps: dict[tuple, _Step]  # (shown A, shown B, segment pattern) -> its step
 
 
 def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPartition:
     docs_all = partition.documents()
     if len(set(docs_all)) != len(docs_all):
         raise MalformedPartitionError("blocks contain duplicate documents")
+    if not all(partition.blocks):
+        raise MalformedPartitionError("blocks must not be empty")
     for doc in docs_all:
         if groups.get(doc) not in GROUPS:
             raise MalformedPartitionError(
@@ -146,16 +170,46 @@ def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPar
             )
     wins = _within_block_wins(partition, certain)
     scores = scores or {}
-    blocks = []
-    for block in partition.blocks:
-        ranked = sorted(block, key=lambda d: _donor_sort_key(d, wins, scores))
-        blocks.append(tuple(tuple(d for d in ranked if groups[d] == g) for g in GROUPS))
+    seqs: tuple[list[int], list[int]] = ([], [])
+    where: tuple[list[int], list[int]] = ([], [])
+    ends: tuple[list[int], list[int]] = ([], [])
+    for bi, block in enumerate(partition.blocks):
+        if len(block) > 1:
+            block = sorted(block, key=lambda d: _donor_sort_key(d, wins, scores))
+        for doc in block:
+            g = groups[doc] == GROUP_B
+            seqs[g].append(doc)
+            where[g].append(bi)
+        for seq, end in zip(seqs, ends):
+            end.append(len(seq))
+    n_blocks = len(partition.blocks)
+    for g in (0, 1):
+        where[g].append(n_blocks)
+        ends[g].append(len(seqs[g]))
     return _PreparedPartition(
-        have=tuple(sum(len(block[g]) for block in blocks) for g in (0, 1)),
         origin={doc: bi for bi, block in enumerate(partition.blocks) for doc in block},
-        blocks=tuple(blocks),
-        trail=[],
+        seqs=(tuple(seqs[0]), tuple(seqs[1])),
+        where=(tuple(where[0]), tuple(where[1])),
+        ends=(tuple(ends[0]), tuple(ends[1])),
+        begin=(0, 0, len(partition.blocks[0]) if partition.blocks else 0),
+        steps={},
     )
+
+
+def _require_feasible(prepared: _PreparedPartition, placement: tuple[str, ...]) -> None:
+    # every document is A or B, so meeting each group's count also bounds k
+    need_b = placement.count(GROUP_B)
+    need_a = len(placement) - need_b
+    seq_a, seq_b = prepared.seqs
+    if need_a <= len(seq_a) and need_b <= len(seq_b) and placement.count(GROUP_A) == need_a:
+        return  # what select_ranking's templates always are; otherwise, name the group
+    have = dict(zip(GROUPS, map(len, prepared.seqs)))
+    for g in dict.fromkeys(placement):
+        n = placement.count(g)
+        if n > have.get(g, 0):
+            raise InfeasibleTemplateError(
+                f"template needs {n} documents of group {g}, only {have.get(g, 0)} available"
+            )
 
 
 def fair_swap(
@@ -179,44 +233,30 @@ def fair_swap(
     disabling it recovers pure seeded shuffling within blocks.
 
     Work that does not depend on the template (the duplicate and label
-    checks, the group totals, each document's original block, and each
-    block split by group and sorted once into donor order) is
-    ``prepared``: ``select_ranking`` builds it once per round for every
-    call, and a call without it builds it from its own arguments. A call
-    is then the feasibility check, the walk (``_walk``, which draws
-    nothing), and the fill of each segment. Calls that share ``prepared``
-    share the walk steps of a common placement prefix, and each step's
-    fill where it draws nothing; a fill that draws is redone with each
-    call's own ``rng``, which is read only through ``integers`` and only
-    when a fill draws.
+    checks, each document's original block, and each group's documents
+    block by block in donor order) is ``prepared``: ``select_ranking``
+    builds it once per round for every call, and a call without it builds
+    it from its own arguments. A call is then the feasibility check, the
+    walk (``_walk``, which draws nothing), each promotion's ``SwapEvent``,
+    and the fill of each segment with the call's own ``rng``, which is read
+    only through ``integers`` and only for a slot with a choice. Calls that
+    share ``prepared`` share each walk step, keyed by the two counters
+    where it starts and its slot pattern.
 
     One calibration looks ``certain`` up O(k^3 + sum(|b|^2)) times over the
     blocks b, and never scans it: its cost does not grow with len(certain).
     """
     if prepared is None:
         prepared = _prepare(partition, certain, groups, scores)
-    have = dict(zip(GROUPS, prepared.have))
-    # every document is A or B, so meeting each group's count also bounds k
-    for g in dict.fromkeys(template.placement):
-        n = template.placement.count(g)
-        if n > have.get(g, 0):
-            raise InfeasibleTemplateError(
-                f"template needs {n} documents of group {g}, only {have.get(g, 0)} available"
-            )
+    _require_feasible(prepared, template.placement)
     events: list[SwapEvent] = []
     order: list[int] = []
-    for step in _walk(prepared, template.placement):
-        events += step.events
-        fill = step.fills.get(respect_certain)
-        if fill is None:
-            shown = dict(zip(GROUPS, map(list, step.shown)))
-            slots = [shown[g] for g in step.seg]
-            fill, drew = draw_slots(
-                slots, shown.values(), prepared.origin, certain, rng, respect_certain
-            )
-            if not drew:
-                step.fills[respect_certain] = fill
-        order += fill
+    for depth, step in enumerate(_walk(prepared, template.placement)):
+        if any(step.shortage):
+            events.append(_event(prepared, step, depth))
+        shown = dict(zip(GROUPS, _shown(prepared, step)))
+        slots = [shown[g] for g in step.seg]
+        order += draw_slots(slots, shown.values(), prepared.origin, certain, rng, respect_certain)
     return CalibratedRanking(
         order=order,
         added_regret=added_regret(order, certain),
@@ -225,111 +265,135 @@ def fair_swap(
     )
 
 
-def _walk(prepared: _PreparedPartition, placement: tuple[str, ...]) -> list[_Step]:
-    """The steps of a feasible placement, in order: ``prepared.trail``,
-    valid until the next walk over ``prepared``.
+def _walk(prepared: _PreparedPartition, placement: tuple[str, ...]):
+    """Yield the steps of a feasible placement in order, building each the
+    first time the round's walks reach its state with its slot pattern."""
+    steps = prepared.steps
+    pa, pb, size = prepared.begin
+    while pa + pb < len(placement):
+        seg = placement[pa + pb : pa + pb + size]
+        step = steps.get((pa, pb, seg))
+        if step is None:
+            step = steps[pa, pb, seg] = _step(prepared, pa, pb, seg)
+        yield step
+        pa, pb, size = step.after
 
-    The walk state where a step starts depends only on the placement up to
-    there, so a trail step is this placement's too when the steps before
-    it are and the placement has the step's pattern over the ``size``
-    slots from its start. The walk keeps those steps and resumes after
-    the last of them.
+
+def _step(prepared: _PreparedPartition, pa: int, pb: int, seg: tuple[str, ...]) -> _Step:
+    """The segment ``seg`` from the state where ``pa`` documents of group A
+    and ``pb`` of group B are shown.
+
+    Each group's shown documents are a prefix of its sequence in
+    ``prepared.seqs``, so the host is what is left of the earliest block
+    with documents unshown. The segment keeps the host's first unshown
+    members of each group, as many as it has slots for; the rest stay
+    unshown and so are the next host, just above the lower blocks. A
+    segment is never longer than its host, so a host short of one group
+    has a surplus of the other, and at most one group promotes: its
+    shortfall is that group's next documents after the host's, the nearest
+    lower blocks' first in donor order.
     """
-    trail = prepared.trail
-    pos = depth = 0
-    for step in trail:
-        if placement[pos : pos + step.size] != step.seg:
-            break
-        pos += len(step.seg)
-        depth += 1
-    del trail[depth:]
-    lower, host = (trail[-1].lower, trail[-1].host) if trail else (prepared.blocks, ((), ()))
-    while pos < len(placement):
-        step = _step(lower, host, placement, pos, len(trail))
-        trail.append(step)
-        lower, host = step.lower, step.host
-        pos += len(step.seg)
-    return trail
-
-
-def _step(lower: tuple, host, placement: tuple[str, ...], pos: int, depth: int) -> _Step:
-    """The segment of ``placement`` that starts at ``pos``, the walk's
-    ``depth``-th, given the lower blocks and what is left of the last host.
-
-    A host keeps its first members of each group, as many as the segment
-    has slots for, and the rest are displaced: a new block just above the
-    lower ones, so always the next host. A segment is never longer than
-    its host, so a host short of one group has a surplus of the other, and
-    at most one group promotes. Each group's shown documents are the
-    donors and then the kept members, all in donor order. The lower blocks
-    are a tuple of the prepared (A, B) pairs; promotion replaces an entry
-    and changes none, so steps share them.
-    """
-    if not (host[0] or host[1]):
-        host, lower = lower[0], lower[1:]
-    size = len(host[0]) + len(host[1])
-    seg = placement[pos : pos + size]
+    # conditional expressions rather than min and max: this runs for every
+    # walk state a round reaches
+    (where_a, where_b), (ends_a, ends_b) = prepared.where, prepared.ends
+    host = where_a[pa] if where_a[pa] < where_b[pb] else where_b[pb]
+    end_a, end_b = ends_a[host], ends_b[host]  # each group's documents through the host
+    left_a, left_b = end_a - pa, end_b - pb  # the host's unshown members where positive
     need_b = seg.count(GROUP_B)
-    need = (len(seg) - need_b, need_b)
-    shown = [host[0][: need[0]], host[1][: need[1]]]
-    events: list[SwapEvent] = []
-    for g in (0, 1):
-        shortage = need[g] - len(host[g])
-        if shortage > 0:
-            per_block: dict[int, int] = {}
-            taken, left = _promote(lower, g, shortage, per_block)
-            events.append(
-                SwapEvent(
-                    host_block=depth,
-                    group=GROUPS[g],
-                    shortage=shortage,
-                    donors_per_block=per_block,
-                    host_members=size,
-                    displaced=max(size + shortage - len(seg), 0),
-                    blocks_b_counts=[len(b) for _, b in lower],
-                    blocks_sizes=[len(a) + len(b) for a, b in lower],
-                )
-            )
-            shown[g] = taken + shown[g]
-            lower = left
-    host = (host[0][need[0] :], host[1][need[1] :])
-    return _Step(size, seg, tuple(shown), events, lower, host, {})
+    qa, qb = pa + len(seg) - need_b, pb + need_b
+    if qa > pa and qa > end_a:
+        shortage = (qa - (pa if pa > end_a else end_a), 0)
+        forced = _forced(prepared, pa, pb, host, seg, GROUP_A, where_a[qa - shortage[0] : qa])
+    elif qb > pb and qb > end_b:
+        shortage = (0, qb - (pb if pb > end_b else end_b))
+        forced = _forced(prepared, pa, pb, host, seg, GROUP_B, where_b[qb - shortage[1] : qb])
+    else:  # the host's members only, each below those shown from later blocks
+        shortage = (0, 0)
+        forced = (len(seg) * ((0 if left_a > 0 else -left_a) + (0 if left_b > 0 else -left_b)),) * 2
+    following = where_a[qa] if where_a[qa] < where_b[qb] else where_b[qb]
+    next_a, next_b = ends_a[following] - qa, ends_b[following] - qb
+    return _Step(
+        (pa, pb),
+        host,
+        (left_a if left_a > 0 else 0) + (left_b if left_b > 0 else 0),
+        seg,
+        shortage,
+        (qa, qb, (next_a if next_a > 0 else 0) + (next_b if next_b > 0 else 0)),
+        forced,
+    )
 
 
-def _promote(
-    lower: tuple, group: int, shortage: int, per_block: dict[int, int]
-) -> tuple[tuple[int, ...], tuple]:
-    """Take the shortfall as the nearest lower blocks' first members of
-    ``GROUPS[group]`` (donor order), counting in ``per_block`` how many come
-    from each block by its position in ``lower`` (0 = nearest). Returns the
-    documents taken and the lower blocks left: the blocks given replaced by
-    what is left of them, and emptied ones dropped."""
-    taken: tuple[int, ...] = ()
-    left = []
-    for bi, entry in enumerate(lower):
-        members = entry[group]
-        n = min(len(members), shortage - len(taken))
-        if n:
-            per_block[bi] = n
-            taken += members[:n]
-            entry = (members[n:], entry[1]) if group == 0 else (entry[0], members[n:])
-        if entry[0] or entry[1]:
-            left.append(entry)
-        if len(taken) == shortage:
-            break
-    return taken, (*left, *lower[bi + 1 :])
+def _forced(prepared: _PreparedPartition, pa, pb, host, seg, promoted, donors) -> tuple[int, int]:
+    """The cross-block inversions a promoting segment makes whatever its
+    fill draws: with the heuristic off, against the documents shown before
+    it; with it on, also among its own. ``donors`` are the origins of the
+    documents of group ``promoted`` that it promotes, in block order; every
+    other document it shows is the host's.
+
+    A document shown before it from a later block than one of its own is an
+    inversion; each group's documents run block by block, so those are
+    counted from ``prepared.ends``. With the heuristic, each slot takes the
+    deepest origin left in its group, so the order of origins over the
+    segment is fixed: only documents of one origin are drawn.
+    """
+    ends_a, ends_b = prepared.ends
+    later = [max(pa - ends_a[o], 0) + max(pb - ends_b[o], 0) for o in (host, *donors)]
+    across = (len(seg) - len(donors)) * later[0] + sum(later[1:])
+    deepest = iter(donors[::-1])
+    placed = [next(deepest, host) if g == promoted else host for g in seg]
+    within = sum(a > b for i, a in enumerate(placed) for b in placed[i + 1 :])
+    return across, across + within
+
+
+def _shown(prepared: _PreparedPartition, step: _Step) -> list[list[int]]:
+    """A step's documents of group A and of group B, the fill's candidates:
+    promoted documents first, then the host's, each in donor order."""
+    return [
+        list(seq[stop - short : stop] + seq[p : stop - short])
+        for seq, p, stop, short in zip(prepared.seqs, step.start, step.after, step.shortage)
+    ]
+
+
+def _event(prepared: _PreparedPartition, step: _Step, depth: int) -> SwapEvent:
+    """The ``SwapEvent`` of a promoting step, the walk's ``depth``-th,
+    counted from the unshown members of each lower block as it starts."""
+    g = 0 if step.shortage[0] else 1
+    shortage, stop = step.shortage[g], step.after[g]
+    (pa, pb), (ends_a, ends_b) = step.start, prepared.ends
+    # the blocks after the host with documents unshown, by their queue position
+    position: dict[int, int] = {}
+    b_counts: list[int] = []
+    sizes: list[int] = []
+    for j in range(step.host + 1, len(ends_a) - 1):
+        a = ends_a[j] - (pa if pa > ends_a[j - 1] else ends_a[j - 1])
+        b = ends_b[j] - (pb if pb > ends_b[j - 1] else ends_b[j - 1])
+        if a > 0 or b > 0:
+            position[j] = len(sizes)
+            b_counts.append(b if b > 0 else 0)
+            sizes.append((a if a > 0 else 0) + b_counts[-1])
+    donors_per_block: dict[int, int] = {}
+    for o in prepared.where[g][stop - shortage : stop]:
+        donors_per_block[position[o]] = donors_per_block.get(position[o], 0) + 1
+    return SwapEvent(
+        host_block=depth,
+        group=GROUPS[g],
+        shortage=shortage,
+        donors_per_block=donors_per_block,
+        host_members=step.size,
+        displaced=max(step.size + shortage - len(step.seg), 0),
+        blocks_b_counts=b_counts,
+        blocks_sizes=sizes,
+    )
 
 
 def draw_slots(
     slots, lists, origin: dict[int, int], certain, rng, respect_certain: bool = True
-) -> tuple[list[int], bool]:
+) -> list[int]:
     """Fill each of ``slots``, a candidate list of ``lists`` per slot, with
-    one of its documents, which then leaves its list. Returns the fill and
-    whether it drew from ``rng``. Every choice before the first draw is
-    fixed, so a fill that does not draw never will, and ``fair_swap`` keeps
-    it for every template that shares the segment. This is the one
-    within-block draw: ``fair_swap`` fills each segment with it, and
-    ``harness.sample_block_order`` each block.
+    one of its documents, which then leaves its list, and return the fill.
+    ``rng`` is read only through ``integers``, and only for a slot with a
+    choice. This is the one within-block draw: ``fair_swap`` fills each
+    segment with it, and ``harness.sample_block_order`` each block.
 
     With the heuristic on, a slot chooses among its candidates of the
     deepest ``origin`` (documents promoted from farther blocks go first: the
@@ -346,7 +410,6 @@ def draw_slots(
     lookups in ``certain`` for the n documents of ``lists``.
     """
     fill: list[int] = []
-    drew = False
     key, succ = None, {}
     for cands in slots:
         pool = cands
@@ -362,16 +425,12 @@ def draw_slots(
                         key[d] += 1
             low = min(map(key.__getitem__, cands))
             pool = [d for d in cands if key[d] == low]
-        if len(pool) > 1:
-            choice = pool[int(rng.integers(len(pool)))]
-            drew = True
-        else:
-            choice = pool[0]
+        choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         cands.remove(choice)
         fill.append(choice)
         for d in succ.get(choice, ()):
             key[d] -= 1
-    return fill, drew
+    return fill
 
 
 def select_ranking(
@@ -384,26 +443,35 @@ def select_ranking(
     scores: dict[int, float] | None = None,
     respect_certain: bool = True,
 ) -> CalibratedRanking:
-    """Calibrate every qualified template and keep the cheapest ranking.
+    """The cheapest calibration over the templates, calibrating only those
+    that can still win.
 
     Ties on added regret break toward the smaller projected unfairness
     magnitude (when given), then the lexicographically smallest placement,
-    so concurrent evaluation can never change the outcome. Each template
-    gets one ``fair_swap`` call, whose cost does not grow with
-    len(certain), and its own child of ``rng``: the round spawns one seed
-    sequence per template, as ``rng.spawn`` does, and builds a template's
-    generator from its seed sequence only when its fill first draws.
+    then the earlier template, so the order of evaluation can never change
+    the outcome. The round spawns one seed sequence per template, as
+    ``rng.spawn`` does, and a calibrated template's generator is built from
+    its own only when its fill first draws.
 
-    Once per round, before the templates are walked: the duplicate and
-    label checks, the group totals, each document's original block, and the
-    donor order (each block split into its two groups, each sorted by
-    within-block certain wins, then score, then index). Once per placement
-    prefix: the walk step that ends there, which slices prefixes of the
-    per-group donor order and sorts nothing, and its fill if that draws
-    nothing. Once per template: the feasibility check, the fills that
-    draw, and the added regret. ``enumerate_templates`` lists placements
-    in lexicographic order, so consecutive templates share the longest
-    prefixes.
+    Each template's walk alone fixes every cross-block inversion that its
+    calibration serves (``_forced``; with the heuristic off, only those
+    across segments): a lower bound on its added regret, exact with the
+    heuristic on when no certain pair lies inside an original block. That
+    holds because every cross-block pair is certain and points down the
+    blocks, which this checks once per round in O(len(certain)). Templates are
+    calibrated by ``fair_swap`` in order of (bound, |projection|,
+    placement, index), and the round stops at the first whose key is above
+    the best (added regret, |projection|, placement, index) so far: it and
+    every template after it would cost at least that much.
+
+    Once per round: the duplicate, label and block-order checks, each
+    document's original block, and the donor order (each group's documents
+    block by block, each block sorted by within-block certain wins, then
+    score, then index). Once per walk state and slot pattern: the step
+    taken from there, which reads the donor order by position and sorts
+    nothing, and the inversions it forces. Once per template: the
+    feasibility check and the bound. Once per calibrated template: its
+    events, its fills and its added regret.
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")
@@ -412,28 +480,81 @@ def select_ranking(
     seeds = rng.bit_generator.seed_seq.spawn(len(templates))
     bit_generator = type(rng.bit_generator)
     prepared = _prepare(partition, certain, groups, scores)
+    _require_blocks_in_certain_order(partition, certain, prepared.origin)
+    keys = []
+    for i, (template, projection) in enumerate(zip(templates, projections)):
+        _require_feasible(prepared, template.placement)
+        bound = _regret_bound(prepared, template.placement, respect_certain)
+        keys.append((bound, abs(projection), template.placement, i))
+    keys.sort()
     best: CalibratedRanking | None = None
     best_key = None
-    for template, projection, seed in zip(templates, projections, seeds):
+    for key in keys:
+        if best_key is not None and key > best_key:
+            break
+        i = key[-1]
         result = fair_swap(
             partition,
-            template,
+            templates[i],
             certain,
             groups,
-            _ChildOnFirstDraw(bit_generator, seed),
+            _ChildOnFirstDraw(bit_generator, seeds[i]),
             scores=scores,
             respect_certain=respect_certain,
             prepared=prepared,
         )
-        key = (result.added_regret, abs(projection), template.placement)
-        if best is None or key < best_key:
-            best, best_key = result, key
+        found = (result.added_regret, *key[1:])
+        if best_key is None or found < best_key:
+            best, best_key = result, found
     return best
+
+
+def _regret_bound(prepared: _PreparedPartition, placement, respect_certain: bool) -> int:
+    """The cross-block inversions that the walk of a feasible ``placement``
+    forces, whatever its fills draw (``_Step.forced``): at most the added
+    regret of its calibration, and equal to it with the heuristic on when
+    no certain pair lies inside an original block."""
+    bound = 0
+    for step in _walk(prepared, placement):
+        bound += step.forced[respect_certain]
+    return bound
+
+
+def _require_blocks_in_certain_order(partition: BlockPartition, certain, origin) -> None:
+    """``BlockPartition``'s invariant, which the selection's bound rests on:
+    every pair of documents in two blocks is a certain pair from the
+    earlier block to the later one. Counts the certain pairs across blocks
+    against sum_{i<j} |b_i||b_j| and refuses any that points up."""
+    forward = 0
+    for winner, loser in certain:
+        above, below = origin.get(winner), origin.get(loser)
+        if above is None or below is None or above == below:
+            continue
+        if above > below:
+            raise MalformedPartitionError(
+                f"certain pair ({winner}, {loser}) points from block {above} up to block {below}"
+            )
+        forward += 1
+    sizes = [len(block) for block in partition.blocks]
+    if forward < (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2:
+        blocks = partition.blocks
+        winner, loser = next(
+            (w, l)
+            for bi, block in enumerate(blocks)
+            for later in blocks[bi + 1 :]
+            for w in block
+            for l in later
+            if (w, l) not in certain
+        )
+        raise MalformedPartitionError(
+            f"documents {winner} and {loser} are in blocks {origin[winner]} and "
+            f"{origin[loser]} but ({winner}, {loser}) is not a certain pair"
+        )
 
 
 class _ChildOnFirstDraw:
     """The generator that ``rng.spawn`` would return for ``seed``, built on
-    its first draw: most calibrations never draw."""
+    its first draw: many calibrations never draw."""
 
     __slots__ = ("_bit_generator", "_seed", "_generator")
 

@@ -254,7 +254,7 @@ def sample_block_order(
             order.extend(remaining[i] for i in rng.permutation(len(remaining)))
             continue
         slots = [remaining] * len(block)
-        order += fairswap.draw_slots(slots, [remaining], dict.fromkeys(block, 0), certain, rng)[0]
+        order += fairswap.draw_slots(slots, [remaining], dict.fromkeys(block, 0), certain, rng)
     return order
 
 
@@ -430,6 +430,7 @@ def run_prepared(inputs: RunInputs) -> ExperimentResult:
     rng = np.random.default_rng(config.seed)
 
     state = ranker.RankerState.initial(train.dimension, config.lam)
+    state.minmax_bounds = train.metadata.get("minmax_bounds")
     ledger = fairness.UnfairnessLedger(beta=beta, epsilon=config.epsilon)
     run = _Run(config, state, ledger, exposure_model, rng)
     holdout = holdout_view(test)

@@ -48,7 +48,7 @@ class NumericError(RuntimeError):
     """Raised when the loss or gradient turns non-finite."""
 
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 GRAD_TOL = 1e-6
 MAX_NEWTON_ITERS = 100
 # The widest input whose Newton step forms the Hessian and solves it. Timed
@@ -143,6 +143,9 @@ class RankerState:
     lam: float
     round: int = 0
     pairs: _PairBuffer = None
+    # the per-feature (lo, hi) that the run min-max scaled its features with,
+    # or None; ``theta`` scores features scaled so
+    minmax_bounds: tuple[np.ndarray, np.ndarray] | None = None
     _info_inv: np.ndarray = field(default=None, repr=False)
     # the last fit ended at a point a refit on the same pairs would keep:
     # its gradient met GRAD_TOL, or its line search found no lower loss
@@ -436,10 +439,15 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
 def save_checkpoint(state: RankerState, path: str | Path) -> None:
     """Write a versioned checkpoint (theta, info matrix, lam, round, and
     the distinct pairs with their counts, so a resumed run can keep
-    re-fitting the full history).
+    re-fitting the full history), and the min-max bounds as ``minmax_lo``
+    and ``minmax_hi`` when the run scaled its features.
     """
+    bounds = {}
+    if state.minmax_bounds is not None:
+        bounds = dict(zip(("minmax_lo", "minmax_hi"), state.minmax_bounds))
     np.savez(
         path,
+        **bounds,
         version=np.array(CHECKPOINT_VERSION),
         theta=state.theta,
         info_matrix=state.info_matrix,
@@ -453,23 +461,26 @@ def save_checkpoint(state: RankerState, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> RankerState:
     """Read a checkpoint written by ``save_checkpoint``, of this version or
-    of version 1.
+    of versions 1 and 2, which store no min-max bounds.
 
     Raises ``ValueError`` unless the arrays describe a valid state: theta of
     shape (d,), an information matrix of shape (d, d) that is symmetric
     positive definite, pair arrays of shapes (m, d) and (m,), every value
     finite, and (from version 2 on) a ``pairs_count`` of shape (m,) that
-    holds positive integers up to 2**53. A version 1 file has no counts:
-    each of its rows counts once, and repeated rows merge on load. Arrays it
-    does not read, such as the ``q_norm`` of older checkpoints, are ignored.
+    holds positive integers up to 2**53, and (from version 3 on) both or
+    neither of ``minmax_lo`` and ``minmax_hi``, each of shape (d,). A
+    version 1 file has no counts: each of its rows counts once, and
+    repeated rows merge on load. Arrays it does not read, such as the
+    ``q_norm`` of older checkpoints, are ignored.
     """
     with np.load(path) as data:
         version = int(data["version"])
-        if version not in (1, CHECKPOINT_VERSION):
+        if version not in (1, 2, CHECKPOINT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version}")
         arrays = {name: data[name] for name in data.files}
     pair_names = ["pairs_x", "pairs_y"] + (["pairs_count"] if version > 1 else [])
-    _check_checkpoint(arrays, pair_names)
+    bound_names = ["minmax_lo", "minmax_hi"] if version > 2 else []
+    _check_checkpoint(arrays, pair_names, bound_names)
     theta = arrays["theta"]
     state = RankerState(
         theta=theta,
@@ -478,6 +489,8 @@ def load_checkpoint(path: str | Path) -> RankerState:
         round=int(arrays["round"]),
         pairs=_PairBuffer(len(theta)),
     )
+    if bound_names and "minmax_lo" in arrays:
+        state.minmax_bounds = (arrays["minmax_lo"], arrays["minmax_hi"])
     if "pairs_x" in arrays:
         state.pairs.extend(
             arrays["pairs_x"].astype(np.float64),
@@ -487,10 +500,13 @@ def load_checkpoint(path: str | Path) -> RankerState:
     return state
 
 
-def _check_checkpoint(arrays: dict[str, np.ndarray], pair_names: list[str]) -> None:
+def _check_checkpoint(
+    arrays: dict[str, np.ndarray], pair_names: list[str], bound_names: list[str]
+) -> None:
     names = ["theta", "info_matrix", "lam", "round"]
-    if any(name in arrays for name in pair_names):
-        names += pair_names
+    for optional in (pair_names, bound_names):
+        if any(name in arrays for name in optional):
+            names += optional
     for name in names:
         if name not in arrays:
             raise ValueError(f"checkpoint has no {name}")
@@ -505,6 +521,8 @@ def _check_checkpoint(arrays: dict[str, np.ndarray], pair_names: list[str]) -> N
         "pairs_x": (m, d),
         "pairs_y": (m,),
         "pairs_count": (m,),
+        "minmax_lo": (d,),
+        "minmax_hi": (d,),
     }
     for name in names:
         value, shape = arrays[name], shapes.get(name, ())

@@ -261,7 +261,7 @@ def reference_fair_swap(
             displayed.extend(ranked[:keep])
             displaced.extend(ranked[keep:])
 
-        order += reference_fill(seg, displayed, origin, certain, groups, rng, respect_certain)[0]
+        order += reference_fill(seg, displayed, origin, certain, groups, rng, respect_certain)
         if displaced:
             work.appendleft(sorted(displaced))
         pos += len(seg)
@@ -279,14 +279,12 @@ def reference_fill(seg, displayed, origin, certain, groups, rng, respect_certain
     """The calibration fill as it was when it took one displayed list: it
     regroups the list by label, tracks placed documents in a set and
     recounts predecessors at every slot, so the calibrator's count-once
-    ``fairswap.draw_slots`` is checked against separate code. Returns the
-    fill and whether it drew."""
+    ``fairswap.draw_slots`` is checked against separate code."""
     remaining = {}
     for doc in displayed:
         remaining.setdefault(groups[doc], []).append(doc)
     filled = []
     placed = set()
-    drew = False
     for g in seg:
         cands = remaining[g]
         if respect_certain:
@@ -297,12 +295,11 @@ def reference_fill(seg, displayed, origin, certain, groups, rng, respect_certain
                 pool = fewest_predecessors(pool, rivals, certain)
         else:
             pool = cands
-        drew |= len(pool) > 1
         choice = pool[int(rng.integers(len(pool)))] if len(pool) > 1 else pool[0]
         cands.remove(choice)
         placed.add(choice)
         filled.append(choice)
-    return filled, drew
+    return filled
 
 
 def _reference_promote(work, group, shortage, groups, wins, scores):

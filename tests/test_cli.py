@@ -1,6 +1,7 @@
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from fairexp.cli import build_config, main, parse_config_file, parse_synthetic_flag
@@ -270,6 +271,36 @@ def test_eval_widens_a_test_file_narrower_than_the_checkpoint(tmp_path, capsys):
         line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line
     )
     checkpoint, test_file = str(out / "checkpoint.npz"), str(fold / "test.txt")
+    assert main(["eval", "--checkpoint", checkpoint, "--test-file", test_file]) == 0
+    final = float(summary["final_offline_ndcg10"])
+    assert capsys.readouterr().out == f"offline_ndcg10={final:.6f}\n"
+
+
+def test_eval_scales_as_a_minmax_run_did(tmp_path, capsys):
+    # shifted and stretched features: the run scores them scaled by the train
+    # split's bounds, which the checkpoint keeps for eval
+    fold = tmp_path / "fold"
+    fold.mkdir()
+    train = [
+        f"{i % 3} qid:{i // 6} 1:{100 + 40 * (i % 5)} 2:{-3 + 0.7 * (i % 2)} 3:{1000 * (i % 4)}"
+        for i in range(60)
+    ]
+    test = [
+        f"{i % 4} qid:{i // 5} 1:{110 + 30 * (i % 3)} 2:{-2.5 + 0.1 * i} 3:{500 * (i % 3)}"
+        for i in range(25)
+    ]
+    (fold / "train.txt").write_text("\n".join(train) + "\n", encoding="utf-8")
+    (fold / "test.txt").write_text("\n".join(test) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["run", "--dataset", str(fold), "--group-feature", "1", "--rounds", "40", "--k", "3"]
+    assert main([*argv, "--minmax", "--seed", "3", "--out", str(out)]) == 0
+    summary = dict(
+        line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line
+    )
+    checkpoint, test_file = str(out / "checkpoint.npz"), str(fold / "test.txt")
+    with np.load(checkpoint) as data:
+        np.testing.assert_array_equal(data["minmax_lo"], [100.0, -3.0, 0.0])
+        np.testing.assert_array_equal(data["minmax_hi"], [260.0, -2.3, 3000.0])
     assert main(["eval", "--checkpoint", checkpoint, "--test-file", test_file]) == 0
     final = float(summary["final_offline_ndcg10"])
     assert capsys.readouterr().out == f"offline_ndcg10={final:.6f}\n"

@@ -122,6 +122,10 @@ class TestFairSwap:
         with pytest.raises(MalformedPartitionError):
             swap_instance([[0, 1], [1, 2]], ("A", "B"), set(), {0: "A", 1: "B", 2: "B"})
 
+    def test_an_empty_block_is_malformed(self):
+        with pytest.raises(MalformedPartitionError, match="empty"):
+            swap_instance([[0], [], [1]], ("A", "B"), {(0, 1)}, {0: "A", 1: "B"})
+
     def test_a_document_in_neither_group_is_malformed(self):
         groups = {0: "A", 1: None, 2: "B"}
         partition = BlockPartition(blocks=[[0, 1], [2]])
@@ -391,6 +395,45 @@ class TestSelectRanking:
         )
         assert lex.template is skewed  # ("A",...) sorts before ("B",...)
 
+    def test_a_repeated_placement_goes_to_the_earlier_template(self):
+        # equal regret, |projection| and placement: the list order decides
+        partition, groups, certain, model = self._setup()
+        other = make_template(("B", "A", "A", "A", "B"), model)
+        first = make_template(("A", "B", "A", "A", "B"), model)
+        again = make_template(("A", "B", "A", "A", "B"), model)
+        for templates, projections, want in (
+            ([other, first, again], [1.0, -0.5, 0.5], first),
+            ([again, other, first], [0.5, 1.0, -0.5], again),
+        ):
+            result = select_ranking(
+                partition, templates, certain, groups, np.random.default_rng(4),
+                projections=projections,
+            )
+            assert result.template is want
+            assert result.added_regret == 0
+
+    def test_blocks_against_their_certain_pairs_are_malformed(self):
+        # the bound needs every pair across blocks certain, from the earlier
+        # block to the later one
+        partition = BlockPartition(blocks=[[0, 1], [2]])
+        groups = {0: "A", 1: "B", 2: "A"}
+        template = make_template(("A", "B"), log_discount_model(2))
+        for certain, named in (
+            ({(0, 2), (2, 1)}, r"\(2, 1\) points from block 1 up to block 0"),
+            ({(0, 2)}, r"\(1, 2\) is not a certain pair"),
+            ({(0, 2), (1, 2), (1, 0), (2, 9)}, None),  # within a block or off it: no matter
+        ):
+            def select():
+                return select_ranking(
+                    partition, [template], certain, groups, np.random.default_rng(0)
+                )
+
+            if named is None:
+                assert select().template is template
+            else:
+                with pytest.raises(MalformedPartitionError, match=named):
+                    select()
+
     def test_empty_template_list(self):
         partition, groups, certain, _ = self._setup()
         with pytest.raises(InfeasibleTemplateError):
@@ -479,9 +522,15 @@ class TestPreparedCalibration:
 
             wins = _within_block_wins(partition, certain)
             prepared = _prepare(partition, certain, groups, scores)
-            assert [sorted(a + b) for a, b in prepared.blocks] == [sorted(b) for b in blocks]
-            for by_group in prepared.blocks:
-                for label, members in zip(("A", "B"), by_group):
+            # each group's sequence, cut at its block ends, gives each block's
+            # members of that group
+            by_block = [
+                [seq[lo:hi] for lo, hi in zip((0, *ends), ends[: len(blocks)])]
+                for seq, ends in zip(prepared.seqs, prepared.ends)
+            ]
+            assert [sorted(a + b) for a, b in zip(*by_block)] == [sorted(b) for b in blocks]
+            for label, members_per_block in zip(("A", "B"), by_block):
+                for members in members_per_block:
                     assert all(groups[d] == label for d in members)
                     keys = [_donor_sort_key(d, wins, scores) for d in members]
                     assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -530,17 +579,16 @@ class TestPreparedCalibration:
 
 class TestSharedSteps:
     def test_sharing_one_preparation_equals_preparing_per_template(self, monkeypatch):
-        # calls over one prepared partition share each prefix's walk step and
-        # each fill that draws nothing, in any order of the templates
-        built, fills = [], []
-        step, draw_slots = fairswap._step, fairswap.draw_slots
+        # calls over one prepared partition share each walk step, keyed by the
+        # two counters where it starts and its slot pattern, in any order of
+        # the templates and for both heuristic values
+        built = []
+        step = fairswap._step
         monkeypatch.setattr(fairswap, "_step", lambda *a: built.append(1) or step(*a))
-        monkeypatch.setattr(fairswap, "draw_slots", lambda *a: fills.append(1) or draw_slots(*a))
         rng = np.random.default_rng(21)
-        # steps built by shared and fresh calls, by whether the order is
-        # lexicographic; every step built is filled by the call that built it,
-        # and any further fill is of a step whose first fill drew
-        shared_built, fresh_built, shared_fills = [0, 0], [0, 0], 0
+        # steps built by shared calls, by whether the order is lexicographic,
+        # and by fresh calls
+        shared_built, fresh_built = [0, 0], 0
         for trial in range(25):
             blocks, placement, certain, groups, scores = wide_instance(rng)
             k = min(len(placement), 8)
@@ -554,26 +602,71 @@ class TestSharedSteps:
             )
             shuffled = [templates[i] for i in rng.permutation(len(templates))]
             partition = BlockPartition(blocks=[list(b) for b in blocks])
-            prepared = _prepare(partition, certain, groups, scores)
             for order in (templates, shuffled):
+                prepared = _prepare(partition, certain, groups, scores)
                 for respect in (True, False):
                     for i, t in enumerate(order):
                         seed = (trial, i)
-                        del built[:], fills[:]
+                        del built[:]
                         got = fair_swap(
                             partition, t, certain, groups, np.random.default_rng(seed),
                             scores=scores, respect_certain=respect, prepared=prepared,
                         )
                         shared_built[order is templates] += len(built)
-                        shared_fills += len(fills)
                         del built[:]
                         want = fair_swap(
                             partition, t, certain, groups, np.random.default_rng(seed),
                             scores=scores, respect_certain=respect,
                         )
-                        fresh_built[order is templates] += len(built)
+                        fresh_built += len(built) * (order is templates)
                         assert got == want, (blocks, t.placement, groups, respect)
-        # lexicographic order walks each prefix once, and any order reuses some
-        assert shared_built[True] < fresh_built[True] / 2
-        assert shared_built[False] < fresh_built[False]
-        assert shared_fills - sum(shared_built) >= 100
+        # each walk state's step is built once, whatever the order
+        assert shared_built[True] == shared_built[False]
+        assert shared_built[True] < fresh_built / 4
+
+
+# ---------------------------------------------------------------------------
+# the regret bound that orders and stops the selection
+
+
+def every_template(groups, k):
+    """Every template of lengths k - 1 and k that the groups can fill."""
+    counts = tuple(sum(g == label for g in groups.values()) for label in ("A", "B"))
+    return [
+        t
+        for j in sorted({max(k - 1, 1), k})
+        for t in enumerate_templates(j, counts, log_discount_model(j))
+    ]
+
+
+class TestRegretBound:
+    def test_the_walk_bounds_the_served_regret(self):
+        # random_instance has certain pairs across blocks only, wide_instance
+        # also inside them; each is checked with its own pairs and with the
+        # cross-block ones alone, where the heuristic's bound is exact
+        rng = np.random.default_rng(22)
+        instances = [random_instance(rng)[:4] + (None, 8) for _ in range(60)]
+        for _ in range(40):
+            blocks, placement, certain, groups, scores = wide_instance(rng)
+            instances.append((blocks, placement, certain, groups, scores, min(len(placement), 6)))
+        loose = forced = 0
+        for trial, (blocks, _, certain, groups, scores, k) in enumerate(instances):
+            partition = BlockPartition(blocks=[list(b) for b in blocks])
+            k = min(k, len(groups))
+            across = cross_block_certain(blocks)
+            for pairs in (certain, across):
+                prepared = _prepare(partition, pairs, groups, scores)
+                for respect in (True, False):
+                    for i, t in enumerate(every_template(groups, k)):
+                        bound = fairswap._regret_bound(prepared, t.placement, respect)
+                        regret = fair_swap(
+                            partition, t, pairs, groups, np.random.default_rng((trial, i)),
+                            scores=scores, respect_certain=respect,
+                        ).added_regret
+                        assert bound <= regret, (blocks, t.placement, groups, respect)
+                        if respect and pairs is across:
+                            assert bound == regret, (blocks, t.placement, groups)
+                        loose += bound < regret
+                        forced += bound > 0
+        # the instances reach both a strict and a nonzero bound often
+        assert min(loose, forced) >= 200

@@ -780,10 +780,34 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
         with np.load(path) as data:
-            assert int(data["version"]) == CHECKPOINT_VERSION == 2
+            assert int(data["version"]) == CHECKPOINT_VERSION == 3
             assert data["pairs_x"].shape == (len(state.pairs.rows), state.d)
             np.testing.assert_array_equal(data["pairs_count"], state.pairs.counts)
-        assert_same_state(load_checkpoint(path), state)
+            assert "minmax_lo" not in data.files and "minmax_hi" not in data.files
+        loaded = load_checkpoint(path)
+        assert_same_state(loaded, state)
+        assert loaded.minmax_bounds is None
+
+    def test_min_max_bounds_roundtrip(self, tmp_path):
+        state = state_with_repeated_pairs(9)
+        state.minmax_bounds = (np.linspace(-1.0, 1.0, state.d), np.linspace(2.0, 5.0, state.d))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert_same_state(loaded, state)
+        for got, want in zip(loaded.minmax_bounds, state.minmax_bounds):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_version_2_file_loads_without_bounds(self, tmp_path):
+        state = state_with_repeated_pairs(11)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(path, **{**arrays, "version": np.array(2)})
+        loaded = load_checkpoint(path)
+        assert_same_state(loaded, state)
+        assert loaded.minmax_bounds is None
 
     def test_resumed_state_updates_like_original(self, tmp_path):
         state = state_with_repeated_pairs(8, d=2)
@@ -813,8 +837,8 @@ class TestCheckpoint:
 
     def test_an_unknown_version_is_rejected(self, tmp_path):
         path = tmp_path / "ckpt.npz"
-        write_tampered_checkpoint(path, lambda arrays: arrays.update(version=np.array(3)))
-        with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+        write_tampered_checkpoint(path, lambda arrays: arrays.update(version=np.array(4)))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 4"):
             load_checkpoint(path)
 
 
@@ -872,6 +896,9 @@ TAMPERED_CHECKPOINTS = [
     (_replace("pairs_count", lambda a: a + 0.5), "pairs_count holds values that are not positive"),
     (_replace("pairs_count", lambda a: a * np.nan), "pairs_count holds values that are not finite"),
     (_set("pairs_count", 2, 2**62), "pairs_count holds values that are not positive integers up"),
+    (_drop("minmax_hi"), "no minmax_hi"),
+    (_replace("minmax_lo", lambda a: a[:-1]), "minmax_lo has shape"),
+    (_set("minmax_hi", 1, np.inf), "minmax_hi holds values that are not finite"),
 ]
 
 
@@ -879,6 +906,7 @@ def write_tampered_checkpoint(path, change):
     rng = np.random.default_rng(11)
     state = RankerState.initial(4, lam=0.5)
     update(state, rng.normal(size=(6, 4)), np.ones(6))
+    state.minmax_bounds = (np.zeros(4), np.arange(1.0, 5.0))
     save_checkpoint(state, path)
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
