@@ -135,11 +135,15 @@ def parse_config_file(path: str | Path) -> dict:
     Keys are the ``ExperimentConfig`` field names, except that the synthetic
     spec is written one ``synthetic.<field>`` line per field. A value that
     does not parse and an unknown or repeated key raise ``ValueError`` naming
-    the file, line and key, and a spec without a required field one naming
-    the file and missing keys.
+    the file, line and key, a spec without a required field one naming the
+    file and missing keys, and a file that is not UTF-8 one naming the file.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     items = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

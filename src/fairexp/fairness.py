@@ -72,26 +72,29 @@ def load_exposure_table(path: str | Path) -> ExposureModel:
     Every ``ExposureError`` message starts with the file's path, and a bad
     row's with its line too."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise ExposureError(f"{path}: line {lineno}: expected '<rank> <probability>'")
-            try:
-                rank = read_number(int, parts[0])
-            except ValueError:
-                raise ExposureError(
-                    f"{path}: line {lineno}: rank {parts[0]!r} is not an integer"
-                ) from None
-            try:
-                rows.append((rank, read_number(float, parts[1])))
-            except ValueError:
-                raise ExposureError(
-                    f"{path}: line {lineno}: probability {parts[1]!r} is not a number"
-                ) from None
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ExposureError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        parts = body.split()
+        if len(parts) != 2:
+            raise ExposureError(f"{path}: line {lineno}: expected '<rank> <probability>'")
+        try:
+            rank = read_number(int, parts[0])
+        except ValueError:
+            raise ExposureError(
+                f"{path}: line {lineno}: rank {parts[0]!r} is not an integer"
+            ) from None
+        try:
+            rows.append((rank, read_number(float, parts[1])))
+        except ValueError:
+            raise ExposureError(
+                f"{path}: line {lineno}: probability {parts[1]!r} is not a number"
+            ) from None
     rows.sort()
     if [r for r, _ in rows] != list(range(1, len(rows) + 1)):
         raise ExposureError(f"{path}: ranks must be contiguous starting at 1")

@@ -11,9 +11,10 @@ different original blocks into one block, and the randomized within-block
 presentation then no longer preserves their known relative order; the
 output realizes that loss explicitly by placing promoted documents above
 the block members they joined. The reported added regret is that of the
-served fill: the seeded draw among members of one original block can
-invert a certain pair inside it that another draw avoids, so it is not a
-function of the calibration structure alone (ROADMAP item 2).
+served fill: the draw among members of one original block, from the
+run's one generator, can invert a certain pair inside it that another
+draw avoids, so it is not a function of the calibration structure alone
+(ROADMAP item 2).
 
 The walk's state is two counters: the documents of group A and of group B
 shown so far. Each group's shown documents are always a prefix of that
@@ -449,9 +450,10 @@ def select_ranking(
     Ties on added regret break toward the smaller projected unfairness
     magnitude (when given), then the lexicographically smallest placement,
     then the earlier template, so the order of evaluation can never change
-    the outcome. The round spawns one seed sequence per template, as
-    ``rng.spawn`` does, and a calibrated template's generator is built from
-    its own only when its fill first draws.
+    the outcome. Every calibrated template fills from ``rng`` set back to
+    its state on entry, so all draw the same numbers and the outcome depends
+    on neither the order of ``templates`` nor which are calibrated; ``rng``
+    is left where the winner's fill ended.
 
     Each template's walk alone fixes every cross-block inversion that its
     calibration serves (``_forced``; with the heuristic off, only those
@@ -477,8 +479,6 @@ def select_ranking(
         raise InfeasibleTemplateError("no templates to select from")
     if projections is None:
         projections = [0.0] * len(templates)
-    seeds = rng.bit_generator.seed_seq.spawn(len(templates))
-    bit_generator = type(rng.bit_generator)
     prepared = _prepare(partition, certain, groups, scores)
     _require_blocks_in_certain_order(partition, certain, prepared.origin)
     keys = []
@@ -487,25 +487,25 @@ def select_ranking(
         bound = _regret_bound(prepared, template.placement, respect_certain)
         keys.append((bound, abs(projection), template.placement, i))
     keys.sort()
-    best: CalibratedRanking | None = None
-    best_key = None
+    start = rng.bit_generator.state
+    best = best_key = end = None
     for key in keys:
         if best_key is not None and key > best_key:
             break
-        i = key[-1]
+        rng.bit_generator.state = start  # every candidate draws the same numbers
         result = fair_swap(
             partition,
-            templates[i],
+            templates[key[-1]],
             certain,
             groups,
-            _ChildOnFirstDraw(bit_generator, seeds[i]),
-            scores=scores,
+            rng,
             respect_certain=respect_certain,
             prepared=prepared,
         )
         found = (result.added_regret, *key[1:])
         if best_key is None or found < best_key:
-            best, best_key = result, found
+            best, best_key, end = result, found, rng.bit_generator.state
+    rng.bit_generator.state = end
     return best
 
 
@@ -550,20 +550,3 @@ def _require_blocks_in_certain_order(partition: BlockPartition, certain, origin)
             f"documents {winner} and {loser} are in blocks {origin[winner]} and "
             f"{origin[loser]} but ({winner}, {loser}) is not a certain pair"
         )
-
-
-class _ChildOnFirstDraw:
-    """The generator that ``rng.spawn`` would return for ``seed``, built on
-    its first draw: many calibrations never draw."""
-
-    __slots__ = ("_bit_generator", "_seed", "_generator")
-
-    def __init__(self, bit_generator: type, seed: np.random.SeedSequence):
-        self._bit_generator = bit_generator
-        self._seed = seed
-        self._generator: np.random.Generator | None = None
-
-    def integers(self, high: int) -> int:
-        if self._generator is None:
-            self._generator = np.random.Generator(self._bit_generator(self._seed))
-        return self._generator.integers(high)

@@ -243,18 +243,15 @@ def sample_block_order(
     rng: np.random.Generator,
     respect_certain: bool,
 ) -> list[int]:
-    """Blocks in order; within each block a seeded random permutation,
-    drawn by ``fairswap.draw_slots`` (repeated random choice among the
-    unplaced documents with the fewest unplaced certain predecessors) when
-    the heuristic is on, and by one ``rng.permutation`` when it is off."""
+    """Blocks in order; within each block a seeded random order drawn by
+    ``fairswap.draw_slots`` on ``rng``: repeated random choice among the
+    unplaced documents, with the heuristic on among those with the fewest
+    unplaced certain predecessors."""
     order: list[int] = []
     for block in partition.blocks:
         remaining = list(block)
-        if not respect_certain:
-            order.extend(remaining[i] for i in rng.permutation(len(remaining)))
-            continue
-        slots = [remaining] * len(block)
-        order += fairswap.draw_slots(slots, [remaining], dict.fromkeys(block, 0), certain, rng)
+        slots, origin = [remaining] * len(block), dict.fromkeys(block, 0)
+        order += fairswap.draw_slots(slots, [remaining], origin, certain, rng, respect_certain)
     return order
 
 

@@ -31,6 +31,7 @@ inverse: the refit computes the one that ``classify_pairs`` reads next.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -463,7 +464,8 @@ def load_checkpoint(path: str | Path) -> RankerState:
     """Read a checkpoint written by ``save_checkpoint``, of this version or
     of versions 1 and 2, which store no min-max bounds.
 
-    Raises ``ValueError`` unless the arrays describe a valid state: theta of
+    Raises ``ValueError`` unless the file is an ``.npz`` archive with one
+    integer ``version`` and its arrays describe a valid state: theta of
     shape (d,), an information matrix of shape (d, d) that is symmetric
     positive definite, pair arrays of shapes (m, d) and (m,), every value
     finite, and (from version 2 on) a ``pairs_count`` of shape (m,) that
@@ -473,11 +475,21 @@ def load_checkpoint(path: str | Path) -> RankerState:
     repeated rows merge on load. Arrays it does not read, such as the
     ``q_norm`` of older checkpoints, are ignored.
     """
-    with np.load(path) as data:
-        version = int(data["version"])
-        if version not in (1, 2, CHECKPOINT_VERSION):
-            raise ValueError(f"unsupported checkpoint version {version}")
-        arrays = {name: data[name] for name in data.files}
+    try:
+        # opened here: np.load leaks the file of an archive it cannot read
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("checkpoint is one array, not an .npz archive of named arrays")
+            arrays = {name: data[name] for name in data.files}
+    except (EOFError, zipfile.BadZipFile) as exc:  # an empty or cut-off file
+        raise ValueError(f"checkpoint is not an .npz archive ({exc})") from None
+    version = arrays.get("version")
+    if version is None or version.shape != () or version.dtype.kind not in "iu":
+        raise ValueError("checkpoint has no version that is one integer")
+    version = int(version)
+    if version not in (1, 2, CHECKPOINT_VERSION):
+        raise ValueError(f"unsupported checkpoint version {version}")
     pair_names = ["pairs_x", "pairs_y"] + (["pairs_count"] if version > 1 else [])
     bound_names = ["minmax_lo", "minmax_hi"] if version > 2 else []
     _check_checkpoint(arrays, pair_names, bound_names)

@@ -383,6 +383,25 @@ def test_eval_rejects_a_checkpoint_with_bad_pair_counts(tmp_path, capsys, counts
     assert _one_line_error(capsys, argv).startswith(f"{checkpoint}: {message}")
 
 
+@pytest.mark.parametrize(
+    "name, write, message",
+    [
+        ("checkpoint.npy", lambda f: np.save(f, np.arange(3.0)), "checkpoint is one array"),
+        ("checkpoint.npz", lambda f: np.savez(f, theta=np.zeros(4)), "checkpoint has no version"),
+        ("checkpoint.npz", lambda f: np.savez(f, version=[3, 3]), "checkpoint has no version"),
+    ],
+    ids=["npy", "no-version", "version-array"],
+)
+def test_eval_rejects_a_file_that_is_no_checkpoint(tmp_path, capsys, name, write, message):
+    checkpoint = tmp_path / name
+    with checkpoint.open("wb") as fh:
+        write(fh)
+    test_file = tmp_path / "test.txt"
+    test_file.write_text("1 qid:1 1:0.1 2:0.2 3:0.3 4:0.0\n", encoding="utf-8")
+    argv = ["eval", "--checkpoint", str(checkpoint), "--test-file", str(test_file)]
+    assert _one_line_error(capsys, argv).startswith(f"{checkpoint}: {message}")
+
+
 def _one_line_error(capsys, argv) -> str:
     """Run the CLI on bad input: exit status 2, nothing on stdout, and one
     ``fairexp <command>: error:`` line on stderr, whose message is returned."""
@@ -585,6 +604,11 @@ def _exposure_table(root, ranks):
         ([], ["--exposure", "table", "--exposure-table", "{inf}"], "exposure inf must be finite"),
         (
             [],
+            ["--exposure", "table", "--exposure-table", "{latin1}"],
+            "latin1.txt: not UTF-8 text (invalid start byte)",
+        ),
+        (
+            [],
             ["--exposure-table", "{short}"],
             "exposure_table is used only with exposure_kind 'table', not 'log_discount'",
         ),
@@ -622,6 +646,7 @@ def _exposure_table(root, ranks):
         "short_table",
         "nan_table",
         "inf_table",
+        "latin1_table",
         "ignored_table",
         "custom_clicks",
         "ignored_clicks",
@@ -646,11 +671,23 @@ def test_a_bad_model_or_seed_is_one_line_before_any_round(
     for value in ("nan", "inf"):
         tables[value] = tmp_path / f"{value}.txt"
         tables[value].write_text(f"1 1.0\n2 {value}\n3 0.5\n", encoding="utf-8")
+    tables["latin1"] = tmp_path / "latin1.txt"
+    tables["latin1"].write_bytes("1 1.0\n2 0.5 # \u00bd\n".encode("latin-1"))
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     flags = [f.format(tmp=tmp_path, **tables) for f in flags]
     argv = [command, "--config", str(path), "--synthetic", SYNTH, "--rounds", "2", "--k", "3"]
     assert message in _one_line_error(capsys, argv + flags)
+
+
+def test_a_config_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes("rounds=4  # \u00bd\n".encode("latin-1"))
+    with pytest.raises(ValueError) as caught:
+        parse_config_file(path)
+    assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+    argv = ["run", "--config", str(path), "--synthetic", SYNTH]
+    assert _one_line_error(capsys, argv) == str(caught.value)
 
 
 @pytest.mark.parametrize(

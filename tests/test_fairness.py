@@ -88,6 +88,13 @@ class TestExposure:
             load_exposure_table(path)
         assert str(caught.value) == f"{path}: {message}"
 
+    def test_load_table_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "exposure.txt"
+        path.write_bytes("1 1.0  # \u00bd\n2 0.5\n".encode("latin-1"))
+        with pytest.raises(ExposureError) as caught:
+            load_exposure_table(path)
+        assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
     def test_unknown_kind(self):
         with pytest.raises(ExposureError):
             make_exposure_model("zipf", 5)

@@ -9,6 +9,8 @@ the displayed prefix. The calibrator's greedy choices must match the
 minimum over all leaves exactly.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -537,7 +539,9 @@ class TestPreparedCalibration:
         assert promoting_hosts >= 100
 
     def test_selection_equals_the_best_standalone_calibration(self):
-        # two calls on one generator: each spawns its children after the last
+        # two calls on one generator: each template calibrates from a copy of
+        # the generator as it was passed, and the generator ends where the
+        # winner's copy did
         rng = np.random.default_rng(19)
         for trial in range(150):
             blocks, placement, certain, groups, scores = wide_instance(rng)
@@ -551,30 +555,57 @@ class TestPreparedCalibration:
             projections = list(rng.standard_normal(len(templates)))
             partition = BlockPartition(blocks=[list(b) for b in blocks])
             respect = bool(trial % 2)
-            served, reference = np.random.default_rng(trial), np.random.default_rng(trial)
+            served = np.random.default_rng(trial)
             for _ in range(2):
+                copies = [copy.deepcopy(served) for _ in templates]
+                standalone = [
+                    fair_swap(
+                        partition, t, certain, groups, each, scores=scores, respect_certain=respect
+                    )
+                    for t, each in zip(templates, copies)
+                ]
+                # ties go to the earlier template: index finds the first minimum
+                keys = [
+                    (result.added_regret, abs(projection), t.placement)
+                    for result, projection, t in zip(standalone, projections, templates)
+                ]
+                best = keys.index(min(keys))
                 got = select_ranking(
                     partition, templates, certain, groups, served,
                     projections=projections, scores=scores, respect_certain=respect,
                 )
-                children = reference.spawn(len(templates))
-                standalone = [
-                    fair_swap(
-                        partition, t, certain, groups, child, scores=scores, respect_certain=respect
-                    )
-                    for t, child in zip(templates, children)
-                ]
-                want = min(
-                    zip(standalone, projections, templates),
-                    key=lambda item: (item[0].added_regret, abs(item[1]), item[2].placement),
-                )[0]
-                assert got == want
-            assert served.bit_generator.state == reference.bit_generator.state
-            assert (
-                served.bit_generator.seed_seq.n_children_spawned
-                == reference.bit_generator.seed_seq.n_children_spawned
-            )
+                assert got == standalone[best]
+                assert served.bit_generator.state == copies[best].bit_generator.state
+            assert served.bit_generator.seed_seq.n_children_spawned == 0
             assert partition.blocks == blocks  # calibration copies the blocks
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), respect=st.booleans(), data=st.data())
+    def test_the_selection_does_not_depend_on_the_template_order(self, seed, respect, data):
+        # with distinct placements every key differs, and every candidate
+        # draws the same numbers, so the list order changes nothing served
+        rng = np.random.default_rng(seed)
+        blocks, placement, certain, groups, scores = wide_instance(rng)
+        model = log_discount_model(len(placement))
+        placements = {placement}
+        labels = list(placement)
+        for _ in range(int(rng.integers(1, 8))):
+            rng.shuffle(labels)
+            placements.add(tuple(labels))
+        templates = [make_template(p, model) for p in sorted(placements)]
+        projections = list(rng.standard_normal(len(templates)))
+        order = data.draw(st.permutations(range(len(templates))))
+        partition = BlockPartition(blocks=[list(b) for b in blocks])
+        served = []
+        for each in (range(len(templates)), order):
+            generator = np.random.default_rng(seed)
+            got = select_ranking(
+                partition, [templates[i] for i in each], certain, groups, generator,
+                projections=[projections[i] for i in each], scores=scores,
+                respect_certain=respect,
+            )
+            served.append((got.order, got.template, generator.bit_generator.state))
+        assert served[0] == served[1]
 
 
 class TestSharedSteps:

@@ -15,20 +15,22 @@ hold-out split, one hold-out query with all grades 0), so the hold-out
 evaluation sees queries shorter and longer than its cut-off of 10.
 
 With ``respect_certain=False`` (the ``--no-heuristic`` flag) the blocks are
-shuffled by other random draws: one ``permutation`` per block in
-``harness.sample_block_order`` and one ``integers`` per slot with more than
-one candidate in ``fairswap.draw_slots``, the calibration fill, so those
-runs pin a second random stream.
+shuffled by other random draws: ``fairswap.draw_slots``, which orders each
+block in ``harness.sample_block_order`` and fills each calibrated segment,
+then draws one ``integers`` for every slot with more than one candidate,
+not only where the heuristic leaves a tie, so those runs pin a second
+sequence of draws from the run's one generator.
 
 The calibration run serves 40 candidates per query at k=10, so every round
 qualifies dozens of templates and promotes documents between blocks;
 ``fairswap.log`` prints each promotion of the chosen template with the
 group-B counts and sizes of the blocks below it. With the heuristic off,
 every slot whose group has more than one candidate draws. Calibration stops
-at the regret bound, so the run calibrates 116 templates with the heuristic
-off, 90 of which draw, and 52 with it on, 29 of which draw (1,877 and
-1,880, of which 740 and 501 drew, when every qualified template was
-calibrated; the hashes are the same).
+at the regret bound, so the run calibrates 95 templates with the heuristic
+off, 72 of which draw, and 41 with it on, 23 of which draw. Every candidate
+of a round draws from the run's generator as it stood when the round's
+calibration began, and the generator then goes on from where the chosen
+template's fill left it.
 
 The high-dimension run ranks 12 candidates of 136 features with
 navigational clicks, so few pairs are buffered (138 in 150 rounds) and
@@ -73,8 +75,8 @@ ALL_ZERO_TEST_QUERY = 4
 
 GOLDEN = {
     "fairexp_pairrank": (
-        "0e65eafdacbd2002030a6cae7a0ea770138f47d1c86056a4f6d951598dad4bc7",
-        "62fe130886ce7e3c3df7bd338683a9d85be11e8841b9c6dc6ad31ed3382da3c3",
+        "d5e9c91d52a878febfe4f01d0bb033e88a7cd9afe7b5a2f631db52150d6c5cf4",
+        "ca1a3b5f24c23b8d6d3ff061a97d60c2011cbc382865ec4e3118de40234d7208",
     ),
     "pairrank": (
         "bb697183ea06366160007c6580d02e5c1e21d75fce66f2ff59bf28a8d74c4ee6",
@@ -92,36 +94,36 @@ GOLDEN = {
 
 NO_HEURISTIC_GOLDEN = {
     "fairexp_pairrank": (
-        "05485b0ac8ee7c9c919877e172e462f686116a4d112937e0af8c1c29634ce569",
-        "4b2f639164aa2af12258d8b11a05f52626aeaf0354dd450f2d86fbead771a1a7",
+        "50f84d2bd57b80a648bee7ed8b0714242d0add10ab0d49d001ee33998699d362",
+        "0c5c89ee25438da37da0ee11d9979f62b6a91d92ab63cbfcc8277f7c9b0a12e8",
     ),
     "pairrank": (
-        "e73b674663f7bd50a285ff66e0c79f0c68d442860ff0e5d3e012b873b5ec8af5",
-        "2d885ebef86852a6406c9a52ecb9d5f673f2ee4490a10e71443d59c1bc17507e",
+        "96fcc9b94030c8458d43dc3032b93a0891f5b3e5fd87a9182bc6ccaae97e66d6",
+        "2ac09a97db631a2cb372df9bffa68f00189dba48ec4e9ccd703da6969d1366d9",
     ),
 }
 
 CALIBRATION_GOLDEN = (
-    "958a9561b96b3459d722458ae522141d3e0f6b33baade6d7ea4d1eb0a83680a8",
-    "28cc61a467f3da2a8eaddb30c9d378fb2d096b934e21aa23426e56860d880f60",
-    "1972fc5dc384e0fceba8d0d40c61aa1f2a437ea22a2ea3e342121b4e96a04678",
+    "21fb71009a92d3a4af888d1322402e7653a21317d8316681804433ed9add63f7",
+    "f62d292df945b9e06b55ab7440d454a8b4d1acc89ee5ebac62213ed219c6ea9b",
+    "427baaedfb2d5c1aee43e9714b89b2dc5468283bb8b63a8ac0ba32f36e96b4c7",
 )
 
 CALIBRATION_NO_HEURISTIC_GOLDEN = (
-    "75c708863826227946ebcadb31cd5e786a37022e8932ea4c044e745479818a47",
-    "c03f02727a446ac1d027a8f889a13cc6b89d7e5e8b6eff527985d31c09772761",
-    "5fe4e376242b261430dc9492d62969118f2e5f32404d7ad3abee566f76a3ca0c",
+    "ea903495ad4a5b8419b35d719e5b5a2232e66aee905cb179d1ef7ee2ac401ec5",
+    "6f698f892204dff9f420929b72366b465d61569c4fe06e96265a9c01f2d3974e",
+    "57657e7913c87ee14716065a39d4f25d5aa5aabe6968914ec0329f82b31c86ca",
 )
 
 # trace.csv and summary.txt of each bench/run.py workload at seed 1
 BENCH_GOLDEN = {
     "paper_default": (
-        "d4220fa2c84c4e0701d4e27c6d6a3baf3968369b2590ead29077ac6db105f1a5",
-        "101add430b7b692b576bd9951c515ecf3cfeb8116518f76d49992f60c510bff2",
+        "0465f612b27395ee21696dde63b506c44897aa8cd2ded24b820aad1b7b4b170a",
+        "edc80bf3b52c5094d84cbe9b127b7e85811ca4b41191f5a03537ce13d921e430",
     ),
     "wide_pool": (
-        "a488687d7b1e51872ad4b43d7cdedb15364bec6b7bc5b4b7ed2f2b377b30b6aa",
-        "2ad7c295e4b0bd0bd263dd73d9c3a52c1adbaa77e81bb3fd22e28df954f7ec73",
+        "a1791b1a385332b34d921ed410d4f4a4ac4545dc36a9ef0cd5105d632f4de322",
+        "096085b125c986548020ad37a83e0936fa4def696153c63d90c1d4760006dc69",
     ),
     "high_dim": (
         "110ba6ea5158202e8595c9c170b8677b5ea822a1adc309972c1ea4e8d49929ed",

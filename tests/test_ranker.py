@@ -899,6 +899,9 @@ TAMPERED_CHECKPOINTS = [
     (_drop("minmax_hi"), "no minmax_hi"),
     (_replace("minmax_lo", lambda a: a[:-1]), "minmax_lo has shape"),
     (_set("minmax_hi", 1, np.inf), "minmax_hi holds values that are not finite"),
+    (_drop("version"), "checkpoint has no version that is one integer"),
+    (_replace("version", lambda a: np.array([a, a])), "no version that is one integer"),
+    (_replace("version", lambda a: np.array(3.0)), "no version that is one integer"),
 ]
 
 
@@ -919,6 +922,22 @@ class TestCheckpointValidation:
     def test_tampered_checkpoint_rejected(self, tmp_path, change, message):
         path = tmp_path / "ckpt.npz"
         write_tampered_checkpoint(path, change)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "write, message",
+        [
+            (lambda fh: np.save(fh, np.arange(3.0)), "checkpoint is one array, not an .npz"),
+            (lambda fh: None, "checkpoint is not an .npz archive"),
+            (lambda fh: fh.write(b"PK\x03\x04 cut off"), "checkpoint is not an .npz archive"),
+        ],
+        ids=["npy", "empty", "cut-off"],
+    )
+    def test_a_file_that_is_not_an_archive_is_rejected(self, tmp_path, write, message):
+        path = tmp_path / "ckpt.npz"
+        with path.open("wb") as fh:
+            write(fh)
         with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
