@@ -14,6 +14,7 @@ into a column.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -329,6 +330,14 @@ def minmax_scale(
     return dataset
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ``ValidationError`` unless ``value`` is a non-bool integer >= ``least``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if operator.index(value) < least:
+        raise ValidationError(f"{name} must be >= {least}")
+
+
 @dataclass
 class SyntheticSpec:
     """Knobs for seeded synthetic data with a known scoring vector."""
@@ -342,20 +351,15 @@ class SyntheticSpec:
     theta_norm: float = 1.0
 
     def validate(self) -> None:
-        if self.d < 2:
-            raise ValidationError("d must be >= 2")
-        if self.docs_per_query < 2:
-            raise ValidationError("docs_per_query must be >= 2")
+        for name, least in dict(d=2, docs_per_query=2, n_queries=1).items():
+            check_count(name, getattr(self, name), least)
+        check_count("synthetic seed", self.seed, 0)
         if not 0.0 < self.group_balance < 1.0:
             raise ValidationError("group_balance must be in (0, 1)")
         if not 0.0 <= self.grade_noise <= 1.0:
             raise ValidationError("grade_noise must be in [0, 1]")
-        if self.n_queries < 1:
-            raise ValidationError("n_queries must be >= 1")
         if not 0 < self.theta_norm < math.inf:
             raise ValidationError("theta_norm must be finite and positive")
-        if self.seed < 0:
-            raise ValidationError("synthetic seed must be >= 0")
 
 
 def _unit_ball(rng: np.random.Generator, n: int, d: int) -> np.ndarray:

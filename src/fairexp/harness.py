@@ -1,13 +1,14 @@
 """End-to-end experiment loop for online learning to rank with fairness.
 
-Each round samples a training query, asks the configured policy for the
-top-k, simulates clicks, updates the unfairness ledger with the displayed
-group pattern's expected exposure, folds the inferred preference pairs into
-the ranker (when the policy learns), and records metrics. Runs are
+``step`` plays one round on a run's state, an ``ExperimentResult``: it
+samples a training query, asks the configured policy for the top-k,
+simulates clicks, updates the unfairness ledger with the displayed group
+pattern's expected exposure, folds the inferred preference pairs into the
+ranker (when the policy learns), and appends the round's record. Runs are
 deterministic given the configuration seed.
 
 Algorithms are the entries of ``POLICIES``, a table from name to policy;
-the round loop makes one dispatch through it and names no algorithm:
+``step`` makes one dispatch through it and names no algorithm:
 
 * ``fairexp_pairrank`` - PairRank's block partition, calibrated to a
   qualified group template by minimum-added-regret swaps;
@@ -42,6 +43,7 @@ from .data import (
     SyntheticSpec,
     _frozen,
     assign_groups,
+    check_count,
     load_svmlight,
     minmax_scale,
     synthetic_splits,
@@ -88,14 +90,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.rounds < 1 or self.k < 1:
-            raise ValueError("rounds and k must be >= 1")
+        counts = dict(rounds=1, k=1, eval_stride=1, seed=0, n_test=1, n_validation=0)
+        for name, least in counts.items():
+            check_count(name, getattr(self, name), least)
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be finite and positive")
         if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.eval_stride < 1:
-            raise ValueError("eval_stride must be >= 1")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
         if self.beta != "auto" and (isinstance(self.beta, str) or not 0 < self.beta < math.inf):
@@ -113,6 +114,8 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} is used only with dataset_dir, not synthetic")
         elif self.group_feature is None:
             raise ValueError("file datasets need group_feature to assign groups")
+        else:
+            check_count("group_feature", self.group_feature, 1)
         if self.group_strategy not in GROUP_STRATEGIES:
             raise ValueError(
                 f"unknown group_strategy {self.group_strategy!r}; "
@@ -126,12 +129,6 @@ class ExperimentConfig:
                 f"group_threshold is used only with group_strategy 'threshold', "
                 f"not {self.group_strategy!r}"
             )
-        if self.n_test < 1:
-            raise ValueError("n_test must be >= 1")
-        if self.n_validation < 0:
-            raise ValueError("n_validation must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.click_model == "custom":
             if len(self.custom_clicks or ()) != 10:
                 raise ValueError(
@@ -156,12 +153,25 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """A run's state, which ``step`` advances: one record per completed
+    round, the ``fairswap.log`` lines, and the summary after the last."""
+
     records: list[metrics.RoundRecord]
     state: ranker.RankerState
     ledger: fairness.UnfairnessLedger
     summary: dict
+    rng: np.random.Generator
+    swap_log: list[str]
     # always empty; kept with summary v1's flagged_rounds=0, which bench/tracer.py reads
     flagged_rounds: list[int] = field(default_factory=list)
+
+    @classmethod
+    def initial(cls, inputs: RunInputs) -> ExperimentResult:
+        config, train = inputs.config, inputs.train
+        state = ranker.RankerState.initial(train.dimension, config.lam)
+        state.minmax_bounds = train.metadata.get("minmax_bounds")
+        ledger = fairness.UnfairnessLedger(beta=inputs.beta, epsilon=config.epsilon)
+        return cls([], state, ledger, {}, np.random.default_rng(config.seed), [])
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -198,11 +208,11 @@ def load_datasets(config: ExperimentConfig):
 
 
 class RunInputs(NamedTuple):
-    """A checked config and everything the round loop reads besides it."""
+    """A checked config and everything ``step`` reads besides it."""
 
     config: ExperimentConfig
     train: GroupedDataset
-    test: GroupedDataset
+    holdout: HoldoutView  # the test split's, or in a sweep job the validation split's
     beta: float
     click_model: click_sim.ClickModelConfig
     exposure_model: fairness.ExposureModel
@@ -234,7 +244,7 @@ def prepare_run(config: ExperimentConfig) -> tuple[RunInputs, GroupedDataset | N
         exposure_model = fairness.make_exposure_model(config.exposure_kind, config.k)
     train, valid, test = load_datasets(config)
     beta = fairness.utility_ratio_beta(train) if config.beta == "auto" else float(config.beta)
-    return RunInputs(config, train, test, beta, click_model, exposure_model), valid
+    return RunInputs(config, train, holdout_view(test), beta, click_model, exposure_model), valid
 
 
 def sample_block_order(
@@ -343,17 +353,6 @@ def evaluate_offline(state: ranker.RankerState, holdout: HoldoutView) -> float:
     return float(np.cumsum(ndcg)[-1]) / holdout.n_queries
 
 
-@dataclass
-class _Run:
-    """What a policy may read or draw from during one run."""
-
-    config: ExperimentConfig
-    state: ranker.RankerState
-    ledger: fairness.UnfairnessLedger
-    exposure_model: fairness.ExposureModel
-    rng: np.random.Generator
-
-
 class _Served(NamedTuple):
     """A policy's answer for one round."""
 
@@ -363,14 +362,16 @@ class _Served(NamedTuple):
     fallback: bool = False  # no template fit within epsilon
 
 
-def _rank_blocks(run: _Run, query, k_t: int, constrained: bool) -> _Served:
+def _rank_blocks(
+    inputs: RunInputs, run: ExperimentResult, query, k_t: int, constrained: bool
+) -> _Served:
     """PairRank's blocks; when constrained with a finite epsilon, the
     cheapest calibration to a qualified template."""
-    config = run.config
+    config = inputs.config
     order_sets = ranker.classify_pairs(run.state, query, config.alpha)
     partition = ranker.partition_blocks(query, order_sets)
     if constrained and not math.isinf(config.epsilon):
-        templates = fairness.enumerate_templates(k_t, query.counts, run.exposure_model)
+        templates = fairness.enumerate_templates(k_t, query.counts, inputs.exposure_model)
         qualified, fallback = fairness.qualified_templates(run.ledger, templates)
         projections = [fairness.projected_unfairness(run.ledger, t) for t in qualified]
         scores = ranker.score_all(run.state, query.feature_matrix())
@@ -391,18 +392,18 @@ def _rank_blocks(run: _Run, query, k_t: int, constrained: bool) -> _Served:
     return _Served(displayed, added)
 
 
-def _rank_prop_control(run: _Run, query, k_t: int) -> _Served:
+def _rank_prop_control(inputs: RunInputs, run: ExperimentResult, query, k_t: int) -> _Served:
     scores = ranker.score_all(run.state, query.feature_matrix())
-    order = prop_control_rank(scores, query.groups(), run.ledger, run.config.lambda_f)
+    order = prop_control_rank(scores, query.groups(), run.ledger, inputs.config.lambda_f)
     return _Served(order[:k_t])
 
 
-def _rank_random(run: _Run, query, k_t: int) -> _Served:
+def _rank_random(inputs: RunInputs, run: ExperimentResult, query, k_t: int) -> _Served:
     return _Served(list(run.rng.permutation(len(query))[:k_t]))
 
 
 class _Policy(NamedTuple):
-    rank: Callable[[_Run, object, int], _Served]
+    rank: Callable[[RunInputs, ExperimentResult, object, int], _Served]
     tuned: tuple[str, ...]  # the config fields ``sweep`` grid-searches
     learns: bool = True  # whether clicks update the ranker
 
@@ -420,100 +421,94 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return run_prepared(prepare_run(config)[0])
 
 
-def run_prepared(inputs: RunInputs) -> ExperimentResult:
-    """The round loop of ``run_experiment`` on what ``prepare_run`` checked."""
-    config, train, test, beta, click_model, exposure_model = inputs
+def step(inputs: RunInputs, run: ExperimentResult) -> None:
+    """Play the round after ``run``'s last record and append its record."""
+    config, train = inputs.config, inputs.train
     policy = POLICIES[config.algorithm]
-    rng = np.random.default_rng(config.seed)
+    t = len(run.records) + 1
+    query = train.queries[int(run.rng.integers(len(train.queries)))]
+    k_t = min(config.k, len(query))
+    grades = query.grades()
+    groups = query.groups()
 
-    state = ranker.RankerState.initial(train.dimension, config.lam)
-    state.minmax_bounds = train.metadata.get("minmax_bounds")
-    ledger = fairness.UnfairnessLedger(beta=beta, epsilon=config.epsilon)
-    run = _Run(config, state, ledger, exposure_model, rng)
-    holdout = holdout_view(test)
+    served = policy.rank(inputs, run, query, k_t)
+    displayed = served.displayed
+    displayed_grades = [int(grades[i]) for i in displayed]
+    displayed_groups = [groups[i] for i in displayed]
+    outcome = click_sim.simulate(displayed_grades, inputs.click_model, run.rng)
 
-    records: list[metrics.RoundRecord] = []
-    swap_log: list[str] = []
-    offline_value = None
+    fairness.record(run.ledger, fairness.make_template(displayed_groups, inputs.exposure_model))
+
+    if policy.learns:
+        feats = query.feature_matrix()[displayed]
+        diffs, labels = ranker.infer_pairs(feats, outcome.clicks)
+        ranker.update(run.state, diffs, labels)
+
+    online = metrics.ndcg_at_k(displayed_grades, 10, ideal_grades=grades)
+    if t == 1 or t % config.eval_stride == 0 or t == config.rounds:
+        offline = evaluate_offline(run.state, inputs.holdout)
+    else:
+        offline = run.records[-1].offline_ndcg
+    run.records.append(
+        metrics.RoundRecord(
+            round=t,
+            online_ndcg=online,
+            offline_ndcg=offline,
+            instantaneous_unfairness=run.ledger.history[-1],
+            cumulative_unfairness=run.ledger.cumulative,
+            added_regret=served.added_regret,
+            pairwise_regret=metrics.pairwise_regret(displayed_grades),
+        )
+    )
+    calibrated = served.calibrated
+    if config.diagnostics and calibrated is not None:
+        run.swap_log.append(
+            f"round={t} template={''.join(calibrated.template.placement)} "
+            f"added_regret={calibrated.added_regret} fallback={served.fallback}"
+        )
+        run.swap_log.extend("  " + e.describe() for e in calibrated.events)
+
+
+def run_prepared(inputs: RunInputs) -> ExperimentResult:
+    """The rounds of ``run_experiment`` on what ``prepare_run`` checked.
+    A round that raises ends the run after ``trace.csv`` is written for
+    the rounds before it; only a completed run writes the other outputs."""
+    config = inputs.config
+    run = ExperimentResult.initial(inputs)
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-
     try:
-        for t in range(1, config.rounds + 1):
-            query = train.queries[int(rng.integers(len(train.queries)))]
-            k_t = min(config.k, len(query))
-            grades = query.grades()
-            groups = query.groups()
-
-            served = policy.rank(run, query, k_t)
-            displayed = served.displayed
-            displayed_grades = [int(grades[i]) for i in displayed]
-            displayed_groups = [groups[i] for i in displayed]
-            outcome = click_sim.simulate(displayed_grades, click_model, rng)
-
-            realized = fairness.make_template(displayed_groups, exposure_model)
-            fairness.record(ledger, realized)
-
-            if policy.learns:
-                feats = query.feature_matrix()[displayed]
-                diffs, labels = ranker.infer_pairs(feats, outcome.clicks)
-                ranker.update(state, diffs, labels)
-
-            online = metrics.ndcg_at_k(displayed_grades, 10, ideal_grades=grades)
-            if offline_value is None or t % config.eval_stride == 0 or t == config.rounds:
-                offline_value = evaluate_offline(state, holdout)
-            records.append(
-                metrics.RoundRecord(
-                    round=t,
-                    online_ndcg=online,
-                    offline_ndcg=offline_value,
-                    instantaneous_unfairness=ledger.history[-1],
-                    cumulative_unfairness=ledger.cumulative,
-                    added_regret=served.added_regret,
-                    pairwise_regret=metrics.pairwise_regret(displayed_grades),
-                )
-            )
-            calibrated = served.calibrated
-            if config.diagnostics and calibrated is not None:
-                head = (
-                    f"round={t} template={''.join(calibrated.template.placement)} "
-                    f"added_regret={calibrated.added_regret} fallback={served.fallback}"
-                )
-                swap_log.append(head)
-                swap_log.extend("  " + e.describe() for e in calibrated.events)
-    except ranker.NumericError:
+        for _ in range(config.rounds):
+            step(inputs, run)
+    finally:
         if out_dir:
-            _write_trace(out_dir / "trace.csv", records)
-        raise
+            _write_trace(out_dir / "trace.csv", run.records)
 
-    summary = {
-        "algorithm": config.algorithm,
-        "rounds": config.rounds,
-        "seed": config.seed,
-        "beta": beta,
-        "epsilon": config.epsilon,
-        "final_offline_ndcg10": records[-1].offline_ndcg,
-        "cumulative_ndcg": metrics.cumulative_ndcg(
-            [r.online_ndcg for r in records], config.gamma
-        ),
-        "final_abs_unfairness": abs(ledger.cumulative),
-        "total_added_regret": int(sum(r.added_regret for r in records)),
-        "ledger_violations": int(
+    records = run.records
+    run.summary.update(
+        algorithm=config.algorithm,
+        rounds=config.rounds,
+        seed=config.seed,
+        beta=inputs.beta,
+        epsilon=config.epsilon,
+        final_offline_ndcg10=records[-1].offline_ndcg,
+        cumulative_ndcg=metrics.cumulative_ndcg([r.online_ndcg for r in records], config.gamma),
+        final_abs_unfairness=abs(run.ledger.cumulative),
+        total_added_regret=int(sum(r.added_regret for r in records)),
+        ledger_violations=int(
             sum(1 for r in records if abs(r.cumulative_unfairness) > config.epsilon)
         ),
-        "flagged_rounds": 0,  # a failed calibration raises instead
-    }
-    result = ExperimentResult(records=records, state=state, ledger=ledger, summary=summary)
+        flagged_rounds=0,  # a failed calibration raises instead
+    )
     if out_dir:
-        _write_trace(out_dir / "trace.csv", records)
-        _write_summary(out_dir / "summary.txt", summary)
-        ranker.save_checkpoint(state, out_dir / "checkpoint.npz")
+        _write_summary(out_dir / "summary.txt", run.summary)
+        ranker.save_checkpoint(run.state, out_dir / "checkpoint.npz")
         if config.diagnostics:
             (out_dir / "fairswap.log").write_text(
-                "# fairswap-diagnostics v1\n" + "\n".join(swap_log) + "\n", encoding="utf-8"
+                "# fairswap-diagnostics v1\n" + "\n".join(run.swap_log) + "\n", encoding="utf-8"
             )
-    return result
+    return run
 
 
 def _write_trace(path: Path, records: list[metrics.RoundRecord]) -> None:
@@ -529,9 +524,9 @@ def _write_summary(path: Path, summary: dict) -> None:
 
 
 def _sweep_worker(args) -> tuple[dict, float]:
-    inputs, holdout, params = args
+    inputs, params = args
     result = run_prepared(inputs._replace(config=replace(inputs.config, **params, out_dir=None)))
-    return params, evaluate_offline(result.state, holdout)
+    return params, result.records[-1].offline_ndcg
 
 
 def check_sweep(config: ExperimentConfig) -> None:
@@ -566,10 +561,11 @@ def sweep_prepared(inputs: RunInputs, valid: GroupedDataset, workers: int = 1):
     ``workers`` < 1, before any job."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    holdout = holdout_view(valid)
+    # a job's hold-out is the validation split, and its last offline NDCG its score
+    inputs = inputs._replace(holdout=holdout_view(valid))
     tuned = POLICIES[inputs.config.algorithm].tuned
     grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]
-    jobs = [(inputs, holdout, params) for params in grid]
+    jobs = [(inputs, params) for params in grid]
     # a forking pool starts all its workers at the first submit: no more than there are jobs
     workers = min(workers, len(jobs))
     if workers > 1:

@@ -4,8 +4,8 @@ since some properties run a Newton fit or a brute-force oracle per example.
 
 Hypothesis also caches the constants it reads from local source files in
 its home directory, whatever the profile says; that directory is a
-temporary one, removed when the session exits, so no test run writes
-``.hypothesis/`` into the checkout.
+temporary one, removed when the session ends (``pytest_unconfigure``), so
+no test run writes ``.hypothesis/`` into the checkout.
 
 The report header names the numpy and BLAS build, on which the golden
 hashes depend."""
@@ -21,6 +21,10 @@ settings.load_profile("fairexp")
 
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HOME.cleanup()
 
 
 def pytest_report_header(config):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -9,13 +10,16 @@ from fairexp.fairness import ExposureError, UnfairnessLedger
 from fairexp.harness import (
     ALGORITHMS,
     ExperimentConfig,
+    ExperimentResult,
     evaluate_offline,
     holdout_view,
     load_datasets,
     prepare_run,
     prop_control_rank,
     run_experiment,
+    run_prepared,
     sample_block_order,
+    step,
     sweep,
 )
 from fairexp.metrics import TRACE_COLUMNS, ndcg_at_k
@@ -194,6 +198,46 @@ class TestConfig:
             fields = dict(fields, exposure_table=str(table))
         with pytest.raises(ValueError, match=message):
             run_experiment(small_config(k=3, **fields))
+
+    @pytest.mark.parametrize(
+        "owner, field, value",
+        [
+            ("config", "rounds", 3.0),
+            ("config", "rounds", True),
+            ("config", "k", 2.5),
+            ("config", "seed", 1.5),
+            ("config", "eval_stride", 1.5),
+            ("config", "n_test", np.float64(10)),
+            ("config", "n_validation", "5"),
+            ("config", "group_feature", True),
+            ("config", "group_feature", 1.0),
+            ("spec", "n_queries", 5.0),
+            ("spec", "n_queries", True),
+            ("spec", "docs_per_query", np.bool_(True)),
+            ("spec", "d", 4.0),
+            ("spec", "seed", 1.5),
+        ],
+    )
+    def test_integer_settings_refuse_bools_and_fractions(self, owner, field, value):
+        if owner == "spec":
+            config = small_config(synthetic=small_spec(**{field: value}))
+        elif field == "group_feature":
+            config = small_config(**dict(FOLD, group_feature=value))
+        else:
+            config = small_config(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            prepare_run(config)
+
+    def test_numpy_integers_are_accepted(self):
+        config = small_config(
+            rounds=np.int64(4),
+            k=np.int32(3),
+            seed=np.uint8(11),
+            eval_stride=np.int16(2),
+            synthetic=small_spec(n_queries=np.int64(20), d=np.int32(5)),
+        )
+        expected = run_experiment(small_config(rounds=4, k=3, eval_stride=2)).records
+        assert run_experiment(config).records == expected
 
     def test_beta_auto(self):
         config = small_config(beta="auto")
@@ -519,6 +563,60 @@ class TestSweep:
         assert set(best_params) == {"lam", "lambda_f"}
 
 
+class TestStep:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_two_halves_of_steps_equal_run_prepared(self, algorithm):
+        # the run result holds the whole state: a copy taken between the
+        # halves plays the second half as the uninterrupted run does
+        inputs = prepare_run(small_config(algorithm=algorithm, eval_stride=7, diagnostics=True))[0]
+        whole = run_prepared(inputs)
+        run = ExperimentResult.initial(inputs)
+        for _ in range(30):
+            step(inputs, run)
+        run = copy.deepcopy(run)
+        for _ in range(30):
+            step(inputs, run)
+        assert run.records == whole.records
+        assert run.swap_log == whole.swap_log
+        assert run.rng.bit_generator.state == whole.rng.bit_generator.state
+        assert run.state.theta.tobytes() == whole.state.theta.tobytes()
+
+    def test_any_error_in_a_round_flushes_the_partial_trace(self, tmp_path, monkeypatch):
+        from fairexp import fairswap
+
+        calls = {"n": 0}
+        original = fairswap.select_ranking
+
+        def failing_select(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 30:
+                raise fairswap.MalformedPartitionError("injected failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fairswap, "select_ranking", failing_select)
+        out = tmp_path / "crash"
+        with pytest.raises(fairswap.MalformedPartitionError, match="injected failure"):
+            run_experiment(small_config(out_dir=str(out)))
+        trace = (out / "trace.csv").read_text(encoding="utf-8").splitlines()
+        assert len(trace) == 2 + 29  # header lines plus completed rounds
+        assert sorted(f.name for f in out.iterdir()) == ["trace.csv"]
+
+    def test_a_sweep_builds_one_holdout_view_per_split(self, monkeypatch):
+        from fairexp import harness
+
+        built = []
+        original = harness.holdout_view
+
+        def counting(split):
+            built.append(split.split)
+            return original(split)
+
+        monkeypatch.setattr(harness, "holdout_view", counting)
+        _, results = sweep(small_config(rounds=5))
+        assert len(results) == 9
+        assert built == ["test", "validation"]
+
+
 class TestRobustness:
     def test_numeric_error_flushes_partial_trace(self, tmp_path, monkeypatch):
         from fairexp import harness, ranker
@@ -600,13 +698,15 @@ class TestRobustness:
         original = harness.run_prepared
 
         def recording(inputs):
-            received.append([v.split for v in inputs if isinstance(v, GroupedDataset)])
+            splits = [v.split for v in inputs if isinstance(v, GroupedDataset)]
+            received.append((splits, inputs.holdout.n_queries))
             return original(inputs)
 
         monkeypatch.setattr(harness, "run_prepared", recording)
         run_experiment(small_config(rounds=5))
         sweep(small_config(rounds=5))
-        assert received == [["train", "test"]] * 10
+        # a run holds out the n_test queries, a sweep job the n_validation ones
+        assert received == [(["train"], 10)] + [(["train"], 5)] * 9
 
     def test_sweep_with_two_workers_matches_serial(self):
         config = small_config(rounds=10)
