@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .data import SyntheticSpec, load_svmlight, minmax_scale, read_number, widen
+from .data import SyntheticSpec, load_svmlight, minmax_scale, read_number, text_lines, widen
 from .metrics import format_value
 from .harness import (
     ALGORITHMS,
@@ -143,7 +143,7 @@ def parse_config_file(path: str | Path) -> dict:
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     items = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(text_lines(text), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,6 +14,7 @@ into a column.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,6 +156,13 @@ def read_number(kind, token: str):
     return kind(token)
 
 
+def text_lines(text: str) -> list[str]:
+    """``text`` cut where a text-mode file cuts it, at ``\\n``, ``\\r\\n`` and
+    ``\\r`` only (``str.splitlines`` also cuts at form feeds, U+0085 and
+    other separators), into lines without their line ends."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _parse_line(line: str, lineno: int) -> tuple[int, str, dict[int, float]]:
     body = line.split("#", 1)[0].strip()
     tokens = body.split()
@@ -198,10 +206,11 @@ def parse_svmlight(source: str | Iterable[str], split: str = "train") -> Grouped
     default to 0.0; the dataset dimension is the maximum feature id seen.
     """
     if isinstance(source, str):
-        source = source.splitlines()
+        source = text_lines(source)
     by_qid: dict[str, list[tuple[int, dict[int, float]]]] = {}
     max_fid = 0
     for lineno, line in enumerate(source, start=1):
+        line = line.rstrip("\r\n")  # a file's lines keep their ends
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         grade, qid, feats = _parse_line(line, lineno)
@@ -338,6 +347,12 @@ def check_count(name: str, value, least: int) -> None:
         raise ValidationError(f"{name} must be >= {least}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ``ValidationError`` unless ``value`` is a non-bool real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class SyntheticSpec:
     """Knobs for seeded synthetic data with a known scoring vector."""
@@ -354,6 +369,8 @@ class SyntheticSpec:
         for name, least in dict(d=2, docs_per_query=2, n_queries=1).items():
             check_count(name, getattr(self, name), least)
         check_count("synthetic seed", self.seed, 0)
+        for name in ("group_balance", "grade_noise", "theta_norm"):
+            check_real(name, getattr(self, name))
         if not 0.0 < self.group_balance < 1.0:
             raise ValidationError("group_balance must be in (0, 1)")
         if not 0.0 <= self.grade_noise <= 1.0:

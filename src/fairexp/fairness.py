@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GROUP_A, GROUP_B, read_number
+from .data import GROUP_A, GROUP_B, read_number, text_lines
 
 
 class ExposureError(ValueError):
@@ -76,7 +76,7 @@ def load_exposure_table(path: str | Path) -> ExposureModel:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ExposureError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(text_lines(text), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue

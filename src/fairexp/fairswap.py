@@ -24,11 +24,14 @@ unshown. So a step follows from the two counters and its segment's slot
 pattern alone, and templates that reach the same state share it whatever
 their prefix.
 
-Every cross-block pair is certain, and the fill takes the deepest origin
-first, so the walk alone fixes every cross-block inversion a calibration
-serves. That count bounds its added regret from below, exactly when no
-certain pair lies inside an original block, and ``select_ranking``
-calibrates only the templates whose bound can still win.
+A round reads the certain set in one pass, ``index_pairs``: the block
+order check, the donor order and every within-block draw read its index,
+and only ``added_regret`` looks pairs up again. Every cross-block pair is
+certain, and the fill takes the deepest origin first, so the walk alone
+fixes every cross-block inversion a calibration serves. That count bounds
+its added regret from below, exactly when no certain pair lies inside an
+original block, and ``select_ranking`` calibrates only the templates
+whose bound can still win.
 
 Added regret is the count of certain pairs displayed in inverted order,
 restricted to the top-k since lower positions receive no exposure.
@@ -37,7 +40,7 @@ restricted to the top-k since lower positions receive no exposure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +59,7 @@ class InfeasibleTemplateError(ValueError):
 class MalformedPartitionError(ValueError):
     """Raised when the input blocks are not a partition of distinct documents
     into non-empty blocks, a document is labelled neither ``GROUP_A`` nor
-    ``GROUP_B``, or (in ``select_ranking``) two documents of different
+    ``GROUP_B``, a certain pair is a self pair, or two documents of different
     blocks are not a certain pair from the earlier block to the later."""
 
 
@@ -106,13 +109,46 @@ def added_regret(order, certain: set[tuple[int, int]]) -> int:
     return len(certain.intersection(combinations(reversed(order), 2)))
 
 
-def _within_block_wins(partition: BlockPartition, certain) -> dict[int, int]:
-    # only the sum(|b|^2) same-block pairs are looked up in ``certain``
-    wins = dict.fromkeys(partition.documents(), 0)
-    same_block = chain.from_iterable(product(block, block) for block in partition.blocks)
-    for winner, _ in certain.intersection(same_block):
-        wins[winner] += 1
-    return wins
+def index_pairs(partition: BlockPartition, certain) -> tuple[dict[int, int], dict[int, list]]:
+    """The one pass over ``certain``: each document's block, and the
+    documents it certainly beats inside that block. It refuses a duplicate
+    document, an empty block, a self pair and a break of ``BlockPartition``'s
+    invariant, which the selection's bound rests on: a pair across blocks
+    pointing up, or one missing, found by counting those pairs against
+    sum_{i<j} |b_i||b_j|. Pairs naming a document outside the partition are
+    skipped."""
+    blocks = partition.blocks
+    origin = {doc: bi for bi, block in enumerate(blocks) for doc in block}
+    sizes = [len(block) for block in blocks]
+    if len(origin) != sum(sizes):
+        raise MalformedPartitionError("blocks contain duplicate documents")
+    if not all(sizes):
+        raise MalformedPartitionError("blocks must not be empty")
+    beats: dict[int, list] = {doc: [] for doc in origin}
+    forward = 0
+    for winner, loser in certain:
+        above, below = origin.get(winner), origin.get(loser)
+        if above is None or below is None:
+            continue
+        if above < below:
+            forward += 1
+        elif winner == loser:
+            raise MalformedPartitionError(f"certain pair ({winner}, {loser}) is a self pair")
+        elif above == below:
+            beats[winner].append(loser)
+        else:
+            raise MalformedPartitionError(
+                f"certain pair ({winner}, {loser}) points from block {above} up to block {below}"
+            )
+    if forward < (len(origin) ** 2 - sum(s * s for s in sizes)) // 2:
+        winner, loser = next(
+            (w, l) for w in origin for l in origin if origin[w] < origin[l] and (w, l) not in certain
+        )
+        raise MalformedPartitionError(
+            f"documents {winner} and {loser} are in blocks {origin[winner]} and "
+            f"{origin[loser]} but ({winner}, {loser}) is not a certain pair"
+        )
+    return origin, beats
 
 
 def _donor_sort_key(doc: int, wins, scores):
@@ -147,6 +183,7 @@ class _PreparedPartition(NamedTuple):
     """
 
     origin: dict[int, int]  # document -> index of its original block
+    beats: dict[int, list]  # document -> the documents of its block it certainly beats
     # each group's documents, block by block, each block's in donor order
     seqs: tuple[tuple[int, ...], tuple[int, ...]]
     # for each group, the block of each of those documents, then the number of blocks
@@ -159,17 +196,13 @@ class _PreparedPartition(NamedTuple):
 
 
 def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPartition:
-    docs_all = partition.documents()
-    if len(set(docs_all)) != len(docs_all):
-        raise MalformedPartitionError("blocks contain duplicate documents")
-    if not all(partition.blocks):
-        raise MalformedPartitionError("blocks must not be empty")
-    for doc in docs_all:
+    for doc in partition.documents():
         if groups.get(doc) not in GROUPS:
             raise MalformedPartitionError(
                 f"document {doc} has group {groups.get(doc)!r}, not {GROUP_A!r} or {GROUP_B!r}"
             )
-    wins = _within_block_wins(partition, certain)
+    origin, beats = index_pairs(partition, certain)
+    wins = {doc: len(losers) for doc, losers in beats.items()}
     scores = scores or {}
     seqs: tuple[list[int], list[int]] = ([], [])
     where: tuple[list[int], list[int]] = ([], [])
@@ -188,7 +221,8 @@ def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPar
         where[g].append(n_blocks)
         ends[g].append(len(seqs[g]))
     return _PreparedPartition(
-        origin={doc: bi for bi, block in enumerate(partition.blocks) for doc in block},
+        origin=origin,
+        beats=beats,
         seqs=(tuple(seqs[0]), tuple(seqs[1])),
         where=(tuple(where[0]), tuple(where[1])),
         ends=(tuple(ends[0]), tuple(ends[1])),
@@ -233,19 +267,17 @@ def fair_swap(
     the same original block are followed where the slot pattern allows;
     disabling it recovers pure seeded shuffling within blocks.
 
-    Work that does not depend on the template (the duplicate and label
-    checks, each document's original block, and each group's documents
+    Work that does not depend on the template (the label check, the one
+    pass of ``index_pairs`` over ``certain``, and each group's documents
     block by block in donor order) is ``prepared``: ``select_ranking``
     builds it once per round for every call, and a call without it builds
     it from its own arguments. A call is then the feasibility check, the
     walk (``_walk``, which draws nothing), each promotion's ``SwapEvent``,
-    and the fill of each segment with the call's own ``rng``, which is read
-    only through ``integers`` and only for a slot with a choice. Calls that
-    share ``prepared`` share each walk step, keyed by the two counters
-    where it starts and its slot pattern.
-
-    One calibration looks ``certain`` up O(k^3 + sum(|b|^2)) times over the
-    blocks b, and never scans it: its cost does not grow with len(certain).
+    the fill of each segment with the call's own ``rng``, which is read
+    only through ``integers`` and only for a slot with a choice, and the
+    k(k-1)/2 lookups of ``added_regret``, its only reads of ``certain``.
+    Calls that share ``prepared`` share each walk step, keyed by the two
+    counters where it starts and its slot pattern.
     """
     if prepared is None:
         prepared = _prepare(partition, certain, groups, scores)
@@ -257,7 +289,7 @@ def fair_swap(
             events.append(_event(prepared, step, depth))
         shown = dict(zip(GROUPS, _shown(prepared, step)))
         slots = [shown[g] for g in step.seg]
-        order += draw_slots(slots, shown.values(), prepared.origin, certain, rng, respect_certain)
+        order += draw_slots(slots, shown.values(), prepared.origin, prepared.beats, rng, respect_certain)
     return CalibratedRanking(
         order=order,
         added_regret=added_regret(order, certain),
@@ -388,27 +420,27 @@ def _event(prepared: _PreparedPartition, step: _Step, depth: int) -> SwapEvent:
 
 
 def draw_slots(
-    slots, lists, origin: dict[int, int], certain, rng, respect_certain: bool = True
+    slots, lists, origin: dict[int, int], beats, rng, respect_certain: bool = True
 ) -> list[int]:
     """Fill each of ``slots``, a candidate list of ``lists`` per slot, with
     one of its documents, which then leaves its list, and return the fill.
     ``rng`` is read only through ``integers``, and only for a slot with a
     choice. This is the one within-block draw: ``fair_swap`` fills each
-    segment with it, and ``harness.sample_block_order`` each block.
+    segment with it, and ``harness.sample_block_order`` every block at once.
 
     With the heuristic on, a slot chooses among its candidates of the
     deepest ``origin`` (documents promoted from farther blocks go first: the
     merge already forfeited their known inferiority, and the fill realizes
     that loss instead of hiding it), and among those the ones with the
-    fewest certain predecessors left unplaced in ``lists`` with the same
-    origin; remaining ties are random, so one draw can invert a certain
-    pair that another avoids (ROADMAP item 2). With it off, a slot draws
-    among all its candidates.
+    fewest certain predecessors left unplaced in ``lists``; remaining ties
+    are random, so one draw can invert a certain pair that another avoids
+    (ROADMAP item 2). With it off, a slot draws among all its candidates.
 
     The predecessors are counted once, at the first slot with a choice, into
     one integer key per document with its origin folded in, and a placement
-    decrements the keys of its same-origin certain successors: O(n^2)
-    lookups in ``certain`` for the n documents of ``lists``.
+    decrements the keys of its certain successors. Both read ``beats``, the
+    documents each certainly beats in its origin, as ``index_pairs`` gives
+    them: one pass over the lists of the n documents of ``lists``.
     """
     fill: list[int] = []
     key, succ = None, {}
@@ -420,8 +452,7 @@ def draw_slots(
                 span = len(docs) + 1  # more than any count
                 key = {d: -origin[d] * span for d in docs}
                 for r in docs:
-                    o = origin[r]
-                    succ[r] = [d for d in docs if (r, d) in certain and d != r and origin[d] == o]
+                    succ[r] = [d for d in beats[r] if d in key]
                     for d in succ[r]:
                         key[d] += 1
             low = min(map(key.__getitem__, cands))
@@ -460,16 +491,15 @@ def select_ranking(
     across segments): a lower bound on its added regret, exact with the
     heuristic on when no certain pair lies inside an original block. That
     holds because every cross-block pair is certain and points down the
-    blocks, which this checks once per round in O(len(certain)). Templates are
+    blocks, which ``index_pairs`` checks in its one pass. Templates are
     calibrated by ``fair_swap`` in order of (bound, |projection|,
     placement, index), and the round stops at the first whose key is above
     the best (added regret, |projection|, placement, index) so far: it and
     every template after it would cost at least that much.
 
-    Once per round: the duplicate, label and block-order checks, each
-    document's original block, and the donor order (each group's documents
-    block by block, each block sorted by within-block certain wins, then
-    score, then index). Once per walk state and slot pattern: the step
+    Once per round: the label check, ``index_pairs``, and the donor order
+    (each group's documents block by block, each block sorted by
+    within-block certain wins, then score, then index). Once per walk state and slot pattern: the step
     taken from there, which reads the donor order by position and sorts
     nothing, and the inversions it forces. Once per template: the
     feasibility check and the bound. Once per calibrated template: its
@@ -480,7 +510,6 @@ def select_ranking(
     if projections is None:
         projections = [0.0] * len(templates)
     prepared = _prepare(partition, certain, groups, scores)
-    _require_blocks_in_certain_order(partition, certain, prepared.origin)
     keys = []
     for i, (template, projection) in enumerate(zip(templates, projections)):
         _require_feasible(prepared, template.placement)
@@ -518,35 +547,3 @@ def _regret_bound(prepared: _PreparedPartition, placement, respect_certain: bool
     for step in _walk(prepared, placement):
         bound += step.forced[respect_certain]
     return bound
-
-
-def _require_blocks_in_certain_order(partition: BlockPartition, certain, origin) -> None:
-    """``BlockPartition``'s invariant, which the selection's bound rests on:
-    every pair of documents in two blocks is a certain pair from the
-    earlier block to the later one. Counts the certain pairs across blocks
-    against sum_{i<j} |b_i||b_j| and refuses any that points up."""
-    forward = 0
-    for winner, loser in certain:
-        above, below = origin.get(winner), origin.get(loser)
-        if above is None or below is None or above == below:
-            continue
-        if above > below:
-            raise MalformedPartitionError(
-                f"certain pair ({winner}, {loser}) points from block {above} up to block {below}"
-            )
-        forward += 1
-    sizes = [len(block) for block in partition.blocks]
-    if forward < (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2:
-        blocks = partition.blocks
-        winner, loser = next(
-            (w, l)
-            for bi, block in enumerate(blocks)
-            for later in blocks[bi + 1 :]
-            for w in block
-            for l in later
-            if (w, l) not in certain
-        )
-        raise MalformedPartitionError(
-            f"documents {winner} and {loser} are in blocks {origin[winner]} and "
-            f"{origin[loser]} but ({winner}, {loser}) is not a certain pair"
-        )

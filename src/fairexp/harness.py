@@ -44,6 +44,7 @@ from .data import (
     _frozen,
     assign_groups,
     check_count,
+    check_real,
     load_svmlight,
     minmax_scale,
     synthetic_splits,
@@ -93,6 +94,13 @@ class ExperimentConfig:
         counts = dict(rounds=1, k=1, eval_stride=1, seed=0, n_test=1, n_validation=0)
         for name, least in counts.items():
             check_count(name, getattr(self, name), least)
+        for name in ("lam", "alpha", "gamma", "epsilon", "lambda_f"):
+            check_real(name, getattr(self, name))
+        if not isinstance(self.beta, str):
+            check_real("beta", self.beta)
+        for name in ("respect_certain", "diagnostics", "minmax"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be True or False, got {getattr(self, name)!r}")
         if not 0 < self.lam < math.inf:
             raise ValueError("lam must be finite and positive")
         if not self.alpha >= 0:
@@ -107,20 +115,26 @@ class ExperimentConfig:
             raise ValueError("lambda_f must be finite and >= 0")
         if (self.dataset_dir is None) == (self.synthetic is None):
             raise ValueError("give exactly one data source: dataset_dir or synthetic")
+        # synthetic data draws its own groups, and a dataset directory holds its
+        # own splits, so a setting of the other source would be ignored
         if self.synthetic is not None:
-            # synthetic data draws its own groups, so a grouping setting would be ignored
-            for f in fields(self):
-                if f.name in _GROUPING and getattr(self, f.name) != f.default:
-                    raise ValueError(f"{f.name} is used only with dataset_dir, not synthetic")
-        elif self.group_feature is None:
-            raise ValueError("file datasets need group_feature to assign groups")
+            ignored, only = _GROUPING, "dataset_dir, not synthetic"
         else:
+            ignored, only = ("n_validation", "n_test"), "synthetic, not dataset_dir"
+        for f in fields(self):
+            if f.name in ignored and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} is used only with {only}")
+        if self.synthetic is None:
+            if self.group_feature is None:
+                raise ValueError("file datasets need group_feature to assign groups")
             check_count("group_feature", self.group_feature, 1)
         if self.group_strategy not in GROUP_STRATEGIES:
             raise ValueError(
                 f"unknown group_strategy {self.group_strategy!r}; "
                 f"expected one of {', '.join(GROUP_STRATEGIES)}"
             )
+        if self.group_threshold is not None:
+            check_real("group_threshold", self.group_threshold)
         if self.group_strategy == "threshold":
             if self.group_threshold is None or not math.isfinite(self.group_threshold):
                 raise ValueError("group_strategy 'threshold' needs a finite group_threshold")
@@ -135,6 +149,7 @@ class ExperimentConfig:
                     "click_model 'custom' needs ten custom_clicks (5 click, 5 stop probabilities)"
                 )
             for i, p in enumerate(self.custom_clicks):
+                check_real(f"custom_clicks[{i}]", p)
                 if not 0.0 <= p <= 1.0:
                     raise ValueError(f"custom_clicks[{i}]: probability {p} outside [0, 1]")
         elif self.custom_clicks is not None:
@@ -256,13 +271,12 @@ def sample_block_order(
     """Blocks in order; within each block a seeded random order drawn by
     ``fairswap.draw_slots`` on ``rng``: repeated random choice among the
     unplaced documents, with the heuristic on among those with the fewest
-    unplaced certain predecessors."""
-    order: list[int] = []
-    for block in partition.blocks:
-        remaining = list(block)
-        slots, origin = [remaining] * len(block), dict.fromkeys(block, 0)
-        order += fairswap.draw_slots(slots, [remaining], origin, certain, rng, respect_certain)
-    return order
+    unplaced certain predecessors. ``fairswap.index_pairs`` refuses a
+    partition whose blocks are not in certain order."""
+    origin, beats = fairswap.index_pairs(partition, certain)
+    lists = [list(block) for block in partition.blocks]
+    slots = [each for each in lists for _ in each]
+    return fairswap.draw_slots(slots, lists, origin, beats, rng, respect_certain)
 
 
 def prop_control_rank(

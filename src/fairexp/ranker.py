@@ -65,11 +65,8 @@ CG_RTOL = 1e-3
 def sigmoid(z):
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) below
+    out = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 

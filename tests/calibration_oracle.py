@@ -24,7 +24,6 @@ from fairexp.fairswap import (
     MalformedPartitionError,
     SwapEvent,
     _donor_sort_key,
-    _within_block_wins,
     added_regret,
 )
 
@@ -42,6 +41,17 @@ def fewest_predecessors(pool, rivals, certain):
     counts = [sum(1 for r in rivals if r != d and (r, d) in certain) for d in pool]
     fewest = min(counts)
     return [d for d, c in zip(pool, counts) if c == fewest]
+
+
+def within_block_wins(blocks, certain):
+    """Each document's certain wins over members of its own block, by a
+    scan of every certain pair: the reference for the donor order."""
+    origin = {doc: bi for bi, block in enumerate(blocks) for doc in block}
+    wins = dict.fromkeys(origin, 0)
+    for winner, loser in certain:
+        if winner in origin and origin.get(loser) == origin[winner]:
+            wins[winner] += 1
+    return wins
 
 
 def brute_added_regret(order, certain):
@@ -210,7 +220,7 @@ def reference_fair_swap(
             )
     scores = scores or {}
     origin = {doc: bi for bi, block in enumerate(partition.blocks) for doc in block}
-    wins = _within_block_wins(partition, certain)
+    wins = within_block_wins(partition.blocks, certain)
 
     work = deque(list(block) for block in partition.blocks)
     order = []

@@ -153,6 +153,14 @@ def _config_lines(values: dict) -> list[str]:
     return lines
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_config_file_lines_end_only_at_line_ends(tmp_path, end):
+    # a form feed or U+0085 in a comment is part of the comment
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(end.join(["rounds=7 # a\x0cb", "k=5 # c\x85d", ""]).encode("utf-8"))
+    assert parse_config_file(path) == {"rounds": 7, "k": 5}
+
+
 def test_config_file_round_trips_every_field(tmp_path):
     import argparse
 
@@ -172,8 +180,10 @@ def test_config_file_round_trips_every_field(tmp_path):
     _add_common_flags(parser)
     with pytest.raises(ValueError, match="exactly one data source"):
         build_config(parser.parse_args(["--config", str(path)]))
-    # without the synthetic spec, the rest is one valid file-dataset config
-    file_config = {k: v for k, v in NON_DEFAULT.items() if k != "synthetic"}
+    # without the synthetic spec and its split sizes, the rest is one valid
+    # file-dataset config
+    synthetic_only = ("synthetic", "n_validation", "n_test")
+    file_config = {k: v for k, v in NON_DEFAULT.items() if k not in synthetic_only}
     path.write_text("\n".join(_config_lines(file_config)) + "\n", encoding="utf-8")
     config = build_config(parser.parse_args(["--config", str(path)]))
     assert config == ExperimentConfig(**file_config)
@@ -450,6 +460,15 @@ def test_a_config_file_missing_a_required_synthetic_key_is_one_line(tmp_path, ca
     path.write_text("synthetic.n_queries=5\nsynthetic.seed=2\n", encoding="utf-8")
     message = _one_line_error(capsys, [command, "--config", str(path)])
     assert message == f"{path}: missing synthetic.docs_per_query, synthetic.d"
+
+
+def test_a_synthetic_split_size_next_to_a_dataset_is_one_line(tmp_path, capsys):
+    # the directory holds its own splits, so the size would be ignored
+    path = tmp_path / "run.cfg"
+    path.write_text("n_test=999\n", encoding="utf-8")
+    argv = ["run", "--config", str(path), "--dataset", str(tmp_path), "--group-feature", "1"]
+    message = _one_line_error(capsys, argv)
+    assert message == "n_test is used only with synthetic, not dataset_dir"
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -134,6 +134,21 @@ class TestParse:
         ds = load_svmlight(path)
         assert len(ds) == 1
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_text_and_file_split_lines_alike(self, tmp_path, end):
+        # only line ends end a line; a form feed or U+0085 in a comment does not
+        text = end.join(["1 qid:1 1:0.5 # a\x85id", "0 qid:1 1:0.2 # b\x0cc", ""])
+        path = tmp_path / "train.txt"
+        path.write_bytes(text.encode("utf-8"))
+        for ds in (parse_svmlight(text), load_svmlight(path)):
+            assert ds.queries[0].grades().tolist() == [1, 0]
+
+    def test_file_errors_quote_the_line_without_its_end(self, tmp_path):
+        path = tmp_path / "train.txt"
+        path.write_text("1 qid:1 1:0.5\nbad\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"line 2: .*, got 'bad'$"):
+            load_svmlight(path)
+
     @pytest.mark.parametrize(
         "content, error, message",
         [

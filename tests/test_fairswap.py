@@ -24,6 +24,7 @@ from calibration_oracle import (
     random_instance,
     reference_fair_swap,
     reference_fill,
+    within_block_wins,
 )
 from fairexp import fairswap
 from fairexp.fairness import enumerate_templates, log_discount_model, make_template
@@ -33,9 +34,9 @@ from fairexp.fairswap import (
     MalformedPartitionError,
     _donor_sort_key,
     _prepare,
-    _within_block_wins,
     added_regret,
     fair_swap,
+    index_pairs,
     select_ranking,
 )
 from fairexp.ranker import BlockPartition
@@ -268,13 +269,35 @@ def unsorted_blocks(draw):
     return [docs[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
-def scan_within_block_wins(blocks, certain):
+@st.composite
+def partitioned_pairs(draw):
+    """A partition, and certain pairs around it: every pair across its
+    blocks pointing down, less up to two of them, plus up to eight drawn
+    pairs of any kind (within a block, up, self, or off the partition)."""
+    blocks = draw(unsorted_blocks())
+    forward = cross_block_certain(blocks)
+    dropped = draw(st.sets(st.sampled_from(sorted(forward)), max_size=2)) if forward else set()
+    extra = draw(st.sets(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=8))
+    return blocks, (forward - dropped) | extra
+
+
+def scan_index(blocks, certain):
+    """The index by a plain scan of every pair of partitioned documents:
+    each one's block, the members of its block it certainly beats, and
+    whether the set holds a self pair, a pair pointing up the blocks or
+    misses a pair across them."""
     origin = {doc: bi for bi, block in enumerate(blocks) for doc in block}
-    wins = {doc: 0 for doc in origin}
-    for winner, loser in certain:
-        if winner in origin and origin.get(loser) == origin[winner]:
-            wins[winner] += 1
-    return wins
+    beats = {
+        w: sorted(l for l in origin if l != w and origin[l] == origin[w] and (w, l) in certain)
+        for w in origin
+    }
+    broken = any(
+        (w, l) in certain and (w == l or origin[w] > origin[l])
+        or origin[w] < origin[l] and (w, l) not in certain
+        for w in origin
+        for l in origin
+    )
+    return origin, beats, broken
 
 
 class TestCertainLookups:
@@ -287,14 +310,24 @@ class TestCertainLookups:
         assert added_regret(order, certain) == brute_added_regret(order, certain)
 
     @PROPERTY
-    @given(blocks=unsorted_blocks(), certain=CERTAIN)
-    @example(blocks=[], certain={(0, 1)})
-    @example(blocks=[[4]], certain={(4, 4), (4, 11)})
-    @example(blocks=[[5, 0, 9, 2, 7]], certain={(9, 0), (0, 9), (2, 12), (7, 7)})
-    @example(blocks=[[3, 1], [0, 2]], certain={(3, 1), (1, 0), (2, 0), (13, 3)})
-    def test_within_block_wins_matches_the_scan(self, blocks, certain):
-        got = _within_block_wins(BlockPartition(blocks=blocks), certain)
-        assert got == scan_within_block_wins(blocks, certain)
+    @given(case=partitioned_pairs())
+    @example(case=([], {(0, 1)}))
+    @example(case=([[4]], {(4, 4), (4, 11)}))  # a self pair
+    @example(case=([[5, 0, 9, 2, 7]], {(9, 0), (0, 9), (2, 12), (7, 5)}))
+    @example(case=([[3, 1], [0, 2]], {(3, 0), (3, 2), (1, 0), (1, 2), (3, 1), (13, 3)}))
+    @example(case=([[3, 1], [0, 2]], {(3, 0), (3, 2), (1, 0), (1, 2), (2, 1)}))  # one up
+    @example(case=([[3, 1], [0, 2]], {(3, 0), (3, 2), (1, 0)}))  # one missing
+    def test_index_matches_the_scan(self, case):
+        blocks, certain = case
+        origin, beats, broken = scan_index(blocks, certain)
+        partition = BlockPartition(blocks=blocks)
+        if broken:
+            with pytest.raises(MalformedPartitionError):
+                index_pairs(partition, certain)
+        else:
+            got_origin, got_beats = index_pairs(partition, certain)
+            assert got_origin == origin
+            assert {w: sorted(losers) for w, losers in got_beats.items()} == beats
 
 
 @st.composite
@@ -336,7 +369,11 @@ class TestDrawSlots:
         want = reference_fill(seg, displayed, origin, certain, groups, want_rng, respect)
         lists = {g: [d for d in displayed if groups[d] == g] for g in "AB"}
         slots = [lists[g] for g in seg]
-        got = fairswap.draw_slots(slots, lists.values(), origin, certain, got_rng, respect)
+        beats = {
+            w: [l for l in displayed if l != w and origin[l] == origin[w] and (w, l) in certain]
+            for w in displayed
+        }
+        got = fairswap.draw_slots(slots, lists.values(), origin, beats, got_rng, respect)
         assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -522,7 +559,7 @@ class TestPreparedCalibration:
             assert len(hosts) == len(set(hosts)), (blocks, placement, groups)
             promoting_hosts += len(hosts)
 
-            wins = _within_block_wins(partition, certain)
+            wins = within_block_wins(blocks, certain)
             prepared = _prepare(partition, certain, groups, scores)
             # each group's sequence, cut at its block ends, gives each block's
             # members of that group

@@ -7,6 +7,7 @@ import pytest
 from calibration_oracle import cross_block_certain, fewest_predecessors
 from fairexp.data import GroupedDataset, QueryCandidates, SyntheticSpec
 from fairexp.fairness import ExposureError, UnfairnessLedger
+from fairexp.fairswap import MalformedPartitionError
 from fairexp.harness import (
     ALGORITHMS,
     ExperimentConfig,
@@ -49,9 +50,9 @@ def small_config(**kwargs):
         beta=1.0,
         epsilon=0.1,
         seed=11,
-        n_validation=5,
-        n_test=10,
     )
+    if kwargs.get("synthetic", defaults["synthetic"]) is not None:
+        defaults.update(n_validation=5, n_test=10)  # sizes of the synthetic splits only
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
 
@@ -93,6 +94,33 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             small_config(**{field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            (dict(lam=True), "lam"),
+            (dict(alpha=False), "alpha"),
+            (dict(gamma=True), "gamma"),
+            (dict(epsilon=True), "epsilon"),
+            (dict(lambda_f=False), "lambda_f"),
+            (dict(beta=True), "beta"),
+            (dict(lam="0.1"), "lam"),
+            (dict(epsilon=None), "epsilon"),
+            (dict(FOLD, group_strategy="threshold", group_threshold=True), "group_threshold"),
+            (dict(click_model="custom", custom_clicks=(0.5,) * 9 + (True,)), r"custom_clicks\[9\]"),
+            (dict(respect_certain="false"), "respect_certain"),
+            (dict(diagnostics=1), "diagnostics"),
+            (dict(minmax=np.True_), "minmax"),
+            (dict(synthetic=small_spec(group_balance=True)), "group_balance"),
+            (dict(synthetic=small_spec(grade_noise=True)), "grade_noise"),
+            (dict(synthetic=small_spec(theta_norm=True)), "theta_norm"),
+        ],
+    )
+    def test_values_of_the_wrong_type_rejected(self, config, named):
+        # a bool or a non-number in a real-valued field, or a non-bool in a
+        # switch, is refused before it reaches the run
+        with pytest.raises(ValueError, match=named):
+            prepare_run(small_config(**config))
+
     @pytest.mark.parametrize("field, value", [("eval_stride", 1), ("alpha", 0.0)])
     def test_range_edges_accepted(self, field, value):
         small_config(**{field: value}).validate()
@@ -128,6 +156,8 @@ class TestConfig:
             (dict(group_feature=1), "group_feature is used only with dataset_dir"),
             (dict(group_strategy="quantile"), "group_strategy is used only with dataset_dir"),
             (dict(group_threshold=0.5), "group_threshold is used only with dataset_dir"),
+            (dict(FOLD, n_test=999), "n_test is used only with synthetic, not dataset_dir"),
+            (dict(FOLD, n_validation=0), "n_validation is used only with synthetic"),
         ],
     )
     def test_grouping_and_split_sizes_rejected(self, fields, named):
@@ -229,12 +259,19 @@ class TestConfig:
             prepare_run(config)
 
     def test_numpy_integers_are_accepted(self):
+        # and real-valued fields take Python ints and numpy numbers
         config = small_config(
             rounds=np.int64(4),
             k=np.int32(3),
             seed=np.uint8(11),
             eval_stride=np.int16(2),
-            synthetic=small_spec(n_queries=np.int64(20), d=np.int32(5)),
+            synthetic=small_spec(
+                n_queries=np.int64(20), d=np.int32(5), group_balance=np.float32(0.5), theta_norm=1
+            ),
+            lam=np.float64(0.1),
+            beta=1,
+            epsilon=np.float64(0.1),
+            gamma=np.float64(0.9995),
         )
         expected = run_experiment(small_config(rounds=4, k=3, eval_stride=2)).records
         assert run_experiment(config).records == expected
@@ -470,6 +507,17 @@ class TestSampleBlockOrder:
         for _ in range(50):
             order = sample_block_order(partition, certain, rng, True)
             assert set(order[:2]) == {0, 1} and set(order[2:]) == {2, 3, 4}
+
+    def test_refuses_blocks_out_of_certain_order(self):
+        # pairrank's block order rests on the invariant the calibration checks
+        partition = BlockPartition(blocks=[[0, 1], [2]])
+        for certain, named in (
+            ({(0, 2), (1, 2), (2, 0)}, r"\(2, 0\) points from block 1 up to block 0"),
+            ({(0, 2)}, r"\(1, 2\) is not a certain pair"),
+            ({(0, 2), (1, 2), (1, 1)}, r"\(1, 1\) is a self pair"),
+        ):
+            with pytest.raises(MalformedPartitionError, match=named):
+                sample_block_order(partition, certain, np.random.default_rng(0), True)
 
     def test_respects_certain_orders_within_block(self):
         rng = np.random.default_rng(1)
