@@ -456,7 +456,7 @@ def step(inputs: RunInputs, run: ExperimentResult) -> None:
     if policy.learns:
         feats = query.feature_matrix()[displayed]
         diffs, labels = ranker.infer_pairs(feats, outcome.clicks)
-        ranker.update(run.state, diffs, labels)
+        ranker.update(run.state, diffs, labels, (feats, outcome.clicks))
 
     online = metrics.ndcg_at_k(displayed_grades, 10, ideal_grades=grades)
     if t == 1 or t % config.eval_stride == 0 or t == config.rounds:
@@ -537,8 +537,20 @@ def _write_summary(path: Path, summary: dict) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _sweep_worker(args) -> tuple[dict, float]:
-    inputs, params = args
+# the inputs every job of a sweep shares, set once in each pool worker by
+# the pool's initializer, so that a job sends only its grid values
+_SWEEP_INPUTS: RunInputs | None = None
+
+
+def _init_sweep_worker(inputs: RunInputs) -> None:
+    global _SWEEP_INPUTS
+    _SWEEP_INPUTS = inputs
+
+
+def _sweep_worker(params: dict, inputs: RunInputs | None = None) -> tuple[dict, float]:
+    """Run one grid point on ``inputs``, by default the worker's shared
+    inputs, and return it with its last offline NDCG."""
+    inputs = _SWEEP_INPUTS if inputs is None else inputs
     result = run_prepared(inputs._replace(config=replace(inputs.config, **params, out_dir=None)))
     return params, result.records[-1].offline_ndcg
 
@@ -579,13 +591,15 @@ def sweep_prepared(inputs: RunInputs, valid: GroupedDataset, workers: int = 1):
     inputs = inputs._replace(holdout=holdout_view(valid))
     tuned = POLICIES[inputs.config.algorithm].tuned
     grid = [dict(zip(tuned, values)) for values in product(SWEEP_GRID, repeat=len(tuned))]
-    jobs = [(inputs, params) for params in grid]
     # a forking pool starts all its workers at the first submit: no more than there are jobs
-    workers = min(workers, len(jobs))
+    workers = min(workers, len(grid))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+        # each worker receives the inputs once, and each job only its grid values
+        with ProcessPoolExecutor(
+            workers, initializer=_init_sweep_worker, initargs=(inputs,)
+        ) as pool:
+            results = list(pool.map(_sweep_worker, grid))
     else:
-        results = [_sweep_worker(job) for job in jobs]
+        results = [_sweep_worker(params, inputs) for params in grid]
     best = max(enumerate(results), key=lambda item: (item[1][1], -item[0]))[1]
     return best, results

@@ -9,16 +9,26 @@ rest "uncertain"; candidates partition into blocks whose cross-block
 orders are all certain.
 
 The parameters are re-fitted over the whole pair history every round.
-The same query showing the same list again yields the same difference
-vectors, so the history is kept as its distinct (difference vector,
-label) pairs with their counts, and the fit runs on these sufficient
-statistics: each distinct pair once, weighted by its count.
+Every pair is a clicked document over a skipped one, and the same query
+showing the same list again yields the same pairs, so the history is kept
+as the D distinct documents it compares and its u distinct (winner,
+loser, label) pairs of document indices with their counts. The fit runs on
+these sufficient statistics: each distinct pair once, weighted by its
+count. A product with the u difference rows X = docs[win] - docs[lose]
+can go through the document table, O(D d + u) instead of O(u d):
+X v = (docs v)[win] - (docs v)[lose], and X^T r = docs^T (the sum of r
+over the pairs each document wins minus over those it loses). Above
+``DIRECT_SOLVE_MAX_D`` features, with more pairs than documents, every
+product does. Otherwise the fit builds X once and multiplies with it: the
+direct solve needs X for its Hessian, and with no more pairs than
+documents one product with X costs less than the two gathers and two
+bincounts of one through the table.
 
 Each Newton step of the refit solves H p = grad with the Hessian
 H = X^T diag(c s (1 - s)) X + lam I over the u distinct rows X. Up to
 ``DIRECT_SOLVE_MAX_D`` features the step forms H, O(u d^2), and solves it
 directly. Above that width it runs conjugate gradients on Hessian-vector
-products, O(u d) each, preconditioned by the inverse information matrix
+products, O(D d + u) each, preconditioned by the inverse information matrix
 M^-1 = (lam I + X^T diag(c) X)^-1, as in TRON (Lin, Weng & Keerthi, JMLR
 2008). M carries the scale and correlation of the features that make H
 ill-conditioned, and it bounds H: since s (1 - s) <= 1/4, H <= M
@@ -49,7 +59,7 @@ class NumericError(RuntimeError):
     """Raised when the loss or gradient turns non-finite."""
 
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 GRAD_TOL = 1e-6
 MAX_NEWTON_ITERS = 100
 # The widest input whose Newton step forms the Hessian and solves it. Timed
@@ -71,52 +81,93 @@ def sigmoid(z):
 
 
 class _PairBuffer:
-    """Growable store of preference pairs, each distinct (difference vector,
-    label) kept once with the number of times it was observed.
+    """Growable store of preference pairs, kept over the distinct documents
+    they compare, each distinct (winner, loser, label) pair once with the
+    number of times it was observed.
 
-    ``rows``, ``labels`` and ``counts`` hold the u distinct pairs in order of
-    first occurrence; a dict keyed by the exact bytes of row and label finds
-    a repeat. ``n`` is the number of pairs buffered, the sum of the counts,
-    and ``x`` and ``y`` expand the distinct pairs back into all n of them,
-    each row repeated by its count (not in the order they arrived).
+    ``docs`` holds each distinct document row once, in order of first
+    occurrence; row 0 is the zero vector, and a dict keyed by a row's exact
+    bytes finds a repeat. ``win``, ``lose``, ``labels`` and ``counts`` hold
+    the u distinct pairs in order of first occurrence: the indices into
+    ``docs`` of the preferred and the other document, the label and the
+    count; a dict keyed by the index pair and label finds a repeat.
+    ``rows`` is the pairs' difference vectors ``docs[win] - docs[lose]``.
+    ``n`` is the number of pairs buffered, the sum of the counts, and ``x``
+    and ``y`` expand the distinct pairs back into all n of them, each row
+    repeated by its count (not in the order they arrived).
+
+    A difference vector stored without the documents it came from is a
+    document paired with row 0. Two pairs are then the same pair when their
+    documents are the same, not when their differences are.
     """
 
     def __init__(self, d: int):
-        self._rows = np.empty((16, d), dtype=np.float64)
+        self._docs = np.zeros((16, d), dtype=np.float64)
+        self._doc_index: dict[bytes, int] = {self._docs[0].tobytes(): 0}
+        self._win = np.empty(16, dtype=np.intp)
+        self._lose = np.empty(16, dtype=np.intp)
         self._labels = np.empty(16, dtype=np.float64)
         self._counts = np.empty(16, dtype=np.int64)
-        self._index: dict[bytes, int] = {}
+        self._pair_index: dict[tuple[int, int, float], int] = {}
         self.n = 0
 
-    def extend(self, diffs: np.ndarray, labels: np.ndarray, counts=None) -> None:
-        """Add each pair ``counts`` times (default once); ``diffs`` and
-        ``labels`` must be float64."""
-        if counts is None:
-            counts = np.ones(len(labels), dtype=np.int64)
-        for row, label, count in zip(diffs, labels, counts):
-            key = row.tobytes() + label.tobytes()
-            i = self._index.get(key)
+    def doc_ids(self, rows: np.ndarray) -> list[int]:
+        """The index in ``docs`` of each float64 row, appending the new ones."""
+        ids = []
+        for row in rows:
+            key = row.tobytes()
+            i = self._doc_index.get(key)
             if i is None:
-                i = self._index[key] = len(self._index)
+                i = self._doc_index[key] = len(self._doc_index)
+                if i == len(self._docs):
+                    self._docs = np.concatenate([self._docs, np.empty_like(self._docs)])
+                self._docs[i] = row
+            ids.append(i)
+        return ids
+
+    def add(self, win: list[int], lose: list[int], labels: list[float], counts=None) -> None:
+        """Add the pair of documents ``win[i]`` over ``lose[i]`` with label
+        ``labels[i]`` ``counts[i]`` times (default once)."""
+        if counts is None:
+            counts = [1] * len(labels)
+        for key, count in zip(zip(win, lose, labels), counts):
+            i = self._pair_index.get(key)
+            if i is None:
+                i = self._pair_index[key] = len(self._pair_index)
                 if i == len(self._labels):
-                    self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
-                    self._labels = np.concatenate([self._labels, np.empty_like(self._labels)])
-                    self._counts = np.concatenate([self._counts, np.empty_like(self._counts)])
-                self._rows[i], self._labels[i], self._counts[i] = row, label, 0
+                    self._win, self._lose, self._labels, self._counts = (
+                        np.concatenate([a, np.empty_like(a)])
+                        for a in (self._win, self._lose, self._labels, self._counts)
+                    )
+                self._win[i], self._lose[i], self._labels[i] = key
+                self._counts[i] = 0
             self._counts[i] += count
-            self.n += int(count)
+            self.n += count
 
     @property
-    def rows(self) -> np.ndarray:
-        return self._rows[: len(self._index)]
+    def docs(self) -> np.ndarray:
+        return self._docs[: len(self._doc_index)]
+
+    @property
+    def win(self) -> np.ndarray:
+        return self._win[: len(self._pair_index)]
+
+    @property
+    def lose(self) -> np.ndarray:
+        return self._lose[: len(self._pair_index)]
 
     @property
     def labels(self) -> np.ndarray:
-        return self._labels[: len(self._index)]
+        return self._labels[: len(self._pair_index)]
 
     @property
     def counts(self) -> np.ndarray:
-        return self._counts[: len(self._index)]
+        return self._counts[: len(self._pair_index)]
+
+    @property
+    def rows(self) -> np.ndarray:
+        docs = self.docs
+        return docs[self.win] - docs[self.lose]
 
     @property
     def x(self) -> np.ndarray:
@@ -302,6 +353,17 @@ def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> 
     return BlockPartition(blocks=blocks)
 
 
+def _pair_masks(clicks) -> tuple[np.ndarray, np.ndarray]:
+    """The clicked and the skipped positions of a displayed list: every
+    clicked document is preferred over every unclicked one at or above the
+    last click. The pairs run clicked-major: each clicked position, top
+    down, over each skipped one, top down."""
+    clicks = np.asarray(clicks, dtype=bool)
+    # unclicked with a click at or below it, that is at or above the last click
+    skipped = ~clicks & np.logical_or.accumulate(clicks[::-1])[::-1]
+    return clicks, skipped
+
+
 def infer_pairs(
     displayed_features: np.ndarray, clicks
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -311,29 +373,45 @@ def infer_pairs(
     or above the last clicked position; positions below the last click
     carry no signal. Returns (difference matrix, labels), labels all 1.
     """
-    clicks = np.asarray(clicks, dtype=bool)
-    # unclicked with a click at or below it, that is at or above the last click
-    skipped = ~clicks & np.logical_or.accumulate(clicks[::-1])[::-1]
+    clicked, skipped = _pair_masks(clicks)
     d = displayed_features.shape[1]
-    diffs = (displayed_features[clicks][:, None] - displayed_features[skipped]).reshape(-1, d)
+    diffs = (displayed_features[clicked][:, None] - displayed_features[skipped]).reshape(-1, d)
     return diffs, np.ones(len(diffs))
 
 
-def _loss_grad(theta: np.ndarray, x: np.ndarray, y: np.ndarray, c: np.ndarray, lam: float):
-    z = x @ theta
+def _pair_dot(docs: np.ndarray, win, lose, v: np.ndarray) -> np.ndarray:
+    """X v for the difference rows X = docs[win] - docs[lose], in O(D d + u)
+    over D documents and u pairs; with ``win`` None, ``docs`` is X."""
+    t = docs @ v
+    return t if win is None else t[win] - t[lose]
+
+
+def _pair_tdot(docs: np.ndarray, win, lose, r: np.ndarray) -> np.ndarray:
+    """X^T r for the difference rows X = docs[win] - docs[lose], in
+    O(D d + u): each document's share of r, then one product with docs;
+    with ``win`` None, ``docs`` is X."""
+    if win is None:
+        return docs.T @ r
+    n_docs = len(docs)
+    return docs.T @ (np.bincount(win, r, n_docs) - np.bincount(lose, r, n_docs))
+
+
+def _loss_grad(theta, docs, win, lose, y, c, lam: float):
+    z = _pair_dot(docs, win, lose, theta)
     s = sigmoid(z)
     # cross-entropy of sigmoid(z) against y, in the softplus form, of each
     # distinct pair times its count
     loss = float(np.sum(c * (np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * theta @ theta)
-    grad = x.T @ (c * (s - y)) + lam * theta
+    grad = _pair_tdot(docs, win, lose, c * (s - y)) + lam * theta
     return loss, grad, s
 
 
-def _cg_step(x: np.ndarray, w: np.ndarray, lam: float, grad: np.ndarray, precond: np.ndarray):
-    """Approximate solution p of H p = grad, H = x^T diag(w) x + lam I, by
-    conjugate gradients preconditioned with ``precond`` (symmetric positive
-    definite, close to H^-1). Each iteration applies H as two products with
-    ``x``; the iterations stop once the residual ||grad - H p|| is at most
+def _cg_step(docs, win, lose, w: np.ndarray, lam: float, grad: np.ndarray, precond: np.ndarray):
+    """Approximate solution p of H p = grad, H = X^T diag(w) X + lam I over
+    the difference rows X = docs[win] - docs[lose], by conjugate gradients
+    preconditioned with ``precond`` (symmetric positive definite, close to
+    H^-1). Each iteration applies H as two products with ``docs``; the
+    iterations stop once the residual ||grad - H p|| is at most
     ``CG_RTOL * ||grad||``, or after d of them."""
     step = np.zeros_like(grad)
     resid = grad.copy()
@@ -344,7 +422,8 @@ def _cg_step(x: np.ndarray, w: np.ndarray, lam: float, grad: np.ndarray, precond
     for _ in range(len(grad)):
         if np.linalg.norm(resid) <= tol:
             break
-        h_dir = x.T @ (w * (x @ direction)) + lam * direction
+        h_dir = _pair_tdot(docs, win, lose, w * _pair_dot(docs, win, lose, direction))
+        h_dir += lam * direction
         a = rz / (direction @ h_dir)
         step += a * direction
         resid -= a * h_dir
@@ -355,8 +434,31 @@ def _cg_step(x: np.ndarray, w: np.ndarray, lam: float, grad: np.ndarray, precond
     return step
 
 
-def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerState:
+def _shown_pairs(state: RankerState, shown, n_pairs: int):
+    """The displayed rows down to the last click, and for each of the
+    ``n_pairs`` pairs that ``infer_pairs`` makes of ``shown``, (displayed
+    rows, clicks), the positions of its clicked and its skipped row, in
+    ``infer_pairs``' order."""
+    feats, clicks = shown
+    feats = _check_dim(state, feats)
+    clicked, skipped = _pair_masks(clicks)
+    if clicked.shape != (len(feats),):
+        raise ValueError(f"{clicked.size} clicks for {len(feats)} displayed rows")
+    won, lost = clicked.nonzero()[0].tolist(), skipped.nonzero()[0].tolist()
+    if len(won) * len(lost) != n_pairs:
+        raise ValueError(f"the shown clicks give {len(won) * len(lost)} pairs, not {n_pairs}")
+    # every row at or above the last click is clicked or skipped
+    return feats[: won[-1] + 1], [i for i in won for _ in lost], lost * len(won)
+
+
+def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None) -> RankerState:
     """Fold new preference pairs into the state and re-fit the parameters.
+
+    ``shown`` is (displayed rows, clicks), what ``infer_pairs`` made
+    ``diffs`` from; the buffer then keeps each pair as its two documents.
+    Without it each difference vector is stored as a document paired with
+    the zero row. Both give the same ``rows``, labels and counts. A round
+    without pairs adds nothing, so its ``shown`` is not read.
 
     The information matrix gains the new outer products; the parameter
     vector is re-optimized over the full pair history by damped Newton
@@ -367,14 +469,20 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
     strictly lowers the loss, and the fit ends when 50 halvings find none,
     so the final loss is below the warm start's or equal to it.
 
+    Above ``DIRECT_SOLVE_MAX_D`` features, with more distinct pairs u than
+    distinct documents D, every product with the history runs over the
+    documents: X v is (docs v)[win] - (docs v)[lose], and X^T r is docs^T
+    times each document's summed share of r, so a loss, gradient or
+    Hessian-vector product costs O(D d + u) instead of O(u d). Otherwise
+    the fit builds the u difference rows X once and multiplies with them.
     The Newton step solves (X^T diag(c s (1 - s)) X + lam I) p = grad. At
-    d <= ``DIRECT_SOLVE_MAX_D`` it forms that Hessian, O(u d^2) instead of
-    O(n d^2) over all n pairs buffered, and solves it. Wider, it runs
-    ``_cg_step``: conjugate gradients on Hessian-vector products, O(u d)
-    each, to a residual of ``CG_RTOL`` times the gradient norm, with the
-    inverse information matrix as preconditioner (see the module
-    docstring for why it fits); that inverse is the one ``classify_pairs``
-    reads next round, computed here instead.
+    d <= ``DIRECT_SOLVE_MAX_D`` it forms that Hessian from X, O(u d^2)
+    instead of O(n d^2) over all n pairs buffered, and solves it. Wider, it
+    runs ``_cg_step``: conjugate gradients on Hessian-vector products to a
+    residual of ``CG_RTOL`` times the gradient norm, with the inverse
+    information matrix as preconditioner (see the module docstring for why
+    it fits); that inverse is the one ``classify_pairs`` reads next round,
+    computed here instead.
 
     A round with no new pairs after a fit that settled (its gradient met
     the tolerance, or its line search found no lower loss) keeps theta
@@ -386,22 +494,39 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if len(diffs) != len(labels):
         raise ValueError("diffs and labels disagree in length")
+    if shown is not None and len(labels):
+        shown_rows, won, lost = _shown_pairs(state, shown, len(labels))
     state.round += 1
     if not len(diffs) and state._fit_settled:
         return state
-    state.pairs.extend(diffs, labels)
+    pairs = state.pairs
     if len(diffs):
+        if shown is None:
+            win = pairs.doc_ids(diffs)
+            lose = [0] * len(win)
+        else:
+            ids = pairs.doc_ids(shown_rows)
+            win, lose = [ids[i] for i in won], [ids[j] for j in lost]
+        pairs.add(win, lose, labels.tolist())
         state.info_matrix = state.info_matrix + diffs.T @ diffs
         state._info_inv = None
 
-    if state.pairs.n == 0:
+    if pairs.n == 0:
         state.theta = np.zeros(state.d)
         return state
-    x, y, c = state.pairs.rows, state.pairs.labels, state.pairs.counts
+    y, c = pairs.labels, pairs.counts
+    # the difference rows as ``_pair_dot`` reads them
+    if state.d <= DIRECT_SOLVE_MAX_D or len(y) <= len(pairs.docs):
+        # the direct solve forms its Hessian from the rows themselves; and
+        # with no more pairs than documents, one product with the rows costs
+        # less than the two gathers and two bincounts of one through docs
+        x = (pairs.rows, None, None)
+    else:
+        x = (pairs.docs, pairs.win, pairs.lose)
 
     theta = state.theta.copy()
     state._fit_settled = False
-    loss, grad, s = _loss_grad(theta, x, y, c, state.lam)
+    loss, grad, s = _loss_grad(theta, *x, y, c, state.lam)
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
         raise NumericError(f"non-finite loss at warm start (round {state.round})")
     for _ in range(MAX_NEWTON_ITERS):
@@ -411,16 +536,17 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
         # Hessian weights from the accepted point's probabilities
         w = c * s * (1.0 - s)
         if state.d > DIRECT_SOLVE_MAX_D:
-            step = _cg_step(x, w, state.lam, grad, state.info_inverse())
+            step = _cg_step(*x, w, state.lam, grad, state.info_inverse())
         else:
-            hess = (x * w[:, None]).T @ x + state.lam * np.eye(state.d)
+            rows = x[0]
+            hess = (rows * w[:, None]).T @ rows + state.lam * np.eye(state.d)
             step = np.linalg.solve(hess, grad)
         # backtracking keeps the loss monotone even far from the optimum; a
         # step that only ties the loss is rounding, not progress
         stepsize = 1.0
         for _ in range(50):
             cand = theta - stepsize * step
-            cand_loss, cand_grad, cand_s = _loss_grad(cand, x, y, c, state.lam)
+            cand_loss, cand_grad, cand_s = _loss_grad(cand, *x, y, c, state.lam)
             if np.isfinite(cand_loss) and cand_loss < loss:
                 theta, loss, grad, s = cand, cand_loss, cand_grad, cand_s
                 break
@@ -435,14 +561,21 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray) -> RankerS
 
 
 def save_checkpoint(state: RankerState, path: str | Path) -> None:
-    """Write a versioned checkpoint (theta, info matrix, lam, round, and
-    the distinct pairs with their counts, so a resumed run can keep
-    re-fitting the full history), and the min-max bounds as ``minmax_lo``
+    """Write a versioned checkpoint: theta, info matrix, lam, round, the
+    pair history as the buffer keeps it, so a resumed run can keep
+    re-fitting the full history, and the min-max bounds as ``minmax_lo``
     and ``minmax_hi`` when the run scaled its features.
+
+    The history is ``pairs_docs`` (D, d), the distinct documents with the
+    zero row first, and per distinct pair ``pairs_win`` and ``pairs_lose``
+    (u,), indices into ``pairs_docs``, ``pairs_y`` (u,) its label and
+    ``pairs_count`` (u,) how often it was observed. No (u, d) array of
+    difference rows is built.
     """
     bounds = {}
     if state.minmax_bounds is not None:
         bounds = dict(zip(("minmax_lo", "minmax_hi"), state.minmax_bounds))
+    pairs = state.pairs
     np.savez(
         path,
         **bounds,
@@ -451,26 +584,44 @@ def save_checkpoint(state: RankerState, path: str | Path) -> None:
         info_matrix=state.info_matrix,
         lam=np.array(state.lam),
         round=np.array(state.round),
-        pairs_x=state.pairs.rows,
-        pairs_y=state.pairs.labels,
-        pairs_count=state.pairs.counts,
+        pairs_docs=pairs.docs,
+        pairs_win=pairs.win,
+        pairs_lose=pairs.lose,
+        pairs_y=pairs.labels,
+        pairs_count=pairs.counts,
     )
+
+
+# the pair arrays of each checkpoint version
+_PAIR_NAMES = {
+    1: ["pairs_x", "pairs_y"],
+    2: ["pairs_x", "pairs_y", "pairs_count"],
+    3: ["pairs_x", "pairs_y", "pairs_count"],
+    4: ["pairs_docs", "pairs_win", "pairs_lose", "pairs_y", "pairs_count"],
+}
 
 
 def load_checkpoint(path: str | Path) -> RankerState:
     """Read a checkpoint written by ``save_checkpoint``, of this version or
-    of versions 1 and 2, which store no min-max bounds.
+    of versions 1 to 3, which store each distinct pair as its difference
+    row ``pairs_x`` (m, d); versions 1 and 2 store no min-max bounds.
 
     Raises ``ValueError`` unless the file is an ``.npz`` archive with one
     integer ``version`` and its arrays describe a valid state: theta of
     shape (d,), an information matrix of shape (d, d) that is symmetric
-    positive definite, pair arrays of shapes (m, d) and (m,), every value
-    finite, and (from version 2 on) a ``pairs_count`` of shape (m,) that
-    holds positive integers up to 2**53, and (from version 3 on) both or
-    neither of ``minmax_lo`` and ``minmax_hi``, each of shape (d,). A
-    version 1 file has no counts: each of its rows counts once, and
-    repeated rows merge on load. Arrays it does not read, such as the
-    ``q_norm`` of older checkpoints, are ignored.
+    positive definite, every value finite, and either no pair arrays or all
+    of the version's: ``pairs_y`` of shape (m,); ``pairs_x`` of shape
+    (m, d) up to version 3; from version 2 on a ``pairs_count`` of shape
+    (m,) that holds positive integers up to 2**53; from version 4 on
+    ``pairs_docs`` of shape (D, d) and integer ``pairs_win`` and
+    ``pairs_lose`` of shape (m,) with values in 0..D-1. From version 3 on
+    it holds both or neither of ``minmax_lo`` and ``minmax_hi``, each of
+    shape (d,). The loaded buffer stores each pair as the buffer would
+    have: a ``pairs_x`` row as a document paired with the zero row, and
+    repeated documents and pairs merge, so a version 1 file, which has no
+    counts and one row per pair, loads with each distinct row once. Arrays
+    it does not read, such as the ``q_norm`` of older checkpoints, are
+    ignored.
     """
     try:
         # opened here: np.load leaks the file of an archive it cannot read
@@ -485,9 +636,9 @@ def load_checkpoint(path: str | Path) -> RankerState:
     if version is None or version.shape != () or version.dtype.kind not in "iu":
         raise ValueError("checkpoint has no version that is one integer")
     version = int(version)
-    if version not in (1, 2, CHECKPOINT_VERSION):
+    if version not in _PAIR_NAMES:
         raise ValueError(f"unsupported checkpoint version {version}")
-    pair_names = ["pairs_x", "pairs_y"] + (["pairs_count"] if version > 1 else [])
+    pair_names = _PAIR_NAMES[version]
     bound_names = ["minmax_lo", "minmax_hi"] if version > 2 else []
     _check_checkpoint(arrays, pair_names, bound_names)
     theta = arrays["theta"]
@@ -500,12 +651,18 @@ def load_checkpoint(path: str | Path) -> RankerState:
     )
     if bound_names and "minmax_lo" in arrays:
         state.minmax_bounds = (arrays["minmax_lo"], arrays["minmax_hi"])
-    if "pairs_x" in arrays:
-        state.pairs.extend(
-            arrays["pairs_x"].astype(np.float64),
-            arrays["pairs_y"].astype(np.float64),
-            arrays["pairs_count"].astype(np.int64) if version > 1 else None,
-        )
+    pairs = state.pairs
+    if "pairs_y" in arrays:
+        if "pairs_docs" in pair_names:
+            ids = np.array(pairs.doc_ids(arrays["pairs_docs"].astype(np.float64)), dtype=np.intp)
+            win, lose = ids[arrays["pairs_win"]].tolist(), ids[arrays["pairs_lose"]].tolist()
+        else:
+            win = pairs.doc_ids(arrays["pairs_x"].astype(np.float64))
+            lose = [0] * len(win)
+        counts = None
+        if "pairs_count" in pair_names:
+            counts = arrays["pairs_count"].astype(np.int64).tolist()
+        pairs.add(win, lose, arrays["pairs_y"].astype(np.float64).tolist(), counts)
     return state
 
 
@@ -524,10 +681,15 @@ def _check_checkpoint(
         raise ValueError(f"checkpoint theta has shape {theta.shape}, expected (d,)")
     d = len(theta)
     m = arrays["pairs_y"].size if "pairs_y" in names else 0
+    docs = arrays["pairs_docs"] if "pairs_docs" in names else np.empty((0,))
+    n_docs = len(docs) if docs.ndim else 0
     shapes = {
         "theta": (d,),
         "info_matrix": (d, d),
         "pairs_x": (m, d),
+        "pairs_docs": (n_docs, d),
+        "pairs_win": (m,),
+        "pairs_lose": (m,),
         "pairs_y": (m,),
         "pairs_count": (m,),
         "minmax_lo": (d,),
@@ -539,6 +701,14 @@ def _check_checkpoint(
             raise ValueError(f"checkpoint {name} has shape {value.shape}, expected {shape}")
         if value.dtype.kind not in "biuf" or not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint {name} holds values that are not finite numbers")
+    for name in ("pairs_win", "pairs_lose"):
+        if name not in names:
+            continue
+        index = arrays[name]
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"checkpoint {name} has dtype {index.dtype}, not an integer one")
+        if np.any(index < 0) or np.any(index >= n_docs):
+            raise ValueError(f"checkpoint {name} holds indices outside 0..{n_docs - 1}")
     if "pairs_count" in names:
         # the fit weighs rows by their counts in float64, exact up to 2**53
         counts = arrays["pairs_count"]

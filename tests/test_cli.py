@@ -393,6 +393,54 @@ def test_eval_rejects_a_checkpoint_with_bad_pair_counts(tmp_path, capsys, counts
     assert _one_line_error(capsys, argv).startswith(f"{checkpoint}: {message}")
 
 
+def _with(name, value):
+    def change(arrays):
+        arrays[name] = value(arrays)
+
+    return change
+
+
+def _at(name, index, value):
+    def change(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = value
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            _with("pairs_lose", lambda a: a["pairs_lose"] + len(a["pairs_docs"])),
+            "checkpoint pairs_lose holds indices outside 0..",
+        ),
+        (_at("pairs_win", 0, -1), "checkpoint pairs_win holds indices outside 0.."),
+        (
+            _with("pairs_win", lambda a: a["pairs_win"].astype(np.float64)),
+            "checkpoint pairs_win has dtype float64, not an integer one",
+        ),
+        (_with("pairs_docs", lambda a: a["pairs_docs"][:, 1:]), "checkpoint pairs_docs has shape"),
+        (_at("pairs_docs", (1, 0), np.nan), "checkpoint pairs_docs holds values that are not finite"),
+    ],
+    ids=["out-of-range", "negative", "float-index", "docs-width", "docs-nan"],
+)
+def test_eval_rejects_a_version_4_checkpoint_with_bad_pairs(tmp_path, capsys, change, message):
+    out = tmp_path / "out"
+    main(["run", "--synthetic", SYNTH, "--rounds", "5", "--k", "3", "--out", str(out)])
+    capsys.readouterr()
+    checkpoint = out / "checkpoint.npz"
+    with np.load(checkpoint) as data:
+        arrays = {name: data[name] for name in data.files}
+    assert int(arrays["version"]) == 4 and len(arrays["pairs_y"])
+    change(arrays)
+    np.savez(checkpoint, **arrays)
+    test_file = tmp_path / "test.txt"
+    test_file.write_text("1 qid:1 1:0.1 2:0.2 3:0.3 4:0.0\n", encoding="utf-8")
+    argv = ["eval", "--checkpoint", str(checkpoint), "--test-file", str(test_file)]
+    assert _one_line_error(capsys, argv).startswith(f"{checkpoint}: {message}")
+
+
 @pytest.mark.parametrize(
     "name, write, message",
     [

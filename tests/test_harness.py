@@ -594,6 +594,19 @@ class TestOutputs:
         loaded = load_checkpoint(out / "checkpoint.npz")
         np.testing.assert_array_equal(loaded.theta, result.state.theta)
 
+    def test_the_ranker_keeps_each_shown_document_once(self, tmp_path):
+        config = small_config(out_dir=str(tmp_path), rounds=200)
+        result = run_experiment(config)
+        train, _, _ = load_datasets(config)
+        pairs = result.state.pairs
+        keys = [row.tobytes() for row in pairs.docs]
+        assert keys[0] == np.zeros(config.synthetic.d).tobytes()
+        assert set(keys[1:]) <= {row.tobytes() for q in train.queries for row in q.feature_matrix()}
+        assert len(set(keys)) == len(keys) < len(pairs.rows) < pairs.n
+        loaded = load_checkpoint(tmp_path / "checkpoint.npz").pairs
+        for name in ("docs", "win", "lose", "labels", "counts"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(pairs, name))
+
 
 class TestSweep:
     def test_sweep_selects_a_grid_point(self):
@@ -672,11 +685,11 @@ class TestRobustness:
         calls = {"n": 0}
         original = ranker.update
 
-        def failing_update(state, diffs, labels):
+        def failing_update(*args):
             calls["n"] += 1
             if calls["n"] >= 30:
                 raise ranker.NumericError("injected failure")
-            return original(state, diffs, labels)
+            return original(*args)
 
         monkeypatch.setattr(harness.ranker, "update", failing_update)
         out = tmp_path / "crash"
@@ -767,28 +780,57 @@ class TestRobustness:
         # a stand-in pool records its size and runs the jobs in this process
         from fairexp import harness
 
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        pool, log = in_process_pool()
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(harness, "_SWEEP_INPUTS", None)
         config = small_config(rounds=3, algorithm=algorithm)
         swept = sweep(config, workers=64)
         assert len(swept[1]) == jobs
         # a grid of one job runs serially, without a pool
-        assert sizes == ([jobs] if jobs > 1 else [])
+        assert log["sizes"] == ([jobs] if jobs > 1 else [])
         assert swept == sweep(config, workers=1)
+
+    def test_the_pool_gets_the_inputs_once_and_each_job_its_grid_values(self, monkeypatch):
+        from fairexp import harness
+
+        pool, log = in_process_pool()
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(harness, "_SWEEP_INPUTS", None)
+        config = small_config(rounds=3)
+        swept = sweep(config, workers=2)
+        (initargs,) = log["initargs"]
+        assert [type(arg) for arg in initargs] == [harness.RunInputs]
+        # a job is its grid values, floats only: no RunInputs rides along
+        assert log["jobs"] == [params for params, _ in swept[1]]
+        assert all(type(value) is float for job in log["jobs"] for value in job.values())
+        assert swept == sweep(config, workers=1)
+
+
+def in_process_pool():
+    """A stand-in for ``ProcessPoolExecutor`` that runs its initializer and
+    its jobs in this process, and the log of each pool's size, each
+    initializer's arguments and every mapped job."""
+    log = {"sizes": [], "initargs": [], "jobs": []}
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            log["sizes"].append(max_workers)
+            log["initargs"].append(initargs)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            jobs = list(jobs)
+            log["jobs"].extend(jobs)
+            return map(fn, jobs)
+
+    return InProcessPool, log
 
 
 def _svmlight(rng, prefix, n_queries, n_docs, fids, fixed=None):

@@ -19,6 +19,9 @@ from fairexp.ranker import (
     PairOrderSets,
     RankerState,
     _cg_step,
+    _loss_grad,
+    _pair_dot,
+    _pair_tdot,
     _upper_pairs,
     classify_pairs,
     confidence_width,
@@ -533,6 +536,26 @@ def newton_fit_per_pair(theta, x, y, lam):
     return theta
 
 
+@st.composite
+def document_histories(draw):
+    """A document table with the zero row first and repeated documents,
+    pairs over it (a document may meet itself) with labels 0 and 1 and
+    counts 1 to 5, and a parameter vector, a direction and a ridge."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 12))
+    n_docs = draw(st.integers(1, 10))
+    docs = rng.normal(size=(n_docs, d)) * rng.uniform(0.1, 3.0, size=d)
+    docs[0] = 0.0
+    docs = np.vstack([docs, docs[rng.integers(0, n_docs, size=draw(st.integers(0, n_docs)))]])
+    u = draw(st.integers(1, 40))
+    win, lose = rng.integers(0, len(docs), size=(2, u))
+    labels = rng.integers(0, 2, size=u).astype(np.float64)
+    counts = rng.integers(1, 6, size=u)
+    theta = rng.normal(size=d) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    lam = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    return docs, win, lose, labels, counts, theta, rng.normal(size=d), lam
+
+
 class TestUpdate:
     def test_empty_buffer_theta_zero(self):
         state = RankerState.initial(3, lam=0.7)
@@ -640,9 +663,144 @@ class TestUpdate:
         w = counts * s * (1.0 - s)
         grad = rng.normal(size=d)
         precond = np.linalg.inv(lam * np.eye(d) + (x * counts[:, None]).T @ x)
-        step = _cg_step(x, w, lam, grad, precond)
+        # each row of x is a document paired with the zero row
+        docs = np.vstack([np.zeros(d), x])
+        win, lose = np.arange(1, u + 1), np.zeros(u, dtype=np.intp)
+        step = _cg_step(docs, win, lose, w, lam, grad, precond)
         hess = x.T @ np.diag(w) @ x + lam * np.eye(d)
         assert np.linalg.norm(hess @ step - grad) <= CG_RTOL * np.linalg.norm(grad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=document_histories())
+    def test_document_space_products_match_the_difference_rows(self, instance):
+        docs, win, lose, y, c, theta, v, lam = instance
+        x = docs[win] - docs[lose]
+        z = x @ theta
+        s = sigmoid(z)
+        loss, grad, got_s = _loss_grad(theta, docs, win, lose, y, c, lam)
+        # the pair-space formulas, one difference row per distinct pair
+        ref_loss = float(np.sum(c * (np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * theta @ theta)
+        ref_grad = x.T @ (c * (s - y)) + lam * theta
+        w = c * s * (1.0 - s)
+        ref_hvp = x.T @ (w * (x @ v)) + lam * v
+        hvp = _pair_tdot(docs, win, lose, w * _pair_dot(docs, win, lose, v)) + lam * v
+        # over the difference rows themselves the products are the formulas
+        rows_loss, rows_grad, _ = _loss_grad(theta, x, None, None, y, c, lam)
+        assert rows_loss == ref_loss and rows_grad.tobytes() == ref_grad.tobytes()
+        rows_hvp = _pair_tdot(x, None, None, w * _pair_dot(x, None, None, v)) + lam * v
+        assert rows_hvp.tobytes() == ref_hvp.tobytes()
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        np.testing.assert_allclose(got_s, s, rtol=1e-12, atol=1e-12)
+        # the products sum the two documents' terms, which may cancel, so
+        # each coordinate is compared relative to its terms' magnitudes
+        mags = np.abs(docs[win]) + np.abs(docs[lose])
+        scale = mags.T @ np.abs(c * (s - y)) + lam * np.abs(theta)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-12 * scale)
+        scale = mags.T @ (w * (mags @ np.abs(v))) + lam * np.abs(v)
+        assert np.all(np.abs(hvp - ref_hvp) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("d", [6, DIRECT_SOLVE_MAX_D + 8])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_update_with_the_shown_documents_matches_one_without(self, d, seed):
+        rng = np.random.default_rng(seed)
+        # a few documents, shown again and again, one of them all zeros; a
+        # list shows each document at most once
+        pool = rng.normal(size=(int(rng.integers(3, 9)), d))
+        pool[0] = 0.0
+        lam = 0.3
+        with_docs, without = RankerState.initial(d, lam), RankerState.initial(d, lam)
+        for _ in range(int(rng.integers(1, 8))):
+            feats = pool[rng.choice(len(pool), size=int(rng.integers(1, len(pool))), replace=False)]
+            clicks = rng.random(len(feats)) < 0.4
+            diffs, _ = infer_pairs(feats, clicks)
+            labels = rng.integers(0, 2, size=len(diffs)).astype(float)
+            update(with_docs, diffs, labels, (feats, clicks))
+            update(without, diffs, labels)
+            a, b = with_docs.pairs, without.pairs
+            assert a.rows.tobytes() == b.rows.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+            assert a.counts.tolist() == b.counts.tolist() and a.n == b.n
+            assert with_docs.info_matrix.tobytes() == without.info_matrix.tobytes()
+            assert len(a.docs) <= len(pool) + 1
+            x, y = a.x, a.y
+            if not len(x):
+                continue
+            radii = (
+                np.linalg.norm(pairwise_grad(with_docs.theta, x, y, lam))
+                + np.linalg.norm(pairwise_grad(without.theta, x, y, lam))
+            ) / lam
+            assert np.linalg.norm(with_docs.theta - without.theta) <= radii
+
+    def test_a_wide_fit_with_more_pairs_than_documents_runs_through_the_documents(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(3)
+        d, lam = DIRECT_SOLVE_MAX_D + 8, 0.3
+        pool = rng.normal(size=(6, d))
+        steps = []
+        real_step = ranker._cg_step
+        monkeypatch.setattr(
+            ranker, "_cg_step", lambda docs, win, *a: steps.append(win) or real_step(docs, win, *a)
+        )
+        state = RankerState.initial(d, lam)
+        # one pair over two documents first, then lists with more pairs
+        update(state, *infer_pairs(pool[:2], [False, True]), (pool[:2], [False, True]))
+        for _ in range(12):
+            feats = pool[rng.permutation(len(pool))]
+            clicks = rng.random(len(pool)) < 0.5
+            update(state, *infer_pairs(feats, clicks), (feats, clicks))
+        pairs = state.pairs
+        assert len(pairs.labels) > len(pairs.docs)
+        # the first fits had fewer pairs than documents and ran over the rows
+        assert steps[0] is None and steps[-1] is not None
+        x, y = pairs.x, pairs.y
+        theta = newton_fit_per_pair(np.zeros(d), x, y, lam)
+        radii = (
+            np.linalg.norm(pairwise_grad(state.theta, x, y, lam))
+            + np.linalg.norm(pairwise_grad(theta, x, y, lam))
+        ) / lam
+        assert np.linalg.norm(state.theta - theta) <= radii
+
+    def test_shown_rows_that_do_not_give_the_pairs_are_rejected(self):
+        state = RankerState.initial(2, lam=0.5)
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        diffs, labels = infer_pairs(feats, [False, True, False])
+        with pytest.raises(ValueError, match="the shown clicks give 2 pairs, not 1"):
+            update(state, diffs, labels, (feats, [False, True, True]))
+        with pytest.raises(ValueError, match="2 clicks for 3 displayed rows"):
+            update(state, diffs, labels, (feats, [False, True]))
+        with pytest.raises(DimensionError):
+            update(state, diffs, labels, (feats[:, :1], [False, True, False]))
+        assert state.round == 0 and state.pairs.n == 0
+
+    def test_pairs_of_other_documents_stay_apart_when_their_differences_are_equal(self):
+        # clicked 1 and 3 over skipped 0 and 2: 1 - 0 and 3 - 2 are both (1, 0)
+        feats = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [2.0, 0.0]])
+        clicks = [False, True, False, True]
+        diffs, labels = infer_pairs(feats, clicks)
+        with_docs, without = RankerState.initial(2, 0.5), RankerState.initial(2, 0.5)
+        update(with_docs, diffs, labels, (feats, clicks))
+        update(without, diffs, labels)
+        assert with_docs.pairs.counts.tolist() == [1, 1, 1, 1]
+        assert without.pairs.counts.tolist() == [2, 1, 1]
+        np.testing.assert_array_equal(with_docs.pairs.x, diffs)
+        np.testing.assert_array_equal(without.pairs.x, diffs[[0, 3, 1, 2]])
+        np.testing.assert_allclose(with_docs.theta, without.theta, rtol=1e-12)
+
+    def test_shown_documents_are_stored_once(self):
+        state = RankerState.initial(2, lam=0.5)
+        feats = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [5.0, 5.0]])
+        # clicked 1 over skipped 0, then 2 over 0 and 1; 3 is below the last click
+        clicks = [False, True, False, False]
+        update(state, *infer_pairs(feats, clicks), (feats, clicks))
+        clicks = [False, False, True, False]
+        update(state, *infer_pairs(feats[[1, 0, 2, 3]], clicks), (feats[[1, 0, 2, 3]], clicks))
+        np.testing.assert_array_equal(state.pairs.docs, [[0.0, 0.0], *feats[:3]])
+        assert state.pairs.win.tolist() == [2, 3, 3]
+        assert state.pairs.lose.tolist() == [1, 2, 1]
+        expected = [feats[1] - feats[0], feats[2] - feats[1], feats[2] - feats[0]]
+        np.testing.assert_array_equal(state.pairs.rows, expected)
 
     def test_an_empty_round_after_a_converged_fit_does_not_refit(self, monkeypatch):
         state = RankerState.initial(3, lam=0.4)
@@ -763,30 +921,83 @@ def state_with_repeated_pairs(seed: int, d: int = 3) -> RankerState:
     return state
 
 
+def state_from_shown_lists(seed: int, d: int = 3) -> RankerState:
+    """A state fed as the round loop feeds it: lists of a few documents
+    with their clicks, so documents recur and pairs repeat."""
+    rng = np.random.default_rng(seed)
+    pool = rng.normal(size=(5, d))
+    state = RankerState.initial(d, lam=0.4)
+    for _ in range(8):
+        feats = pool[rng.choice(len(pool), size=4, replace=False)]
+        clicks = rng.random(4) < 0.5
+        update(state, *infer_pairs(feats, clicks), (feats, clicks))
+    assert len(state.pairs.docs) < len(state.pairs.rows) < state.pairs.n
+    return state
+
+
+def assert_same_pairs(loaded: RankerState, state: RankerState) -> None:
+    assert loaded.pairs.n == state.pairs.n
+    for name in ("rows", "labels", "counts"):
+        got, want = getattr(loaded.pairs, name), getattr(state.pairs, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def assert_same_state(loaded: RankerState, state: RankerState) -> None:
     np.testing.assert_array_equal(loaded.theta, state.theta)
     np.testing.assert_array_equal(loaded.info_matrix, state.info_matrix)
     assert loaded.lam == state.lam
     assert loaded.round == state.round
-    assert loaded.pairs.n == state.pairs.n
-    np.testing.assert_array_equal(loaded.pairs.rows, state.pairs.rows)
-    np.testing.assert_array_equal(loaded.pairs.labels, state.pairs.labels)
-    np.testing.assert_array_equal(loaded.pairs.counts, state.pairs.counts)
+    assert_same_pairs(loaded, state)
+    for name in ("docs", "win", "lose"):
+        np.testing.assert_array_equal(getattr(loaded.pairs, name), getattr(state.pairs, name))
+
+
+def saved_arrays(path) -> dict[str, np.ndarray]:
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+def in_version_layout(arrays: dict[str, np.ndarray], version: int) -> dict[str, np.ndarray]:
+    """A version 4 checkpoint's arrays as version 2 or 3 stored them: each
+    distinct pair as its difference row ``pairs_x``, and from version 3
+    on the min-max bounds."""
+    arrays = dict(arrays)
+    docs, win, lose = (arrays.pop(name) for name in ("pairs_docs", "pairs_win", "pairs_lose"))
+    arrays.update(version=np.array(version), pairs_x=docs[win] - docs[lose])
+    if version < 3:
+        arrays.pop("minmax_lo", None)
+        arrays.pop("minmax_hi", None)
+    return arrays
 
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        state = state_with_repeated_pairs(7)
+        state = state_from_shown_lists(7)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
-        with np.load(path) as data:
-            assert int(data["version"]) == CHECKPOINT_VERSION == 3
-            assert data["pairs_x"].shape == (len(state.pairs.rows), state.d)
-            np.testing.assert_array_equal(data["pairs_count"], state.pairs.counts)
-            assert "minmax_lo" not in data.files and "minmax_hi" not in data.files
+        arrays = saved_arrays(path)
+        assert int(arrays["version"]) == CHECKPOINT_VERSION == 4
+        assert "pairs_x" not in arrays
+        assert "minmax_lo" not in arrays and "minmax_hi" not in arrays
+        pairs = state.pairs
+        saved = {
+            "theta": state.theta,
+            "info_matrix": state.info_matrix,
+            "pairs_docs": pairs.docs,
+            "pairs_win": pairs.win,
+            "pairs_lose": pairs.lose,
+            "pairs_y": pairs.labels,
+            "pairs_count": pairs.counts,
+        }
+        for name, value in saved.items():
+            got = arrays[name]
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
         loaded = load_checkpoint(path)
         assert_same_state(loaded, state)
         assert loaded.minmax_bounds is None
+        save_checkpoint(loaded, tmp_path / "again.npz")
+        again = saved_arrays(tmp_path / "again.npz")
+        assert all(again[name].tobytes() == arrays[name].tobytes() for name in arrays)
 
     def test_min_max_bounds_roundtrip(self, tmp_path):
         state = state_with_repeated_pairs(9)
@@ -802,12 +1013,23 @@ class TestCheckpoint:
         state = state_with_repeated_pairs(11)
         path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        np.savez(path, **{**arrays, "version": np.array(2)})
+        np.savez(path, **in_version_layout(saved_arrays(path), 2))
         loaded = load_checkpoint(path)
         assert_same_state(loaded, state)
         assert loaded.minmax_bounds is None
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_a_file_of_difference_rows_loads_to_the_same_pairs(self, tmp_path, version):
+        state = state_from_shown_lists(12)
+        state.minmax_bounds = (np.zeros(state.d), np.ones(state.d))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path)
+        np.savez(path, **in_version_layout(saved_arrays(path), version))
+        loaded = load_checkpoint(path)
+        assert_same_pairs(loaded, state)
+        # each difference row is a document of its own, paired with the zero row
+        assert len(loaded.pairs.docs) == len(state.pairs.rows) + 1
+        assert (loaded.minmax_bounds is None) == (version < 3)
 
     def test_resumed_state_updates_like_original(self, tmp_path):
         state = state_with_repeated_pairs(8, d=2)
@@ -837,8 +1059,8 @@ class TestCheckpoint:
 
     def test_an_unknown_version_is_rejected(self, tmp_path):
         path = tmp_path / "ckpt.npz"
-        write_tampered_checkpoint(path, lambda arrays: arrays.update(version=np.array(4)))
-        with pytest.raises(ValueError, match="unsupported checkpoint version 4"):
+        write_tampered_checkpoint(path, lambda arrays: arrays.update(version=np.array(5)))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 5"):
             load_checkpoint(path)
 
 
@@ -905,14 +1127,41 @@ TAMPERED_CHECKPOINTS = [
 ]
 
 
-def write_tampered_checkpoint(path, change):
+def _shift(name, by):
+    def change(arrays):
+        arrays[name] = arrays[name] + by(arrays)
+
+    return change
+
+
+# written as version 4
+TAMPERED_VERSION_4_CHECKPOINTS = [
+    (_shift("pairs_win", lambda a: len(a["pairs_docs"])), "pairs_win holds indices outside 0..6"),
+    (_set("pairs_lose", 2, 7), "pairs_lose holds indices outside 0..6"),
+    (_set("pairs_win", 0, -1), "pairs_win holds indices outside 0..6"),
+    (_replace("pairs_lose", lambda a: a.astype(np.float64)), "pairs_lose has dtype float64, not"),
+    (_replace("pairs_win", lambda a: a > 0), "pairs_win has dtype bool, not an integer one"),
+    (_replace("pairs_docs", lambda a: a[:, :-1]), "pairs_docs has shape"),
+    (_replace("pairs_docs", lambda a: a[0]), "pairs_docs has shape"),
+    (_set("pairs_docs", (3, 1), np.inf), "pairs_docs holds values that are not finite"),
+    (_set("pairs_docs", (0, 0), np.nan), "pairs_docs holds values that are not finite"),
+    (_replace("pairs_win", lambda a: a[:-1]), "pairs_win has shape"),
+    (_drop("pairs_lose"), "no pairs_lose"),
+    (_drop("pairs_docs"), "no pairs_docs"),
+]
+
+
+def write_tampered_checkpoint(path, change, version=CHECKPOINT_VERSION):
+    """Save a small state, in ``version``'s layout, after ``change`` edits
+    its arrays."""
     rng = np.random.default_rng(11)
     state = RankerState.initial(4, lam=0.5)
     update(state, rng.normal(size=(6, 4)), np.ones(6))
     state.minmax_bounds = (np.zeros(4), np.arange(1.0, 5.0))
     save_checkpoint(state, path)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
+    arrays = saved_arrays(path)
+    if version != CHECKPOINT_VERSION:
+        arrays = in_version_layout(arrays, version)
     change(arrays)
     np.savez(path, **arrays)
 
@@ -920,6 +1169,13 @@ def write_tampered_checkpoint(path, change):
 class TestCheckpointValidation:
     @pytest.mark.parametrize("change, message", TAMPERED_CHECKPOINTS)
     def test_tampered_checkpoint_rejected(self, tmp_path, change, message):
+        path = tmp_path / "ckpt.npz"
+        write_tampered_checkpoint(path, change, version=3)
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change, message", TAMPERED_VERSION_4_CHECKPOINTS)
+    def test_tampered_version_4_checkpoint_rejected(self, tmp_path, change, message):
         path = tmp_path / "ckpt.npz"
         write_tampered_checkpoint(path, change)
         with pytest.raises(ValueError, match=message):
