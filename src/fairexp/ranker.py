@@ -34,9 +34,10 @@ M^-1 = (lam I + X^T diag(c) X)^-1, as in TRON (Lin, Weng & Keerthi, JMLR
 ill-conditioned, and it bounds H: since s (1 - s) <= 1/4, H <= M
 (Boehning & Lindsay, 1988), and H >= m M with m the smallest s (1 - s)
 over the rows. So M^-1 H has its eigenvalues in [m, 1], and only rows
-the model already predicts confidently spread them. The read path inverts
-M for the confidence widths anyway, so the preconditioner costs no extra
-inverse: the refit computes the one that ``classify_pairs`` reads next.
+the model already predicts confidently spread them. The confidence widths
+read M^-1 anyway, so the preconditioner costs no extra inverse: both read
+the one M^-1 that ``update`` keeps current, which each round's new pairs
+change by a rank-p term (see ``RankerState``).
 """
 
 from __future__ import annotations
@@ -185,6 +186,16 @@ class RankerState:
     ``info_matrix`` equals lam * I plus the sum of outer products of all
     buffered difference vectors (``pairs.x``, every repeat included), so it
     stays symmetric positive definite.
+
+    ``_info_inv`` caches its inverse M^-1, which ``info_inverse()`` returns.
+    ``initial`` sets it to the exact (1/lam) I, and ``update`` keeps it
+    equal to M^-1 up to rounding: the p new difference rows D of a round
+    add D^T D to M, and by the Woodbury identity M^-1 becomes
+    M^-1 - M^-1 D^T (I_p + D M^-1 D^T)^-1 D M^-1, O(d^2 p + p^3) instead of
+    the O(d^3) of a fresh inverse. A round with p >= d drops the cache
+    instead, where inverting costs less. ``info_inverse()`` inverts M only
+    for a state without a cache: after such a round, or one loaded from a
+    checkpoint or built by hand.
     """
 
     theta: np.ndarray
@@ -210,6 +221,7 @@ class RankerState:
             lam=lam,
             round=0,
             pairs=_PairBuffer(d),
+            _info_inv=np.eye(d) / lam,
         )
 
     @property
@@ -482,7 +494,10 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None
     residual of ``CG_RTOL`` times the gradient norm, with the inverse
     information matrix as preconditioner (see the module docstring for why
     it fits); that inverse is the one ``classify_pairs`` reads next round,
-    computed here instead.
+    kept current here by a rank-p update (see ``RankerState``).
+
+    Raises ``ValueError`` before changing the state when ``diffs`` or
+    ``labels`` holds a NaN or an infinity.
 
     A round with no new pairs after a fit that settled (its gradient met
     the tolerance, or its line search found no lower loss) keeps theta
@@ -494,6 +509,9 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
     if len(diffs) != len(labels):
         raise ValueError("diffs and labels disagree in length")
+    for name, value in (("diffs", diffs), ("labels", labels)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} holds values that are not finite")
     if shown is not None and len(labels):
         shown_rows, won, lost = _shown_pairs(state, shown, len(labels))
     state.round += 1
@@ -509,7 +527,14 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None
             win, lose = [ids[i] for i in won], [ids[j] for j in lost]
         pairs.add(win, lose, labels.tolist())
         state.info_matrix = state.info_matrix + diffs.T @ diffs
-        state._info_inv = None
+        inv = state._info_inv
+        if inv is not None and len(diffs) < state.d:
+            # the Woodbury step of RankerState; dm = D M^-1 = (M^-1 D^T)^T, M^-1 symmetric
+            dm = diffs @ inv
+            inner = np.eye(len(diffs)) + dm @ diffs.T
+            state._info_inv = inv - dm.T @ np.linalg.solve(inner, dm)
+        else:
+            state._info_inv = None
 
     if pairs.n == 0:
         state.theta = np.zeros(state.d)

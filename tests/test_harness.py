@@ -353,6 +353,17 @@ class TestAlgorithms:
         assert offline[-1] == result.summary["final_offline_ndcg10"] == final
         assert final != offline[99]
 
+    def test_the_round_loop_inverts_no_matrix(self, monkeypatch):
+        # the ranker folds each round's pairs into the inverse it keeps; at
+        # d = 40 > DIRECT_SOLVE_MAX_D both the widths and the CG refit read it
+        calls = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or real(a))
+        spec = small_spec(d=40, docs_per_query=12)
+        result = run_experiment(small_config(algorithm="pairrank", synthetic=spec, k=5))
+        assert len(result.records) == 60 and result.state.pairs.n > 0
+        assert calls == []
+
     def test_learning_improves_offline_ndcg(self):
         result = run_experiment(small_config(rounds=300, algorithm="pairrank"))
         offline = result.column("offline_ndcg")

@@ -889,6 +889,54 @@ class TestUpdate:
         assert len(losses) == 51
         np.testing.assert_array_equal(state.theta, warm)
 
+    @pytest.mark.parametrize(
+        "where, value",
+        [("diffs", np.nan), ("diffs", np.inf), ("diffs", -np.inf), ("labels", np.nan)],
+    )
+    @pytest.mark.parametrize("with_shown", [False, True])
+    def test_non_finite_input_is_refused_before_the_state_changes(self, where, value, with_shown):
+        state = state_from_shown_lists(2)
+        theta, info, inv = state.theta.copy(), state.info_matrix.copy(), state.info_inverse().copy()
+        n, rounds = state.pairs.n, state.round
+        feats = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        clicks = [False, True, True]
+        diffs, labels = infer_pairs(feats, clicks)
+        if where == "diffs":
+            feats[0, 1] = value
+            diffs, _ = infer_pairs(feats, clicks)
+        else:
+            labels[1] = value
+        with pytest.raises(ValueError, match=f"{where} holds values that are not finite"):
+            update(state, diffs, labels, (feats, clicks) if with_shown else None)
+        np.testing.assert_array_equal(state.theta, theta)
+        np.testing.assert_array_equal(state.info_matrix, info)
+        np.testing.assert_array_equal(state.info_inverse(), inv)
+        assert state.pairs.n == n and state.round == rounds
+
+    @pytest.mark.parametrize("d", [3, 8, DIRECT_SOLVE_MAX_D + 8])
+    def test_the_maintained_inverse_tracks_a_fresh_one(self, d, tmp_path):
+        # 240 updates: shown lists of recurring documents, and bare
+        # difference rows drawn with repeats from a few, every tenth round
+        # d + 2 of them; the checkpoint loaded halfway carries no inverse
+        rng = np.random.default_rng(d)
+        pool = rng.normal(size=(10, d))
+        state = RankerState.initial(d, lam=0.3)
+        assert_inverse_is_fresh(state)
+        for t in range(240):
+            if t == 120:
+                save_checkpoint(state, tmp_path / "ckpt.npz")
+                state = load_checkpoint(tmp_path / "ckpt.npz")
+            if t % 2:
+                feats = pool[rng.choice(len(pool), size=int(rng.integers(2, 8)), replace=False)]
+                clicks = rng.random(len(feats)) < 0.4
+                diffs, _ = infer_pairs(feats, clicks)
+                shown = (feats, clicks)
+            else:
+                p = d + 2 if t % 10 == 0 else int(rng.integers(0, min(d, 6)))
+                diffs, shown = pool[rng.integers(0, len(pool), size=p)], None
+            update(state, diffs, rng.integers(0, 2, size=len(diffs)).astype(float), shown)
+            assert_inverse_is_fresh(state)
+
     def test_learns_true_preferences(self):
         # pairs labeled by a hidden vector; the fit must order held-out pairs
         rng = np.random.default_rng(6)
@@ -906,6 +954,19 @@ class TestUpdate:
         held = rng.normal(size=(2000, d))
         accuracy = np.mean((held @ state.theta > 0) == (held @ theta_star > 0))
         assert accuracy >= 0.95
+
+
+# how far the inverse that ``update`` maintains may drift from a fresh
+# ``np.linalg.inv`` of the information matrix, relative to the largest entry
+INVERSE_RTOL = 1e-10
+
+
+def assert_inverse_is_fresh(state: RankerState) -> None:
+    inv = state.info_inverse()
+    fresh = np.linalg.inv(state.info_matrix)
+    scale = np.max(np.abs(fresh))
+    assert np.max(np.abs(inv - fresh)) <= INVERSE_RTOL * scale
+    assert np.max(np.abs(inv - inv.T)) <= INVERSE_RTOL * scale
 
 
 def state_with_repeated_pairs(seed: int, d: int = 3) -> RankerState:
