@@ -917,7 +917,9 @@ class TestUpdate:
     def test_the_maintained_inverse_tracks_a_fresh_one(self, d, tmp_path):
         # 240 updates: shown lists of recurring documents, and bare
         # difference rows drawn with repeats from a few, every tenth round
-        # d + 2 of them; the checkpoint loaded halfway carries no inverse
+        # d + 2 of them, which drops the kept inverse (as does every round
+        # at d <= DIRECT_SOLVE_MAX_D); the checkpoint loaded halfway
+        # carries no inverse
         rng = np.random.default_rng(d)
         pool = rng.normal(size=(10, d))
         state = RankerState.initial(d, lam=0.3)
@@ -936,6 +938,22 @@ class TestUpdate:
                 diffs, shown = pool[rng.integers(0, len(pool), size=p)], None
             update(state, diffs, rng.integers(0, 2, size=len(diffs)).astype(float), shown)
             assert_inverse_is_fresh(state)
+
+    def test_a_long_chain_of_rank_p_updates_stays_within_tolerance(self):
+        # 300 Woodbury steps in a row, none dropping the kept inverse, on
+        # rows whose feature scales span 1e-3 to 1e2 (cond(M) near 1.5e8 at
+        # the end); the drift is checked along the way and at the end
+        d = DIRECT_SOLVE_MAX_D + 8
+        rng = np.random.default_rng(d)
+        pool = rng.normal(size=(30, d)) * np.logspace(-3, 2, d)
+        state = RankerState.initial(d, lam=0.3)
+        for t in range(300):
+            p = int(rng.integers(1, (d + 1) // 2))
+            picks = rng.integers(0, len(pool), size=(2, p))
+            update(state, pool[picks[0]] - pool[picks[1]], rng.integers(0, 2, size=p).astype(float))
+            assert state._info_inv is not None
+            if t % 50 == 49:
+                assert_inverse_is_fresh(state)
 
     def test_learns_true_preferences(self):
         # pairs labeled by a hidden vector; the fit must order held-out pairs
