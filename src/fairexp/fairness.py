@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,17 +128,43 @@ def make_template(placement, model: ExposureModel) -> GroupTemplate:
     return GroupTemplate(placement=placement, exposure_a=exp_a, exposure_b=exp_b)
 
 
+class TemplateList(list):
+    """The list of templates that ``enumerate_templates`` returns, which
+    also knows the enumeration it copies, so that ``qualified_templates``
+    reads that enumeration's exposure arrays instead of every template."""
+
+    __slots__ = ("_enumeration",)
+
+
+class _Enumeration(NamedTuple):
+    """One cached enumeration: its templates, never handed out (callers get
+    a ``TemplateList`` copy), and each template's ``exposure_a`` and
+    ``exposure_b`` as read-only float64 arrays in the same order."""
+
+    templates: list[GroupTemplate]
+    exposure_a: np.ndarray
+    exposure_b: np.ndarray
+
+
 @lru_cache(maxsize=4096)
-def _enumerate_cached(k: int, avail_a: int, avail_b: int, model: ExposureModel) -> tuple[GroupTemplate, ...]:
+def _enumerate_cached(k: int, avail_a: int, avail_b: int, model: ExposureModel) -> _Enumeration:
     templates = []
     for placement in product((GROUP_A, GROUP_B), repeat=k):
         n_a = placement.count(GROUP_A)
         if n_a <= avail_a and k - n_a <= avail_b:
             templates.append(make_template(placement, model))
-    return tuple(templates)
+    return _Enumeration(templates, *_exposure_arrays(templates))
 
 
-def enumerate_templates(k: int, counts: tuple[int, int], model: ExposureModel) -> list[GroupTemplate]:
+def _exposure_arrays(templates) -> tuple[np.ndarray, np.ndarray]:
+    """Each template's ``exposure_a`` and ``exposure_b``, as read-only float64 arrays."""
+    exposure_a = np.array([t.exposure_a for t in templates], dtype=np.float64)
+    exposure_b = np.array([t.exposure_b for t in templates], dtype=np.float64)
+    exposure_a.flags.writeable = exposure_b.flags.writeable = False
+    return exposure_a, exposure_b
+
+
+def enumerate_templates(k: int, counts: tuple[int, int], model: ExposureModel) -> TemplateList:
     """All group placements of length k honoring per-group availability.
 
     ``counts`` is the (group-A, group-B) document availability under the
@@ -146,7 +173,10 @@ def enumerate_templates(k: int, counts: tuple[int, int], model: ExposureModel) -
     avail_a, avail_b = counts
     if avail_a + avail_b < k:
         raise TemplateError(f"only {avail_a + avail_b} documents available for k={k}")
-    return list(_enumerate_cached(k, min(avail_a, k), min(avail_b, k), model))
+    enumeration = _enumerate_cached(k, min(avail_a, k), min(avail_b, k), model)
+    templates = TemplateList(enumeration.templates)
+    templates._enumeration = enumeration
+    return templates
 
 
 @dataclass
@@ -184,15 +214,27 @@ def qualified_templates(
     When none qualifies, falls back to the full tie set of minimizers of
     the projected magnitude so downstream selection can still compare
     their regret. Returns (templates, fallback_flag).
+
+    The projections are ``projected_unfairness`` of every template as one
+    array expression, the same operations in the same order, so they are
+    equal bit for bit. A ``TemplateList`` that still holds the templates
+    it was enumerated with gives its enumeration's exposure arrays; any
+    other list is read template by template.
     """
     if not templates:
         raise TemplateError("no templates to qualify")
-    projections = [abs(projected_unfairness(ledger, t)) for t in templates]
-    qualified = [t for t, p in zip(templates, projections) if p <= ledger.epsilon]
-    if qualified:
-        return qualified, False
-    best = min(projections)
-    return [t for t, p in zip(templates, projections) if p == best], True
+    enumeration = getattr(templates, "_enumeration", None)
+    # list equality checks identity first, so this costs no template comparison
+    if enumeration is not None and templates == enumeration.templates:
+        exposure_a, exposure_b = enumeration.exposure_a, enumeration.exposure_b
+    else:
+        exposure_a, exposure_b = _exposure_arrays(templates)
+    projections = np.abs(ledger.cumulative + exposure_a - ledger.beta * exposure_b)
+    keep = np.flatnonzero(projections <= ledger.epsilon)
+    fallback = not len(keep)
+    if fallback:
+        keep = np.flatnonzero(projections == projections.min())
+    return [templates[i] for i in keep.tolist()], fallback
 
 
 def record(ledger: UnfairnessLedger, realized_template: GroupTemplate) -> UnfairnessLedger:

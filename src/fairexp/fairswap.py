@@ -24,14 +24,16 @@ unshown. So a step follows from the two counters and its segment's slot
 pattern alone, and templates that reach the same state share it whatever
 their prefix.
 
-A round reads the certain set in one pass, ``index_pairs``: the block
-order check, the donor order and every within-block draw read its index,
-and only ``added_regret`` looks pairs up again. Every cross-block pair is
-certain, and the fill takes the deepest origin first, so the walk alone
-fixes every cross-block inversion a calibration serves. That count bounds
-its added regret from below, exactly when no certain pair lies inside an
-original block, and ``select_ranking`` calibrates only the templates
-whose bound can still win.
+A round reads the certain relation as one boolean matrix, ``beats[w, l]``
+true when w certainly beats l (``ranker.PairOrderSets``); a set of pairs
+given instead is converted once on entry (``certain_matrix``). One index,
+``index_pairs``, serves the block order check, the donor order and every
+within-block draw, and ``added_regret`` counts a submatrix. Every
+cross-block pair is certain, and the fill takes the deepest origin first,
+so the walk alone fixes every cross-block inversion a calibration serves.
+That count bounds its added regret from below, exactly when no certain
+pair lies inside an original block, and ``select_ranking`` calibrates
+only the templates whose bound can still win.
 
 Added regret is the count of certain pairs displayed in inverted order,
 restricted to the top-k since lower positions receive no exposure.
@@ -40,14 +42,13 @@ restricted to the top-k since lower positions receive no exposure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import GROUP_A, GROUP_B
 from .fairness import GroupTemplate
-from .ranker import BlockPartition
+from .ranker import BlockPartition, _upper_pairs
 
 GROUPS = (GROUP_A, GROUP_B)
 
@@ -59,8 +60,9 @@ class InfeasibleTemplateError(ValueError):
 class MalformedPartitionError(ValueError):
     """Raised when the input blocks are not a partition of distinct documents
     into non-empty blocks, a document is labelled neither ``GROUP_A`` nor
-    ``GROUP_B``, a certain pair is a self pair, or two documents of different
-    blocks are not a certain pair from the earlier block to the later."""
+    ``GROUP_B``, a document is not a row of the certain matrix, a certain
+    pair is a self pair, or two documents of different blocks are not a
+    certain pair from the earlier block to the later."""
 
 
 @dataclass
@@ -101,22 +103,59 @@ class CalibratedRanking:
     events: list[SwapEvent] = field(default_factory=list)
 
 
-def added_regret(order, certain: set[tuple[int, int]]) -> int:
-    """Count certain pairs (winner, loser) whose loser precedes the winner.
+def certain_matrix(certain, docs) -> np.ndarray:
+    """The certain relation as the boolean matrix that the calibration
+    reads, ``beats[w, l]`` true when document w certainly beats l, for
+    ``certain`` given as that matrix (returned as it is) or as a set of
+    pairs (winner, loser).
 
-    Only the k(k-1)/2 displayed pairs are looked up in ``certain``.
-    """
-    return len(certain.intersection(combinations(reversed(order), 2)))
+    A set becomes the matrix over documents ``0..max(docs)``. Pairs naming
+    a document outside that range are left out, since every reader skips
+    pairs off its documents. Raises ``MalformedPartitionError`` when a set
+    comes with a negative document, which no matrix has a row for."""
+    if isinstance(certain, np.ndarray):
+        return certain
+    docs = list(docs)
+    if docs and min(docs) < 0:
+        raise MalformedPartitionError(f"document {min(docs)} is not a candidate index")
+    n = max(docs, default=-1) + 1
+    beats = np.zeros((n, n), dtype=bool)
+    pairs = [(w, l) for w, l in certain if 0 <= w < n and 0 <= l < n]
+    if pairs:
+        beats[tuple(np.array(pairs).T)] = True
+    return beats
 
 
-def index_pairs(partition: BlockPartition, certain) -> tuple[dict[int, int], dict[int, list]]:
-    """The one pass over ``certain``: each document's block, and the
-    documents it certainly beats inside that block. It refuses a duplicate
-    document, an empty block, a self pair and a break of ``BlockPartition``'s
+def added_regret(order, certain) -> int:
+    """Count certain pairs (winner, loser) whose loser precedes the winner:
+    the true cells of the strictly lower triangle of
+    ``beats[order][:, order]``. ``certain`` is a set of pairs or the
+    matrix (see ``certain_matrix``)."""
+    beats = certain_matrix(certain, order)
+    earlier, later = _upper_pairs(len(order))
+    order = np.asarray(order, dtype=np.intp)
+    return int(np.count_nonzero(beats[order[later], order[earlier]]))
+
+
+def index_pairs(partition: BlockPartition, certain) -> tuple[dict[int, int], dict[int, Sequence]]:
+    """Each document's block, and the documents it certainly beats inside
+    that block, read off the same-block part of the certain matrix
+    (``certain`` is that matrix or a set of pairs, see ``certain_matrix``);
+    pairs naming a document outside the partition are skipped.
+
+    It refuses a duplicate document, an empty block, a document that is not
+    a row of the matrix, a self pair, and a break of ``BlockPartition``'s
     invariant, which the selection's bound rests on: a pair across blocks
-    pointing up, or one missing, found by counting those pairs against
-    sum_{i<j} |b_i||b_j|. Pairs naming a document outside the partition are
-    skipped."""
+    pointing up, or one missing. The check is ``partition_blocks``' cut
+    criterion: with N documents in block order, the first m of them up to
+    each block's end have certain wins minus certain losses m(N - m)
+    exactly when they certainly beat every later one and no later one
+    beats any of them, which the row and column sums give in O(N). Then
+    each document beats every document of the later blocks and no other
+    outside its own, so only one with more wins than there are later
+    documents beats any inside its block, and only such rows are read. Only
+    a partition that fails a check is scanned pair by pair, to name the
+    pair. A document that beats none of its block has an empty tuple."""
     blocks = partition.blocks
     origin = {doc: bi for bi, block in enumerate(blocks) for doc in block}
     sizes = [len(block) for block in blocks]
@@ -124,31 +163,60 @@ def index_pairs(partition: BlockPartition, certain) -> tuple[dict[int, int], dic
         raise MalformedPartitionError("blocks contain duplicate documents")
     if not all(sizes):
         raise MalformedPartitionError("blocks must not be empty")
-    beats: dict[int, list] = {doc: [] for doc in origin}
-    forward = 0
-    for winner, loser in certain:
-        above, below = origin.get(winner), origin.get(loser)
-        if above is None or below is None:
-            continue
-        if above < below:
-            forward += 1
-        elif winner == loser:
-            raise MalformedPartitionError(f"certain pair ({winner}, {loser}) is a self pair")
-        elif above == below:
-            beats[winner].append(loser)
-        else:
-            raise MalformedPartitionError(
-                f"certain pair ({winner}, {loser}) points from block {above} up to block {below}"
-            )
-    if forward < (len(origin) ** 2 - sum(s * s for s in sizes)) // 2:
-        winner, loser = next(
-            (w, l) for w in origin for l in origin if origin[w] < origin[l] and (w, l) not in certain
-        )
+    beats = certain_matrix(certain, origin)
+    n, total = len(beats), len(origin)
+    if origin and not (min(origin) >= 0 and max(origin) < n):
         raise MalformedPartitionError(
-            f"documents {winner} and {loser} are in blocks {origin[winner]} and "
-            f"{origin[loser]} but ({winner}, {loser}) is not a certain pair"
+            f"blocks name documents outside 0..{n - 1}, the rows of the certain matrix"
         )
-    return origin, beats
+    if total < n:  # only pairs between the partition's documents count
+        inside = np.zeros(n, dtype=bool)
+        inside[list(origin)] = True
+        beats = beats & inside[:, None] & inside
+    wins, losses = beats.sum(axis=1).tolist(), beats.sum(axis=0).tolist()
+    hosts = []  # (document, its block) for each that beats one inside its block
+    shown = surplus = 0
+    for members in blocks:
+        shown += len(members)
+        later = total - shown
+        for doc in members:
+            surplus += wins[doc] - losses[doc]
+            if wins[doc] > later:
+                hosts.append((doc, members))
+        if surplus != shown * later:
+            _refuse(origin, beats)
+    within = dict.fromkeys(origin, ())
+    if hosts:
+        for (doc, members), row in zip(hosts, beats[[doc for doc, _ in hosts]].tolist()):
+            if row[doc]:
+                _refuse(origin, beats)
+            within[doc] = [loser for loser in members if row[loser]]
+    return origin, within
+
+
+def _refuse(origin: dict[int, int], beats: np.ndarray):
+    """Raise for the first pair in block order that is a self pair or
+    points up the blocks, else for the first pair across blocks that is
+    missing; ``index_pairs`` calls it only when there is one."""
+    rows = beats.tolist()
+    for winner in origin:
+        for loser in origin:
+            if not rows[winner][loser]:
+                continue
+            if winner == loser:
+                raise MalformedPartitionError(f"certain pair ({winner}, {loser}) is a self pair")
+            if origin[winner] > origin[loser]:
+                raise MalformedPartitionError(
+                    f"certain pair ({winner}, {loser}) points from block {origin[winner]} "
+                    f"up to block {origin[loser]}"
+                )
+    winner, loser = next(
+        (w, l) for w in origin for l in origin if origin[w] < origin[l] and not rows[w][l]
+    )
+    raise MalformedPartitionError(
+        f"documents {winner} and {loser} are in blocks {origin[winner]} and "
+        f"{origin[loser]} but ({winner}, {loser}) is not a certain pair"
+    )
 
 
 def _donor_sort_key(doc: int, wins, scores):
@@ -177,13 +245,13 @@ class _PreparedPartition(NamedTuple):
     they share.
 
     Built once per round by ``select_ranking`` (or by a direct ``fair_swap``
-    call) from the partition, the certain set, the group labels and scores.
+    call) from the partition, the certain matrix, the group labels and scores.
     Only ``steps`` grows: a walk that reaches a state with a segment
     pattern no earlier walk did builds that step and keeps it.
     """
 
     origin: dict[int, int]  # document -> index of its original block
-    beats: dict[int, list]  # document -> the documents of its block it certainly beats
+    beats: dict[int, Sequence]  # document -> the documents of its block it certainly beats
     # each group's documents, block by block, each block's in donor order
     seqs: tuple[tuple[int, ...], tuple[int, ...]]
     # for each group, the block of each of those documents, then the number of blocks
@@ -250,7 +318,7 @@ def _require_feasible(prepared: _PreparedPartition, placement: tuple[str, ...]) 
 def fair_swap(
     partition: BlockPartition,
     template: GroupTemplate,
-    certain: set[tuple[int, int]],
+    certain,
     groups: dict[int, str],
     rng: np.random.Generator,
     scores: dict[int, float] | None = None,
@@ -265,20 +333,22 @@ def fair_swap(
     (optional) to relevance scores used for deterministic tie-breaking.
     With ``respect_certain`` (default), certain orders between documents of
     the same original block are followed where the slot pattern allows;
-    disabling it recovers pure seeded shuffling within blocks.
+    disabling it recovers pure seeded shuffling within blocks. ``certain``
+    is the certain matrix or a set of pairs (see ``certain_matrix``).
 
-    Work that does not depend on the template (the label check, the one
-    pass of ``index_pairs`` over ``certain``, and each group's documents
+    Work that does not depend on the template (the label check,
+    ``index_pairs`` of ``certain``, and each group's documents
     block by block in donor order) is ``prepared``: ``select_ranking``
     builds it once per round for every call, and a call without it builds
     it from its own arguments. A call is then the feasibility check, the
     walk (``_walk``, which draws nothing), each promotion's ``SwapEvent``,
     the fill of each segment with the call's own ``rng``, which is read
-    only through ``integers`` and only for a slot with a choice, and the
-    k(k-1)/2 lookups of ``added_regret``, its only reads of ``certain``.
+    only through ``integers`` and only for a slot with a choice, and
+    ``added_regret``, its only read of ``certain``.
     Calls that share ``prepared`` share each walk step, keyed by the two
     counters where it starts and its slot pattern.
     """
+    certain = certain_matrix(certain, partition.documents())
     if prepared is None:
         prepared = _prepare(partition, certain, groups, scores)
     _require_feasible(prepared, template.placement)
@@ -468,7 +538,7 @@ def draw_slots(
 def select_ranking(
     partition: BlockPartition,
     templates: list[GroupTemplate],
-    certain: set[tuple[int, int]],
+    certain,
     groups: dict[int, str],
     rng: np.random.Generator,
     projections: list[float] | None = None,
@@ -491,14 +561,15 @@ def select_ranking(
     across segments): a lower bound on its added regret, exact with the
     heuristic on when no certain pair lies inside an original block. That
     holds because every cross-block pair is certain and points down the
-    blocks, which ``index_pairs`` checks in its one pass. Templates are
+    blocks, which ``index_pairs`` checks. Templates are
     calibrated by ``fair_swap`` in order of (bound, |projection|,
     placement, index), and the round stops at the first whose key is above
     the best (added regret, |projection|, placement, index) so far: it and
     every template after it would cost at least that much.
 
-    Once per round: the label check, ``index_pairs``, and the donor order
-    (each group's documents block by block, each block sorted by
+    Once per round: the conversion of a set ``certain`` to its matrix
+    (``certain_matrix``), the label check, ``index_pairs``, and the donor
+    order (each group's documents block by block, each block sorted by
     within-block certain wins, then score, then index). Once per walk state and slot pattern: the step
     taken from there, which reads the donor order by position and sorts
     nothing, and the inversions it forces. Once per template: the
@@ -509,6 +580,7 @@ def select_ranking(
         raise InfeasibleTemplateError("no templates to select from")
     if projections is None:
         projections = [0.0] * len(templates)
+    certain = certain_matrix(certain, partition.documents())
     prepared = _prepare(partition, certain, groups, scores)
     keys = []
     for i, (template, projection) in enumerate(zip(templates, projections)):

@@ -264,15 +264,16 @@ def prepare_run(config: ExperimentConfig) -> tuple[RunInputs, GroupedDataset | N
 
 def sample_block_order(
     partition: ranker.BlockPartition,
-    certain: set[tuple[int, int]],
+    certain,
     rng: np.random.Generator,
     respect_certain: bool,
 ) -> list[int]:
     """Blocks in order; within each block a seeded random order drawn by
     ``fairswap.draw_slots`` on ``rng``: repeated random choice among the
     unplaced documents, with the heuristic on among those with the fewest
-    unplaced certain predecessors. ``fairswap.index_pairs`` refuses a
-    partition whose blocks are not in certain order."""
+    unplaced certain predecessors. ``certain`` is the certain matrix or a
+    set of pairs (see ``fairswap.certain_matrix``); ``fairswap.index_pairs``
+    refuses a partition whose blocks are not in certain order."""
     origin, beats = fairswap.index_pairs(partition, certain)
     lists = [list(block) for block in partition.blocks]
     slots = [each for each in lists for _ in each]
@@ -392,7 +393,7 @@ def _rank_blocks(
         result = fairswap.select_ranking(
             partition,
             qualified,
-            order_sets.certain,
+            order_sets.beats,
             dict(enumerate(query.groups())),
             run.rng,
             projections=projections,
@@ -400,9 +401,9 @@ def _rank_blocks(
             respect_certain=config.respect_certain,
         )
         return _Served(result.order, result.added_regret, result, fallback)
-    order = sample_block_order(partition, order_sets.certain, run.rng, config.respect_certain)
+    order = sample_block_order(partition, order_sets.beats, run.rng, config.respect_certain)
     displayed = order[:k_t]
-    added = fairswap.added_regret(displayed, order_sets.certain)
+    added = fairswap.added_regret(displayed, order_sets.beats)
     return _Served(displayed, added)
 
 

@@ -239,14 +239,56 @@ class RankerState:
 
 @dataclass
 class PairOrderSets:
-    """The certain directed pairs (winner, loser) among ``n`` candidates;
-    every other pair of ``0..n-1`` is uncertain."""
+    """The certain relation among ``n`` candidates as one (n, n) boolean
+    matrix: ``beats[i, j]`` is true when i certainly beats j, and a pair
+    certain in neither order is uncertain.
 
-    certain: set[tuple[int, int]]
-    n: int
+    ``certain`` is the same relation as a set of (winner, loser) pairs,
+    built on each read; ``from_pairs`` builds the matrix from such a set.
+    Raises ``ValueError`` unless ``beats`` is a square boolean matrix with
+    no pair certain in both orders, a document paired with itself
+    included."""
+
+    beats: np.ndarray
+
+    def __post_init__(self):
+        beats = self.beats
+        if beats.dtype != bool or beats.ndim != 2 or beats.shape[0] != beats.shape[1]:
+            raise ValueError(f"beats must be a square boolean matrix, not {beats.dtype} {beats.shape}")
+        both = beats & beats.T  # a self pair is its own reverse
+        if np.count_nonzero(both):
+            i, j = np.argwhere(both)[0].tolist()
+            raise ValueError(_pair_message(i, j, len(beats)))
+
+    @classmethod
+    def from_pairs(cls, certain, n: int) -> "PairOrderSets":
+        """The relation of a set of certain pairs (winner, loser) over ``n``
+        candidates. Raises ``ValueError`` unless every pair names two
+        distinct documents of ``0..n-1`` in one order only; the message names
+        the first such pair in the set's order."""
+        for i, j in certain:
+            if not (0 <= i < n and 0 <= j < n) or (j, i) in certain:
+                raise ValueError(_pair_message(i, j, n))
+        beats = np.zeros((n, n), dtype=bool)
+        if certain:
+            beats[tuple(np.array(list(certain)).T)] = True
+        return cls(beats)
+
+    @property
+    def n(self) -> int:
+        return len(self.beats)
+
+    @property
+    def certain(self) -> set[tuple[int, int]]:
+        winners, losers = self.beats.nonzero()
+        return set(zip(winners.tolist(), losers.tolist()))
 
     def n_pairs(self) -> int:
         return self.n * (self.n - 1) // 2
+
+
+def _pair_message(i, j, n: int) -> str:
+    return f"certain pair ({i}, {j}) must name two documents of 0..{n - 1} in one order"
 
 
 @dataclass
@@ -291,8 +333,19 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+@lru_cache(maxsize=64)
+def _upper_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices into an (n, n) matrix of the cells (i, j) and
+    (j, i) of each pair of ``_upper_pairs(n)``, read-only like it."""
+    idx_i, idx_j = _upper_pairs(n)
+    cells = (idx_i * n + idx_j, idx_j * n + idx_i)
+    for idx in cells:
+        idx.flags.writeable = False
+    return cells
+
+
 def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float) -> PairOrderSets:
-    """The certain pairs of all candidate pairs, each directed winner to loser.
+    """The certain relation over all candidate pairs, as ``PairOrderSets``.
 
     A pair is certain when the predicted preference probability stays on
     one side of 1/2 by more than the confidence width (``alpha`` >= 0
@@ -318,9 +371,12 @@ def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float
     widths = alpha * np.sqrt(np.maximum(quad, 0.0))
     above = probs - widths > 0.5
     below = probs + widths < 0.5
-    certain = set(zip(idx_i[above].tolist(), idx_j[above].tolist()))
-    certain.update(zip(idx_j[below].tolist(), idx_i[below].tolist()))
-    return PairOrderSets(certain=certain, n=n)
+    # the masks land in the cells (i, j) and (j, i) of the flat matrix
+    cell_ij, cell_ji = _upper_cells(n)
+    beats = np.zeros(n * n, dtype=bool)
+    beats[cell_ij] = above
+    beats[cell_ji] = below
+    return PairOrderSets(beats.reshape(n, n))
 
 
 def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> BlockPartition:
@@ -340,29 +396,23 @@ def partition_blocks(candidates: QueryCandidates, order_sets: PairOrderSets) -> 
     other document. Such m documents have at most m - 1 losses each and the
     others at least m, so they are the first m after a sort by losses.
 
+    Wins and losses are the row and column sums of ``order_sets.beats``.
     Raises ``ValueError`` unless ``order_sets.n`` is the number of
-    candidates and every certain pair names two distinct documents of
-    ``0..n-1`` in one order only.
+    candidates.
     """
     n = len(candidates)
-    certain = order_sets.certain
     if order_sets.n != n:
         raise ValueError(f"order sets cover {order_sets.n} documents, not the {n} candidates")
-    wins, losses = [0] * n, [0] * n
-    for i, j in certain:
-        # a self pair (i, i) is its own reverse
-        if not (0 <= i < n and 0 <= j < n) or (j, i) in certain:
-            raise ValueError(
-                f"certain pair ({i}, {j}) must name two documents of 0..{n - 1} in one order"
-            )
-        wins[i] += 1
-        losses[j] += 1
-    order = sorted(range(n), key=losses.__getitem__)
+    beats = order_sets.beats
+    losses = beats.sum(axis=0)
+    # stable: documents with equal losses keep their index order
+    order = np.argsort(losses, kind="stable")
+    surplus = np.cumsum((beats.sum(axis=1) - losses)[order]).tolist()
+    order = order.tolist()
     blocks: list[list[int]] = []
-    start, surplus = 0, 0
-    for m, doc in enumerate(order, 1):
-        surplus += wins[doc] - losses[doc]
-        if surplus == m * (n - m):
+    start = 0
+    for m, total in enumerate(surplus, 1):
+        if total == m * (n - m):
             blocks.append(sorted(order[start:m]))
             start = m
     return BlockPartition(blocks=blocks)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairexp.fairness import (
     ExposureError,
@@ -203,6 +205,102 @@ class TestQualification:
         for t in qualified:
             contribution = t.exposure_a - ledger.beta * t.exposure_b
             assert contribution >= -ledger.epsilon - ledger.cumulative - 1e-12
+
+
+def qualify_per_template(ledger, templates):
+    """The qualification as one ``projected_unfairness`` call per template,
+    the reference for the array expression."""
+    projections = [abs(projected_unfairness(ledger, t)) for t in templates]
+    qualified = [t for t, p in zip(templates, projections) if p <= ledger.epsilon]
+    if qualified:
+        return qualified, False
+    best = min(projections)
+    return [t for t, p in zip(templates, projections) if p == best], True
+
+
+def assert_same_qualification(got, want):
+    (got_templates, got_fallback), (want_templates, want_fallback) = got, want
+    assert got_fallback is want_fallback
+    assert len(got_templates) == len(want_templates)
+    assert all(a is b for a, b in zip(got_templates, want_templates))
+
+
+@st.composite
+def qualification_cases(draw):
+    """An exposure model of k = 1..10 positions, a query of counts whose
+    total may fall short of k (the run then enumerates k_t < k slots), and a
+    ledger with random cumulative value, beta and epsilon. Epsilon is also
+    drawn as one template's exact projection magnitude, the boundary case
+    of ``<=``."""
+    k = draw(st.integers(1, 10))
+    model = draw(st.sampled_from([log_discount_model(k), inverse_rank_model(k)]))
+    counts = (draw(st.integers(0, 12)), draw(st.integers(0, 12)))
+    k_t = min(k, sum(counts))
+    if k_t == 0:
+        counts = (1, counts[1])
+        k_t = 1
+    templates = enumerate_templates(k_t, counts, model)
+    ledger = UnfairnessLedger(
+        beta=draw(st.floats(0.01, 10.0)),
+        epsilon=draw(st.floats(1e-12, 5.0)),
+        cumulative=draw(st.floats(-10.0, 10.0)),
+    )
+    if draw(st.booleans()):
+        exact = abs(projected_unfairness(ledger, draw(st.sampled_from(templates))))
+        if exact > 0:
+            ledger.epsilon = exact
+    return ledger, templates
+
+
+class TestArrayQualification:
+    @settings(max_examples=500)
+    @given(case=qualification_cases())
+    def test_bit_for_bit_as_per_template(self, case):
+        ledger, templates = case
+        want = qualify_per_template(ledger, templates)
+        assert_same_qualification(qualified_templates(ledger, templates), want)
+        # a plain list reads each template's exposures instead of the arrays
+        assert_same_qualification(qualified_templates(ledger, list(templates)), want)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_mirror_templates_tie_at_the_minimum(self, k):
+        # with beta = 1 and nothing accrued, a placement and its mirror image
+        # project to x and -x exactly: the fallback keeps every tied minimizer
+        model = log_discount_model(k)
+        templates = enumerate_templates(k, (k, k), model)
+        ledger = UnfairnessLedger(beta=1.0, epsilon=1e-300)
+        got = qualified_templates(ledger, templates)
+        assert_same_qualification(got, qualify_per_template(ledger, templates))
+        qualified, fallback = got
+        assert fallback and len(qualified) >= 2
+
+    def test_epsilon_equal_to_a_projection_qualifies_it(self):
+        templates = enumerate_templates(5, (5, 5), log_discount_model(5))
+        ledger = UnfairnessLedger(beta=1.0, epsilon=1.0)
+        ledger.epsilon = abs(projected_unfairness(ledger, templates[3]))
+        qualified, fallback = qualified_templates(ledger, templates)
+        assert not fallback and any(t is templates[3] for t in qualified)
+        assert_same_qualification((qualified, fallback), qualify_per_template(ledger, templates))
+
+    def test_a_reordered_list_is_read_as_it_stands(self):
+        # the enumeration's arrays describe the templates in their first
+        # order; a list reordered in place must not be read with them
+        templates = enumerate_templates(4, (4, 4), log_discount_model(4))
+        templates.reverse()
+        ledger = UnfairnessLedger(beta=1.3, epsilon=0.2, cumulative=0.4)
+        assert_same_qualification(
+            qualified_templates(ledger, templates), qualify_per_template(ledger, templates)
+        )
+
+    def test_enumeration_arrays_are_read_only_and_shared(self):
+        model = log_discount_model(6)
+        first, second = (enumerate_templates(6, (6, 6), model) for _ in range(2))
+        assert first is not second and first == second and isinstance(first, list)
+        assert first._enumeration is second._enumeration
+        exposure_a = first._enumeration.exposure_a
+        assert exposure_a.tolist() == [t.exposure_a for t in first]
+        with pytest.raises(ValueError):
+            exposure_a[0] = 0.0
 
 
 class TestLedger:

@@ -35,11 +35,13 @@ from fairexp.fairswap import (
     _donor_sort_key,
     _prepare,
     added_regret,
+    certain_matrix,
     fair_swap,
     index_pairs,
     select_ranking,
 )
 from fairexp.ranker import BlockPartition
+from pair_set_oracle import reference_index_pairs
 
 
 def swap_instance(blocks, placement, certain, groups, seed=0, **kwargs) -> CalibratedRanking:
@@ -300,6 +302,14 @@ def scan_index(blocks, certain):
     return origin, beats, broken
 
 
+def self_or_upward(origin, certain) -> int:
+    """The certain pairs between partitioned documents that are self pairs
+    or point up the blocks."""
+    return sum(
+        1 for w, l in certain if w in origin and l in origin and (w == l or origin[w] > origin[l])
+    )
+
+
 class TestCertainLookups:
     @PROPERTY
     @given(order=DOCS, certain=CERTAIN)
@@ -317,17 +327,28 @@ class TestCertainLookups:
     @example(case=([[3, 1], [0, 2]], {(3, 0), (3, 2), (1, 0), (1, 2), (3, 1), (13, 3)}))
     @example(case=([[3, 1], [0, 2]], {(3, 0), (3, 2), (1, 0), (1, 2), (2, 1)}))  # one up
     @example(case=([[3, 1], [0, 2]], {(3, 0), (3, 2), (1, 0)}))  # one missing
+    @example(case=([[3, 1], [0, 2]], {(3, 0), (1, 0), (1, 2), (0, 3)}))  # one up, one missing
     def test_index_matches_the_scan(self, case):
+        # given as a set or as its matrix; a refusal names the pair that the
+        # set pass it replaced names (``reference_index_pairs``) whenever at
+        # most one pair is a self pair or points up: with more, the set pass
+        # names whichever its iteration meets first, the matrix the first in
+        # block order
         blocks, certain = case
         origin, beats, broken = scan_index(blocks, certain)
         partition = BlockPartition(blocks=blocks)
-        if broken:
-            with pytest.raises(MalformedPartitionError):
-                index_pairs(partition, certain)
-        else:
-            got_origin, got_beats = index_pairs(partition, certain)
-            assert got_origin == origin
-            assert {w: sorted(losers) for w, losers in got_beats.items()} == beats
+        for given_as in (certain, certain_matrix(certain, partition.documents())):
+            if broken:
+                with pytest.raises(MalformedPartitionError) as refusal:
+                    index_pairs(partition, given_as)
+                if self_or_upward(origin, certain) <= 1:
+                    with pytest.raises(MalformedPartitionError) as want:
+                        reference_index_pairs(blocks, certain)
+                    assert str(refusal.value) == str(want.value)
+            else:
+                got_origin, got_beats = index_pairs(partition, given_as)
+                assert got_origin == origin
+                assert {w: sorted(losers) for w, losers in got_beats.items()} == beats
 
 
 @st.composite

@@ -290,7 +290,7 @@ def certain_set_instances(draw):
         if rng.random() < p_certain:
             win, lose = (i, j) if rank[i] < rank[j] else (j, i)
             certain.add((lose, win) if rng.random() < p_flip else (win, lose))
-    return n, PairOrderSets(certain, n)
+    return n, PairOrderSets.from_pairs(certain, n)
 
 
 def uncertain_pairs(sets):
@@ -391,20 +391,20 @@ class TestPartitionBlocks:
         # {0,1} above {2,3,4}: cross pairs certain, inner pairs uncertain
         cands = make_candidates(np.zeros((5, 1)))
         certain = {(i, j) for i in (0, 1) for j in (2, 3, 4)}
-        partition = partition_blocks(cands, PairOrderSets(certain, 5))
+        partition = partition_blocks(cands, PairOrderSets.from_pairs(certain, 5))
         assert partition.blocks == [[0, 1], [2, 3, 4]]
 
     def test_component_cycle_merges_into_one_block(self):
         # components {0,1} and {2} of the uncertain pairs, with certain
         # orders between them pointing both ways: one strongly connected block
         cands = make_candidates(np.zeros((3, 1)))
-        sets = PairOrderSets(certain={(0, 2), (2, 1)}, n=3)
+        sets = PairOrderSets.from_pairs({(0, 2), (2, 1)}, 3)
         assert partition_blocks(cands, sets).blocks == [[0, 1, 2]]
 
     def test_missing_pairs_are_uncertain(self):
         cands = make_candidates(np.zeros((3, 1)))
-        assert partition_blocks(cands, PairOrderSets({(0, 1)}, 3)).blocks == [[0, 1, 2]]
-        assert partition_blocks(cands, PairOrderSets({(0, 1), (0, 2)}, 3)).blocks == [[0], [1, 2]]
+        assert partition_blocks(cands, PairOrderSets.from_pairs({(0, 1)}, 3)).blocks == [[0, 1, 2]]
+        assert partition_blocks(cands, PairOrderSets.from_pairs({(0, 1), (0, 2)}, 3)).blocks == [[0], [1, 2]]
 
     def test_malformed_order_sets_rejected(self):
         cands = make_candidates(np.zeros((3, 1)))
@@ -416,7 +416,7 @@ class TestPartitionBlocks:
             ({(0, 1), (2, -1)}, 3, r"\(2, -1\)"),  # a negative index
         ]:
             with pytest.raises(ValueError, match=message):
-                partition_blocks(cands, PairOrderSets(certain, n))
+                partition_blocks(cands, PairOrderSets.from_pairs(certain, n))
 
     @settings(max_examples=600)
     @given(instance=st.one_of(partition_instances(), certain_set_instances()))
