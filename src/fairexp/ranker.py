@@ -244,10 +244,9 @@ class PairOrderSets:
     certain in neither order is uncertain.
 
     ``certain`` is the same relation as a set of (winner, loser) pairs,
-    built on each read; ``from_pairs`` builds the matrix from such a set.
-    Raises ``ValueError`` unless ``beats`` is a square boolean matrix with
-    no pair certain in both orders, a document paired with itself
-    included."""
+    built on each read. Raises ``ValueError`` unless ``beats`` is a square
+    boolean matrix with no pair certain in both orders, a document paired
+    with itself included."""
 
     beats: np.ndarray
 
@@ -258,21 +257,9 @@ class PairOrderSets:
         both = beats & beats.T  # a self pair is its own reverse
         if np.count_nonzero(both):
             i, j = np.argwhere(both)[0].tolist()
-            raise ValueError(_pair_message(i, j, len(beats)))
-
-    @classmethod
-    def from_pairs(cls, certain, n: int) -> "PairOrderSets":
-        """The relation of a set of certain pairs (winner, loser) over ``n``
-        candidates. Raises ``ValueError`` unless every pair names two
-        distinct documents of ``0..n-1`` in one order only; the message names
-        the first such pair in the set's order."""
-        for i, j in certain:
-            if not (0 <= i < n and 0 <= j < n) or (j, i) in certain:
-                raise ValueError(_pair_message(i, j, n))
-        beats = np.zeros((n, n), dtype=bool)
-        if certain:
-            beats[tuple(np.array(list(certain)).T)] = True
-        return cls(beats)
+            raise ValueError(
+                f"certain pair ({i}, {j}) must name two documents of 0..{len(beats) - 1} in one order"
+            )
 
     @property
     def n(self) -> int:
@@ -285,10 +272,6 @@ class PairOrderSets:
 
     def n_pairs(self) -> int:
         return self.n * (self.n - 1) // 2
-
-
-def _pair_message(i, j, n: int) -> str:
-    return f"certain pair ({i}, {j}) must name two documents of 0..{n - 1} in one order"
 
 
 @dataclass
@@ -310,16 +293,6 @@ def _check_dim(state: RankerState, x: np.ndarray) -> np.ndarray:
 
 def score_all(state: RankerState, features: np.ndarray) -> np.ndarray:
     return _check_dim(state, features) @ state.theta
-
-
-def confidence_width(state: RankerState, x_i, x_j, alpha: float) -> float:
-    """alpha-scaled Mahalanobis norm of the pair's difference vector.
-
-    The single-pair definition of the width that ``classify_pairs`` reads
-    off one Gram matrix; kept as the reference the tests check it against."""
-    diff = _check_dim(state, x_i) - _check_dim(state, x_j)
-    quad = float(diff @ state.info_inverse() @ diff)
-    return alpha * np.sqrt(max(quad, 0.0))
 
 
 @lru_cache(maxsize=64)
@@ -347,14 +320,14 @@ def _upper_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
 def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float) -> PairOrderSets:
     """The certain relation over all candidate pairs, as ``PairOrderSets``.
 
-    A pair is certain when the predicted preference probability stays on
-    one side of 1/2 by more than the confidence width (``alpha`` >= 0
-    times the pair's Mahalanobis norm); an interval that touches 1/2
-    exactly, or a NaN, counts as uncertain.
+    A pair (i, j) is certain when the predicted preference probability
+    stays on one side of 1/2 by more than the confidence width
+    alpha ||x_i - x_j||_M (``alpha`` >= 0): the Mahalanobis norm of the
+    pair's feature difference under the inverse information matrix M. An
+    interval that touches 1/2 exactly, or a NaN, counts as uncertain.
 
-    The widths are those of ``confidence_width``, read off one Gram matrix
-    G = F M F^T of the candidate features F under the inverse information
-    matrix M: ||x_i - x_j||_M^2 = G_ii + G_jj - 2 G_ij. That costs
+    The norms are read off one Gram matrix G = F M F^T of the candidate
+    features F: ||x_i - x_j||_M^2 = G_ii + G_jj - 2 G_ij. That costs
     O(n d^2 + n^2) per query instead of O(n^2 d^2) for a quadratic form per
     pair; rounding can make the sum slightly negative where x_i and x_j
     (nearly) coincide, hence the clip at 0.
@@ -671,36 +644,22 @@ def save_checkpoint(state: RankerState, path: str | Path) -> None:
     )
 
 
-# the pair arrays of each checkpoint version
-_PAIR_NAMES = {
-    1: ["pairs_x", "pairs_y"],
-    2: ["pairs_x", "pairs_y", "pairs_count"],
-    3: ["pairs_x", "pairs_y", "pairs_count"],
-    4: ["pairs_docs", "pairs_win", "pairs_lose", "pairs_y", "pairs_count"],
-}
-
-
 def load_checkpoint(path: str | Path) -> RankerState:
-    """Read a checkpoint written by ``save_checkpoint``, of this version or
-    of versions 1 to 3, which store each distinct pair as its difference
-    row ``pairs_x`` (m, d); versions 1 and 2 store no min-max bounds.
+    """Read a checkpoint written by ``save_checkpoint``.
 
     Raises ``ValueError`` unless the file is an ``.npz`` archive with one
-    integer ``version`` and its arrays describe a valid state: theta of
-    shape (d,), an information matrix of shape (d, d) that is symmetric
-    positive definite, every value finite, and either no pair arrays or all
-    of the version's: ``pairs_y`` of shape (m,); ``pairs_x`` of shape
-    (m, d) up to version 3; from version 2 on a ``pairs_count`` of shape
-    (m,) that holds positive integers up to 2**53; from version 4 on
-    ``pairs_docs`` of shape (D, d) and integer ``pairs_win`` and
-    ``pairs_lose`` of shape (m,) with values in 0..D-1. From version 3 on
-    it holds both or neither of ``minmax_lo`` and ``minmax_hi``, each of
-    shape (d,). The loaded buffer stores each pair as the buffer would
-    have: a ``pairs_x`` row as a document paired with the zero row, and
-    repeated documents and pairs merge, so a version 1 file, which has no
-    counts and one row per pair, loads with each distinct row once. Arrays
-    it does not read, such as the ``q_norm`` of older checkpoints, are
-    ignored.
+    integer ``version`` equal to ``CHECKPOINT_VERSION`` and its arrays
+    describe a valid state: theta of shape (d,), an information matrix of
+    shape (d, d) that is symmetric positive definite, a positive ``lam``, a
+    ``round`` that is an integer of 0 or more, every value finite. It holds
+    either no pair arrays or all of them: ``pairs_docs`` of shape (D, d),
+    integer ``pairs_win`` and ``pairs_lose`` of shape (m,) with values in
+    0..D-1, ``pairs_y`` of shape (m,) and ``pairs_count`` of shape (m,)
+    that holds positive integers up to 2**53. It holds both or neither of
+    ``minmax_lo`` and ``minmax_hi``, each of shape (d,), with no
+    ``minmax_lo`` value above its ``minmax_hi``. The loaded buffer stores
+    the pairs as the buffer would have: repeated documents and pairs merge.
+    Arrays it does not read, such as a ``q_norm``, are ignored.
     """
     try:
         # opened here: np.load leaks the file of an archive it cannot read
@@ -714,12 +673,9 @@ def load_checkpoint(path: str | Path) -> RankerState:
     version = arrays.get("version")
     if version is None or version.shape != () or version.dtype.kind not in "iu":
         raise ValueError("checkpoint has no version that is one integer")
-    version = int(version)
-    if version not in _PAIR_NAMES:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    pair_names = _PAIR_NAMES[version]
-    bound_names = ["minmax_lo", "minmax_hi"] if version > 2 else []
-    _check_checkpoint(arrays, pair_names, bound_names)
+    if int(version) != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {int(version)}")
+    _check_checkpoint(arrays)
     theta = arrays["theta"]
     state = RankerState(
         theta=theta,
@@ -728,28 +684,23 @@ def load_checkpoint(path: str | Path) -> RankerState:
         round=int(arrays["round"]),
         pairs=_PairBuffer(len(theta)),
     )
-    if bound_names and "minmax_lo" in arrays:
+    if "minmax_lo" in arrays:
         state.minmax_bounds = (arrays["minmax_lo"], arrays["minmax_hi"])
-    pairs = state.pairs
     if "pairs_y" in arrays:
-        if "pairs_docs" in pair_names:
-            ids = np.array(pairs.doc_ids(arrays["pairs_docs"].astype(np.float64)), dtype=np.intp)
-            win, lose = ids[arrays["pairs_win"]].tolist(), ids[arrays["pairs_lose"]].tolist()
-        else:
-            win = pairs.doc_ids(arrays["pairs_x"].astype(np.float64))
-            lose = [0] * len(win)
-        counts = None
-        if "pairs_count" in pair_names:
-            counts = arrays["pairs_count"].astype(np.int64).tolist()
+        pairs = state.pairs
+        ids = np.array(pairs.doc_ids(arrays["pairs_docs"].astype(np.float64)), dtype=np.intp)
+        win, lose = ids[arrays["pairs_win"]].tolist(), ids[arrays["pairs_lose"]].tolist()
+        counts = arrays["pairs_count"].astype(np.int64).tolist()
         pairs.add(win, lose, arrays["pairs_y"].astype(np.float64).tolist(), counts)
     return state
 
 
-def _check_checkpoint(
-    arrays: dict[str, np.ndarray], pair_names: list[str], bound_names: list[str]
-) -> None:
+def _check_checkpoint(arrays: dict[str, np.ndarray]) -> None:
     names = ["theta", "info_matrix", "lam", "round"]
-    for optional in (pair_names, bound_names):
+    for optional in (
+        ["pairs_docs", "pairs_win", "pairs_lose", "pairs_y", "pairs_count"],
+        ["minmax_lo", "minmax_hi"],
+    ):
         if any(name in arrays for name in optional):
             names += optional
     for name in names:
@@ -759,13 +710,12 @@ def _check_checkpoint(
     if theta.ndim != 1:
         raise ValueError(f"checkpoint theta has shape {theta.shape}, expected (d,)")
     d = len(theta)
-    m = arrays["pairs_y"].size if "pairs_y" in names else 0
-    docs = arrays["pairs_docs"] if "pairs_docs" in names else np.empty((0,))
-    n_docs = len(docs) if docs.ndim else 0
+    has_pairs = "pairs_y" in names
+    m = arrays["pairs_y"].size if has_pairs else 0
+    n_docs = len(arrays["pairs_docs"]) if has_pairs and arrays["pairs_docs"].ndim else 0
     shapes = {
         "theta": (d,),
         "info_matrix": (d, d),
-        "pairs_x": (m, d),
         "pairs_docs": (n_docs, d),
         "pairs_win": (m,),
         "pairs_lose": (m,),
@@ -780,21 +730,27 @@ def _check_checkpoint(
             raise ValueError(f"checkpoint {name} has shape {value.shape}, expected {shape}")
         if value.dtype.kind not in "biuf" or not np.all(np.isfinite(value)):
             raise ValueError(f"checkpoint {name} holds values that are not finite numbers")
-    for name in ("pairs_win", "pairs_lose"):
-        if name not in names:
-            continue
-        index = arrays[name]
-        if index.dtype.kind not in "iu":
-            raise ValueError(f"checkpoint {name} has dtype {index.dtype}, not an integer one")
-        if np.any(index < 0) or np.any(index >= n_docs):
-            raise ValueError(f"checkpoint {name} holds indices outside 0..{n_docs - 1}")
-    if "pairs_count" in names:
+    if has_pairs:
+        for name in ("pairs_win", "pairs_lose"):
+            index = arrays[name]
+            if index.dtype.kind not in "iu":
+                raise ValueError(f"checkpoint {name} has dtype {index.dtype}, not an integer one")
+            if np.any(index < 0) or np.any(index >= n_docs):
+                raise ValueError(f"checkpoint {name} holds indices outside 0..{n_docs - 1}")
         # the fit weighs rows by their counts in float64, exact up to 2**53
         counts = arrays["pairs_count"]
         if np.any(counts < 1) or np.any(counts > 2**53) or np.any(counts != np.floor(counts)):
             raise ValueError(
                 "checkpoint pairs_count holds values that are not positive integers up to 2**53"
             )
+    # RankerState.initial refuses such a lam, and a round counts updates
+    lam, rounds = arrays["lam"], arrays["round"]
+    if lam <= 0:
+        raise ValueError(f"checkpoint lam is {lam}, not positive")
+    if rounds < 0 or rounds != np.floor(rounds):
+        raise ValueError(f"checkpoint round is {rounds}, not an integer of 0 or more")
+    if "minmax_lo" in names and np.any(arrays["minmax_lo"] > arrays["minmax_hi"]):
+        raise ValueError("checkpoint minmax_lo holds values above minmax_hi")
     info = arrays["info_matrix"]
     # a sum of outer products is symmetric up to rounding in the products
     if np.max(np.abs(info - info.T), initial=0.0) > 1e-9 * np.max(np.abs(info), initial=0.0):

@@ -40,7 +40,7 @@ def assert_same_outcome(got, want):
 
 
 def matrix_blocks(n_candidates, certain, n):
-    return partition_blocks(candidates(n_candidates), PairOrderSets.from_pairs(certain, n)).blocks
+    return partition_blocks(candidates(n_candidates), PairOrderSets(certain_matrix(certain, range(n)))).blocks
 
 
 def sorted_index(index):
@@ -74,7 +74,7 @@ class TestMatrixReadersMatchTheSetReaders:
         n, certain, rng = relation
         blocks = matrix_blocks(n, certain, n)
         assert blocks == reference_partition_blocks(n, certain, n)
-        beats = PairOrderSets.from_pairs(certain, n).beats
+        beats = certain_matrix(certain, range(n))
         want = sorted_index(reference_index_pairs(blocks, certain))
         partition = BlockPartition(blocks=blocks)
         assert sorted_index(index_pairs(partition, beats)) == want
@@ -88,18 +88,20 @@ class TestMatrixReadersMatchTheSetReaders:
     @PROPERTY
     @given(
         relation=relations(),
-        extra=st.lists(st.tuples(st.integers(-2, 32), st.integers(-2, 32)), max_size=3),
+        extra=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=3),
     )
     @example(relation=(3, {(0, 1)}, None), extra=[(1, 1)])  # a self pair
     @example(relation=(3, {(0, 1)}, None), extra=[(1, 0)])  # both orders of one pair
-    @example(relation=(3, {(0, 1)}, None), extra=[(2, 3)])  # an index past n
-    @example(relation=(3, {(0, 1)}, None), extra=[(-1, 2)])  # a negative index
     def test_malformed_pairs_refused_alike(self, relation, extra):
+        # a matrix has a cell for every pair of its documents and no other
         n, certain, _ = relation
-        certain = certain | set(extra)
+        certain = certain | {(i, j) for i, j in extra if i < n and j < n}
+        # the set reader names the first faulty pair it visits, the matrix
+        # the first in row-major order: visit the pairs in that order
+        in_matrix_order = dict.fromkeys(sorted(certain))
         assert_same_outcome(
             outcome(matrix_blocks, n, certain, n),
-            outcome(reference_partition_blocks, n, certain, n),
+            outcome(reference_partition_blocks, n, in_matrix_order, n),
         )
 
     def test_uncovered_candidates_refused_alike(self):
@@ -141,7 +143,7 @@ class TestIndexRefusals:
 
 class TestPairOrderSets:
     def test_certain_is_the_set_of_true_cells(self):
-        sets = PairOrderSets.from_pairs({(0, 2), (1, 0)}, 3)
+        sets = PairOrderSets(certain_matrix({(0, 2), (1, 0)}, range(3)))
         assert sets.n == 3 and sets.n_pairs() == 3
         assert sets.beats.tolist() == [[False, False, True], [True, False, False], [False] * 3]
         assert sets.certain == {(0, 2), (1, 0)}
