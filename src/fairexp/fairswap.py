@@ -24,6 +24,13 @@ unshown. So a step follows from the two counters and its segment's slot
 pattern alone, and templates that reach the same state share it whatever
 their prefix.
 
+A template's regret bound is read off that walk. Each round keeps a table
+of walk states (``_state``): the host's unshown members, and for each
+group the inversions of a one-slot segment of that group, which depend on
+the state alone. A one-slot segment, nine in ten of those walked on
+wide_pool, is one read of that table; only a segment of two or more slots
+goes through the round's memoized steps (``_step``).
+
 A round reads the certain relation as one boolean matrix, ``beats[w, l]``
 true when w certainly beats l (``ranker.PairOrderSets``); a set of pairs
 given instead is converted once on entry (``certain_matrix``). One index,
@@ -236,18 +243,18 @@ class _Step(NamedTuple):
     size: int  # the host's unshown members as the segment starts: the most slots it takes
     seg: tuple[str, ...]  # the segment's slot pattern
     shortage: tuple[int, int]  # documents of each group promoted from the lower blocks
-    after: tuple[int, int, int]  # the next step's two counters and its host's size
+    after: tuple[int, int]  # the next step's two counters
     forced: tuple[int, int]  # cross-block inversions it makes whatever it draws: heuristic off, on
 
 
 class _PreparedPartition(NamedTuple):
-    """What every calibration of one partition reads, and the walk steps
-    they share.
+    """What every calibration of one partition reads, and the walk states
+    and steps they share.
 
     Built once per round by ``select_ranking`` (or by a direct ``fair_swap``
     call) from the partition, the certain matrix, the group labels and scores.
-    Only ``steps`` grows: a walk that reaches a state with a segment
-    pattern no earlier walk did builds that step and keeps it.
+    Only ``states`` and ``steps`` grow, by an entry the first time a walk
+    reaches it.
     """
 
     origin: dict[int, int]  # document -> index of its original block
@@ -259,7 +266,8 @@ class _PreparedPartition(NamedTuple):
     # for each group and each block j, that group's documents in blocks 0..j;
     # one more entry, for no block, is the group's total
     ends: tuple[tuple[int, ...], tuple[int, ...]]
-    begin: tuple[int, int, int]  # the first step's two counters and its host's size
+    # (shown A) * (group B's total + 1) + (shown B) -> that state's entry (``_state``)
+    states: dict[int, tuple[int, int, int]]
     steps: dict[tuple, _Step]  # (shown A, shown B, segment pattern) -> its step
 
 
@@ -294,7 +302,7 @@ def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPar
         seqs=(tuple(seqs[0]), tuple(seqs[1])),
         where=(tuple(where[0]), tuple(where[1])),
         ends=(tuple(ends[0]), tuple(ends[1])),
-        begin=(0, 0, len(partition.blocks[0]) if partition.blocks else 0),
+        states={},
         steps={},
     )
 
@@ -372,14 +380,47 @@ def _walk(prepared: _PreparedPartition, placement: tuple[str, ...]):
     """Yield the steps of a feasible placement in order, building each the
     first time the round's walks reach its state with its slot pattern."""
     steps = prepared.steps
-    pa, pb, size = prepared.begin
+    pa = pb = 0
     while pa + pb < len(placement):
-        seg = placement[pa + pb : pa + pb + size]
+        seg = placement[pa + pb : pa + pb + _state(prepared, pa, pb)[0]]
         step = steps.get((pa, pb, seg))
         if step is None:
             step = steps[pa, pb, seg] = _step(prepared, pa, pb, seg)
         yield step
-        pa, pb, size = step.after
+        pa, pb = step.after
+
+
+def _state(prepared: _PreparedPartition, pa: int, pb: int) -> tuple[int, int, int]:
+    """The entry of the walk state where ``pa`` documents of group A and
+    ``pb`` of group B are shown, filled the first time a walk reaches it:
+    the host's unshown members, the most slots a segment from there takes,
+    and the cost of a one-slot segment of group A and of group B, the
+    cross-block inversions it makes (``_later`` of the origin of the
+    group's next document). One slot has no order inside it, so the cost
+    is the same with the heuristic on or off."""
+    key = pa * (len(prepared.seqs[1]) + 1) + pb
+    entry = prepared.states.get(key)
+    if entry is None:
+        # conditional expressions rather than min and max: this runs for
+        # every walk state a round reaches
+        (where_a, where_b), (ends_a, ends_b) = prepared.where, prepared.ends
+        host = where_a[pa] if where_a[pa] < where_b[pb] else where_b[pb]
+        left_a, left_b = ends_a[host] - pa, ends_b[host] - pb
+        entry = prepared.states[key] = (
+            (left_a if left_a > 0 else 0) + (left_b if left_b > 0 else 0),
+            _later(prepared, pa, pb, where_a[pa]),
+            _later(prepared, pa, pb, where_b[pb]),
+        )
+    return entry
+
+
+def _later(prepared: _PreparedPartition, pa: int, pb: int, origin: int) -> int:
+    """The documents shown from a later block than ``origin`` while ``pa``
+    of group A and ``pb`` of group B are shown: each group's documents run
+    block by block, so they are counted from ``prepared.ends``."""
+    ends_a, ends_b = prepared.ends
+    a, b = pa - ends_a[origin], pb - ends_b[origin]
+    return (a if a > 0 else 0) + (b if b > 0 else 0)
 
 
 def _step(prepared: _PreparedPartition, pa: int, pb: int, seg: tuple[str, ...]) -> _Step:
@@ -394,17 +435,22 @@ def _step(prepared: _PreparedPartition, pa: int, pb: int, seg: tuple[str, ...]) 
     segment is never longer than its host, so a host short of one group
     has a surplus of the other, and at most one group promotes: its
     shortfall is that group's next documents after the host's, the nearest
-    lower blocks' first in donor order.
+    lower blocks' first in donor order. A one-slot segment takes the
+    group's next document, promoted when it is not the host's, at the cost
+    in the state's entry.
     """
-    # conditional expressions rather than min and max: this runs for every
-    # walk state a round reaches
     (where_a, where_b), (ends_a, ends_b) = prepared.where, prepared.ends
     host = where_a[pa] if where_a[pa] < where_b[pb] else where_b[pb]
     end_a, end_b = ends_a[host], ends_b[host]  # each group's documents through the host
-    left_a, left_b = end_a - pa, end_b - pb  # the host's unshown members where positive
+    size, cost_a, cost_b = _state(prepared, pa, pb)
     need_b = seg.count(GROUP_B)
     qa, qb = pa + len(seg) - need_b, pb + need_b
-    if qa > pa and qa > end_a:
+    if len(seg) == 1:  # the group's next document, promoted unless the host's
+        if need_b:
+            shortage, forced = (0, int(qb > end_b)), (cost_b, cost_b)
+        else:
+            shortage, forced = (int(qa > end_a), 0), (cost_a, cost_a)
+    elif qa > pa and qa > end_a:
         shortage = (qa - (pa if pa > end_a else end_a), 0)
         forced = _forced(prepared, pa, pb, host, seg, GROUP_A, where_a[qa - shortage[0] : qa])
     elif qb > pb and qb > end_b:
@@ -412,18 +458,8 @@ def _step(prepared: _PreparedPartition, pa: int, pb: int, seg: tuple[str, ...]) 
         forced = _forced(prepared, pa, pb, host, seg, GROUP_B, where_b[qb - shortage[1] : qb])
     else:  # the host's members only, each below those shown from later blocks
         shortage = (0, 0)
-        forced = (len(seg) * ((0 if left_a > 0 else -left_a) + (0 if left_b > 0 else -left_b)),) * 2
-    following = where_a[qa] if where_a[qa] < where_b[qb] else where_b[qb]
-    next_a, next_b = ends_a[following] - qa, ends_b[following] - qb
-    return _Step(
-        (pa, pb),
-        host,
-        (left_a if left_a > 0 else 0) + (left_b if left_b > 0 else 0),
-        seg,
-        shortage,
-        (qa, qb, (next_a if next_a > 0 else 0) + (next_b if next_b > 0 else 0)),
-        forced,
-    )
+        forced = (len(seg) * _later(prepared, pa, pb, host),) * 2
+    return _Step((pa, pb), host, size, seg, shortage, (qa, qb), forced)
 
 
 def _forced(prepared: _PreparedPartition, pa, pb, host, seg, promoted, donors) -> tuple[int, int]:
@@ -434,13 +470,11 @@ def _forced(prepared: _PreparedPartition, pa, pb, host, seg, promoted, donors) -
     other document it shows is the host's.
 
     A document shown before it from a later block than one of its own is an
-    inversion; each group's documents run block by block, so those are
-    counted from ``prepared.ends``. With the heuristic, each slot takes the
-    deepest origin left in its group, so the order of origins over the
-    segment is fixed: only documents of one origin are drawn.
+    inversion (``_later``). With the heuristic, each slot takes the deepest
+    origin left in its group, so the order of origins over the segment is
+    fixed: only documents of one origin are drawn.
     """
-    ends_a, ends_b = prepared.ends
-    later = [max(pa - ends_a[o], 0) + max(pb - ends_b[o], 0) for o in (host, *donors)]
+    later = [_later(prepared, pa, pb, o) for o in (host, *donors)]
     across = (len(seg) - len(donors)) * later[0] + sum(later[1:])
     deepest = iter(donors[::-1])
     placed = [next(deepest, host) if g == promoted else host for g in seg]
@@ -570,11 +604,13 @@ def select_ranking(
     Once per round: the conversion of a set ``certain`` to its matrix
     (``certain_matrix``), the label check, ``index_pairs``, and the donor
     order (each group's documents block by block, each block sorted by
-    within-block certain wins, then score, then index). Once per walk state and slot pattern: the step
-    taken from there, which reads the donor order by position and sorts
-    nothing, and the inversions it forces. Once per template: the
-    feasibility check and the bound. Once per calibrated template: its
-    events, its fills and its added regret.
+    within-block certain wins, then score, then index). Once per walk
+    state: its entry in the state table. Once per walk state and pattern of
+    two or more slots: the step taken from there, which reads the donor
+    order by position and sorts nothing, and the inversions it forces. Once
+    per template: the bound, with the feasibility check folded into its
+    walk (``_regret_bound``). Once per calibrated template: its events, its
+    fills and its added regret.
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")
@@ -584,7 +620,6 @@ def select_ranking(
     prepared = _prepare(partition, certain, groups, scores)
     keys = []
     for i, (template, projection) in enumerate(zip(templates, projections)):
-        _require_feasible(prepared, template.placement)
         bound = _regret_bound(prepared, template.placement, respect_certain)
         keys.append((bound, abs(projection), template.placement, i))
     keys.sort()
@@ -611,11 +646,44 @@ def select_ranking(
 
 
 def _regret_bound(prepared: _PreparedPartition, placement, respect_certain: bool) -> int:
-    """The cross-block inversions that the walk of a feasible ``placement``
-    forces, whatever its fills draw (``_Step.forced``): at most the added
-    regret of its calibration, and equal to it with the heuristic on when
-    no certain pair lies inside an original block."""
-    bound = 0
-    for step in _walk(prepared, placement):
-        bound += step.forced[respect_certain]
+    """The cross-block inversions that the walk of ``placement`` forces,
+    whatever its fills draw (``_Step.forced``): at most the added regret of
+    its calibration, and equal to it with the heuristic on when no certain
+    pair lies inside an original block.
+
+    A one-slot segment (a host of one unshown member, or the placement's
+    last slot) costs what its state's entry says (``_state``); only a
+    longer one goes through ``steps``. Feasibility is checked on the way,
+    by counts, and ``_require_feasible`` raises its message for a placement
+    the pool cannot fill."""
+    states, steps = prepared.states, prepared.steps
+    n_a, n_b = len(prepared.seqs[0]), len(prepared.seqs[1])
+    stride = n_b + 1
+    last = len(placement) - 1
+    pa = pb = bound = 0
+    while pa + pb <= last:
+        shown = pa + pb
+        entry = states.get(pa * stride + pb) or _state(prepared, pa, pb)
+        size = entry[0]
+        if size < 2 or shown == last:
+            g = placement[shown]
+            if g == GROUP_A and pa < n_a:
+                bound += entry[1]
+                pa += 1
+            elif g == GROUP_B and pb < n_b:
+                bound += entry[2]
+                pb += 1
+            else:  # the count of g exceeds its documents, or g is no group
+                _require_feasible(prepared, placement)
+        else:
+            seg = placement[shown : shown + size]
+            step = steps.get((pa, pb, seg))
+            if step is None:
+                need_b = seg.count(GROUP_B)
+                need_a = len(seg) - need_b
+                if pa + need_a > n_a or pb + need_b > n_b or seg.count(GROUP_A) != need_a:
+                    _require_feasible(prepared, placement)
+                step = steps[pa, pb, seg] = _step(prepared, pa, pb, seg)
+            bound += step.forced[respect_certain]
+            pa, pb = step.after
     return bound

@@ -179,6 +179,8 @@ class ExperimentResult:
     swap_log: list[str]
     # always empty; kept with summary v1's flagged_rounds=0, which bench/tracer.py reads
     flagged_rounds: list[int] = field(default_factory=list)
+    # a copy of the theta that the last offline evaluation scored
+    evaluated_theta: np.ndarray | None = None
 
     @classmethod
     def initial(cls, inputs: RunInputs) -> ExperimentResult:
@@ -460,7 +462,11 @@ def step(inputs: RunInputs, run: ExperimentResult) -> None:
         ranker.update(run.state, diffs, labels, (feats, outcome.clicks))
 
     online = metrics.ndcg_at_k(displayed_grades, 10, ideal_grades=grades)
-    if t == 1 or t % config.eval_stride == 0 or t == config.rounds:
+    due = t == 1 or t % config.eval_stride == 0 or t == config.rounds
+    # the evaluation reads only theta and the hold-out: an unchanged theta
+    # scores what the last evaluation did, which the last record carries
+    if due and not np.array_equal(run.state.theta, run.evaluated_theta):
+        run.evaluated_theta = run.state.theta.copy()
         offline = evaluate_offline(run.state, inputs.holdout)
     else:
         offline = run.records[-1].offline_ndcg

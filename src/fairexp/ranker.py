@@ -657,7 +657,10 @@ def load_checkpoint(path: str | Path) -> RankerState:
     0..D-1, ``pairs_y`` of shape (m,) and ``pairs_count`` of shape (m,)
     that holds positive integers up to 2**53. It holds both or neither of
     ``minmax_lo`` and ``minmax_hi``, each of shape (d,), with no
-    ``minmax_lo`` value above its ``minmax_hi``. The loaded buffer stores
+    ``minmax_lo`` value above its ``minmax_hi``. With the pair arrays, the
+    information matrix must be lam * I plus count * x x^T over each pair's
+    difference x = docs[win] - docs[lose], up to 1e-9 of its largest entry,
+    as ``update`` builds it. The loaded buffer stores
     the pairs as the buffer would have: repeated documents and pairs merge.
     Arrays it does not read, such as a ``q_norm``, are ignored.
     """
@@ -759,3 +762,15 @@ def _check_checkpoint(arrays: dict[str, np.ndarray]) -> None:
         np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
         raise ValueError("checkpoint info_matrix is not positive definite") from None
+    if has_pairs:
+        # what update builds from the same pairs, summed in another order
+        docs = arrays["pairs_docs"].astype(np.float64)
+        rows = docs[arrays["pairs_win"]] - docs[arrays["pairs_lose"]]
+        weighted = rows * arrays["pairs_count"].astype(np.float64)[:, None]
+        rebuilt = float(lam) * np.eye(d) + weighted.T @ rows
+        off = np.max(np.abs(info - rebuilt), initial=0.0)
+        if off > 1e-9 * np.max(np.abs(info), initial=0.0):
+            raise ValueError(
+                f"checkpoint info_matrix is {off:.3g} off, in its largest entry, from lam * I "
+                "plus the outer products of its pairs"
+            )

@@ -24,6 +24,7 @@ from fairexp.fairswap import (
     MalformedPartitionError,
     SwapEvent,
     _donor_sort_key,
+    _require_feasible,
     added_regret,
 )
 
@@ -332,3 +333,45 @@ def _reference_promote(work, group, shortage, groups, wins, scores):
     for i in reversed(empty):
         del work[i]
     return taken, per_block
+
+
+def reference_regret_bound(prepared, placement, respect_certain):
+    """The cross-block inversions that the walk of ``placement`` forces,
+    step by step: the feasibility check, then each segment from the two
+    counters where it starts, its host and its shortfall worked out from
+    ``prepared.where`` and ``prepared.ends`` alone. The reference for
+    ``fairswap._regret_bound``, which reads one-slot segments off a table of
+    walk states and keeps the longer steps."""
+    _require_feasible(prepared, placement)
+    (where_a, where_b), (ends_a, ends_b) = prepared.where, prepared.ends
+
+    def later(pa, pb, o):
+        return max(pa - ends_a[o], 0) + max(pb - ends_b[o], 0)
+
+    def host_size(pa, pb):
+        host = min(where_a[pa], where_b[pb])
+        return host, max(ends_a[host] - pa, 0) + max(ends_b[host] - pb, 0)
+
+    bound = pa = pb = 0
+    while pa + pb < len(placement):
+        host, size = host_size(pa, pb)
+        seg = placement[pa + pb : pa + pb + size]
+        end_a, end_b = ends_a[host], ends_b[host]
+        need_b = seg.count("B")
+        qa, qb = pa + len(seg) - need_b, pb + need_b
+        if qa > pa and qa > end_a:
+            promoted, donors = "A", where_a[max(pa, end_a) : qa]
+        elif qb > pb and qb > end_b:
+            promoted, donors = "B", where_b[max(pb, end_b) : qb]
+        else:
+            promoted, donors = None, ()
+        # every slot not promoted shows a host member; with the heuristic,
+        # promoted slots take the deepest origin first
+        across = (len(seg) - len(donors)) * later(pa, pb, host)
+        across += sum(later(pa, pb, o) for o in donors)
+        deepest = iter(donors[::-1])
+        placed = [next(deepest, host) if g == promoted else host for g in seg]
+        within = sum(a > b for i, a in enumerate(placed) for b in placed[i + 1 :])
+        bound += across + within * respect_certain
+        pa, pb = qa, qb
+    return bound

@@ -24,6 +24,7 @@ from calibration_oracle import (
     random_instance,
     reference_fair_swap,
     reference_fill,
+    reference_regret_bound,
     within_block_wins,
 )
 from fairexp import fairswap
@@ -759,3 +760,82 @@ class TestRegretBound:
                         forced += bound > 0
         # the instances reach both a strict and a nonzero bound often
         assert min(loose, forced) >= 200
+
+    def test_the_state_table_equals_the_step_by_step_walk(self):
+        # one preparation serves every template and both heuristic values,
+        # as in a round; the reference walks each template afresh
+        rng = np.random.default_rng(23)
+        instances = [random_instance(rng)[:4] + (None,) for _ in range(80)]
+        instances += [wide_instance(rng) for _ in range(80)]
+        longer = cut_short = last_in_host = 0
+        for blocks, placement, certain, groups, scores in instances:
+            partition = BlockPartition(blocks=[list(b) for b in blocks])
+            k = min(len(placement), 8)
+            prepared = _prepare(partition, certain, groups, scores)
+            reference = _prepare(partition, certain, groups, scores)
+            for respect in (True, False):
+                for t in every_template(groups, k):
+                    p = t.placement
+                    got = fairswap._regret_bound(prepared, p, respect)
+                    want = reference_regret_bound(reference, p, respect)
+                    assert got == want, (blocks, p, groups, respect)
+                    state = (p[:-1].count("A"), p[:-1].count("B"))
+                    last_in_host += fairswap._state(prepared, *state)[0] > 1
+            longer += len(prepared.steps)
+            cut_short += sum(len(s.seg) < s.size for s in prepared.steps.values())
+        # hosts of several slots, longer segments cut short by the end of a
+        # placement, and last slots of a host with more unshown members
+        assert min(longer, cut_short, last_in_host) >= 100
+
+    def test_the_selection_equals_one_on_the_step_by_step_bound(self, monkeypatch):
+        # order, added regret, template, events and generator state
+        rng = np.random.default_rng(24)
+        instances = [random_instance(rng)[:4] + (None,) for _ in range(60)]
+        instances += [wide_instance(rng) for _ in range(60)]
+        bound = fairswap._regret_bound
+        for trial, (blocks, placement, certain, groups, scores) in enumerate(instances):
+            partition = BlockPartition(blocks=[list(b) for b in blocks])
+            templates = every_template(groups, min(len(placement), 6))
+            projections = list(rng.standard_normal(len(templates)))
+            respect = bool(trial % 2)
+            served = []
+            for regret_bound in (bound, reference_regret_bound):
+                monkeypatch.setattr(fairswap, "_regret_bound", regret_bound)
+                generator = np.random.default_rng(trial)
+                got = select_ranking(
+                    partition, templates, certain, groups, generator,
+                    projections=projections, scores=scores, respect_certain=respect,
+                )
+                served.append((
+                    got.order, got.added_regret, got.template,
+                    [e.describe() for e in got.events], generator.bit_generator.state,
+                ))
+            assert served[0] == served[1], (blocks, groups, respect)
+
+    @pytest.mark.parametrize(
+        "placement, message",
+        [
+            (("A", "B", "B", "A", "A"), "needs 3 documents of group A, only 2"),  # last slot
+            (("B", "B", "A", "B", "A"), "needs 3 documents of group B, only 2"),  # one-slot host
+            (("A", "A", "A"), "needs 3 documents of group A, only 2"),  # a longer segment
+            (("A", "B", "B", "C"), "needs 1 documents of group C, only 0"),  # one slot
+            (("C", "A", "B"), "needs 1 documents of group C, only 0"),  # a longer segment
+        ],
+    )
+    def test_the_walk_refuses_a_template_the_pool_cannot_fill(self, placement, message):
+        # blocks [0, 1, 2] and [3]: the first host has three slots, and each
+        # after it one
+        partition = BlockPartition(blocks=[[0, 1, 2], [3]])
+        groups = {0: "A", 1: "B", 2: "B", 3: "A"}
+        certain = cross_block_certain(partition.blocks)
+        prepared = _prepare(partition, certain, groups, None)
+        fine = make_template(("A", "B"), log_discount_model(2))
+        bad = make_template(placement, log_discount_model(len(placement)))
+        for respect in (True, False):
+            with pytest.raises(InfeasibleTemplateError, match=message):
+                fairswap._regret_bound(prepared, placement, respect)
+            with pytest.raises(InfeasibleTemplateError, match=message):
+                select_ranking(
+                    partition, [fine, bad], certain, groups, np.random.default_rng(0),
+                    respect_certain=respect,
+                )

@@ -353,6 +353,29 @@ class TestAlgorithms:
         assert offline[-1] == result.summary["final_offline_ndcg10"] == final
         assert final != offline[99]
 
+    @pytest.mark.parametrize("algorithm", ["fairexp_pairrank", "random"])
+    def test_an_unchanged_theta_is_not_scored_again(self, algorithm, monkeypatch):
+        # every round is due at stride 1; a round that leaves theta as the
+        # last evaluation scored it records that evaluation's value, and
+        # every record equals a fresh evaluation of the state after its round
+        from fairexp import harness
+
+        scored = []
+        real = harness.evaluate_offline
+        monkeypatch.setattr(
+            harness, "evaluate_offline", lambda s, h: scored.append(s.theta.copy()) or real(s, h)
+        )
+        inputs = prepare_run(small_config(algorithm=algorithm, eval_stride=1))[0]
+        run = ExperimentResult.initial(inputs)
+        thetas = []
+        for _ in range(60):
+            step(inputs, run)
+            thetas.append(run.state.theta.copy())
+            assert run.records[-1].offline_ndcg == real(run.state, inputs.holdout)
+        changed = [t for i, t in enumerate(thetas) if i == 0 or not np.array_equal(t, thetas[i - 1])]
+        assert len(scored) == len(changed) < 60
+        assert all(np.array_equal(a, b) for a, b in zip(scored, changed))
+
     def test_the_round_loop_inverts_no_matrix(self, monkeypatch):
         # the ranker folds each round's pairs into the inverse it keeps; at
         # d = 40 > DIRECT_SOLVE_MAX_D both the widths and the CG refit read it

@@ -1148,6 +1148,11 @@ TAMPERED_CHECKPOINTS = [
     (_set("info_matrix", (0, 1), 5.0), "info_matrix is not symmetric"),
     (_negative_direction, "info_matrix is not positive definite"),
     (_replace("info_matrix", lambda a: np.zeros_like(a)), "info_matrix is not positive definite"),
+    # symmetric positive definite, but not the matrix that the pairs give
+    (_replace("info_matrix", lambda a: 100 * np.eye(len(a))), "info_matrix is .* off, in its"),
+    (_replace("info_matrix", lambda a: a * (1 + 1e-8)), "info_matrix is .* off, in its largest"),
+    (_set("pairs_count", 2, 2), "info_matrix is .* off, in its largest entry, from lam"),
+    (_replace("lam", lambda a: a * 2), "info_matrix is 0.5 off, in its largest entry"),
     (_drop("pairs_count"), "no pairs_count"),
     (_replace("pairs_count", lambda a: a[:-1]), "pairs_count has shape"),
     (_set("pairs_count", 2, 0), "pairs_count holds values that are not positive integers"),
@@ -1218,6 +1223,13 @@ class TestCheckpointValidation:
         path = tmp_path / "ckpt.npz"
         write_tampered_checkpoint(path, _set("minmax_lo", 2, 3.0))
         np.testing.assert_array_equal(load_checkpoint(path).minmax_bounds[0], [0.0, 0.0, 3.0, 0.0])
+
+    def test_an_information_matrix_off_by_rounding_loads(self, tmp_path):
+        # update adds each round's outer products, the check sums them per
+        # pair: the two orders of summation round differently
+        path = tmp_path / "ckpt.npz"
+        write_tampered_checkpoint(path, _replace("info_matrix", lambda a: a * (1 + 1e-12)))
+        assert load_checkpoint(path).pairs.n == 6
 
     def test_checkpoint_with_a_q_norm_loads(self, tmp_path):
         # older checkpoints also hold the parameter-norm bound, which nothing reads
