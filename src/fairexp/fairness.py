@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
-from typing import NamedTuple
+from typing import Sequence
 
 import numpy as np
 
@@ -128,55 +128,46 @@ def make_template(placement, model: ExposureModel) -> GroupTemplate:
     return GroupTemplate(placement=placement, exposure_a=exp_a, exposure_b=exp_b)
 
 
-class TemplateList(list):
-    """The list of templates that ``enumerate_templates`` returns, which
-    also knows the enumeration it copies, so that ``qualified_templates``
-    reads that enumeration's exposure arrays instead of every template."""
+class Templates(tuple):
+    """An immutable sequence of ``GroupTemplate``s with each one's
+    ``exposure_a`` and ``exposure_b`` as read-only float64 arrays in the
+    same order, so that ``projected_unfairness`` projects them all at once.
+    The arrays are read off the templates unless given."""
 
-    __slots__ = ("_enumeration",)
-
-
-class _Enumeration(NamedTuple):
-    """One cached enumeration: its templates, never handed out (callers get
-    a ``TemplateList`` copy), and each template's ``exposure_a`` and
-    ``exposure_b`` as read-only float64 arrays in the same order."""
-
-    templates: list[GroupTemplate]
     exposure_a: np.ndarray
     exposure_b: np.ndarray
 
+    def __new__(cls, templates, exposure_a=None, exposure_b=None):
+        self = super().__new__(cls, templates)
+        if exposure_a is None:
+            exposure_a = np.array([t.exposure_a for t in self], dtype=np.float64)
+            exposure_b = np.array([t.exposure_b for t in self], dtype=np.float64)
+        exposure_a.flags.writeable = exposure_b.flags.writeable = False
+        self.exposure_a, self.exposure_b = exposure_a, exposure_b
+        return self
+
 
 @lru_cache(maxsize=4096)
-def _enumerate_cached(k: int, avail_a: int, avail_b: int, model: ExposureModel) -> _Enumeration:
+def _enumerate_cached(k: int, avail_a: int, avail_b: int, model: ExposureModel) -> Templates:
     templates = []
     for placement in product((GROUP_A, GROUP_B), repeat=k):
         n_a = placement.count(GROUP_A)
         if n_a <= avail_a and k - n_a <= avail_b:
             templates.append(make_template(placement, model))
-    return _Enumeration(templates, *_exposure_arrays(templates))
+    return Templates(templates)
 
 
-def _exposure_arrays(templates) -> tuple[np.ndarray, np.ndarray]:
-    """Each template's ``exposure_a`` and ``exposure_b``, as read-only float64 arrays."""
-    exposure_a = np.array([t.exposure_a for t in templates], dtype=np.float64)
-    exposure_b = np.array([t.exposure_b for t in templates], dtype=np.float64)
-    exposure_a.flags.writeable = exposure_b.flags.writeable = False
-    return exposure_a, exposure_b
-
-
-def enumerate_templates(k: int, counts: tuple[int, int], model: ExposureModel) -> TemplateList:
+def enumerate_templates(k: int, counts: tuple[int, int], model: ExposureModel) -> Templates:
     """All group placements of length k honoring per-group availability.
 
     ``counts`` is the (group-A, group-B) document availability under the
     query. With both counts >= k this is the full set of 2^k placements.
+    Every call with the same shape gets the same ``Templates``.
     """
     avail_a, avail_b = counts
     if avail_a + avail_b < k:
         raise TemplateError(f"only {avail_a + avail_b} documents available for k={k}")
-    enumeration = _enumerate_cached(k, min(avail_a, k), min(avail_b, k), model)
-    templates = TemplateList(enumeration.templates)
-    templates._enumeration = enumeration
-    return templates
+    return _enumerate_cached(k, min(avail_a, k), min(avail_b, k), model)
 
 
 @dataclass
@@ -201,40 +192,38 @@ class UnfairnessLedger:
             raise ValueError("epsilon must be positive")
 
 
-def projected_unfairness(ledger: UnfairnessLedger, template: GroupTemplate) -> float:
-    """Signed cumulative unfairness if the template were served this round."""
+def projected_unfairness(
+    ledger: UnfairnessLedger, template: GroupTemplate | Templates
+) -> float | np.ndarray:
+    """Signed cumulative unfairness if the template were served this round:
+    a float for a ``GroupTemplate``, and for ``Templates`` an array of one
+    value per template, by the same operations in the same order, so each
+    equals the template's own projection bit for bit."""
     return ledger.cumulative + template.exposure_a - ledger.beta * template.exposure_b
 
 
 def qualified_templates(
-    ledger: UnfairnessLedger, templates: list[GroupTemplate]
-) -> tuple[list[GroupTemplate], bool]:
+    ledger: UnfairnessLedger, templates: Sequence[GroupTemplate]
+) -> tuple[Templates, bool]:
     """Templates keeping |projected unfairness| within epsilon.
 
     When none qualifies, falls back to the full tie set of minimizers of
     the projected magnitude so downstream selection can still compare
-    their regret. Returns (templates, fallback_flag).
-
-    The projections are ``projected_unfairness`` of every template as one
-    array expression, the same operations in the same order, so they are
-    equal bit for bit. A ``TemplateList`` that still holds the templates
-    it was enumerated with gives its enumeration's exposure arrays; any
-    other list is read template by template.
+    their regret. Returns (templates, fallback_flag), the templates as
+    ``Templates`` in their given order with their arrays sliced; a plain
+    sequence is read into ``Templates`` first.
     """
     if not templates:
         raise TemplateError("no templates to qualify")
-    enumeration = getattr(templates, "_enumeration", None)
-    # list equality checks identity first, so this costs no template comparison
-    if enumeration is not None and templates == enumeration.templates:
-        exposure_a, exposure_b = enumeration.exposure_a, enumeration.exposure_b
-    else:
-        exposure_a, exposure_b = _exposure_arrays(templates)
-    projections = np.abs(ledger.cumulative + exposure_a - ledger.beta * exposure_b)
+    if not isinstance(templates, Templates):
+        templates = Templates(templates)
+    projections = np.abs(projected_unfairness(ledger, templates))
     keep = np.flatnonzero(projections <= ledger.epsilon)
     fallback = not len(keep)
     if fallback:
         keep = np.flatnonzero(projections == projections.min())
-    return [templates[i] for i in keep.tolist()], fallback
+    kept = [templates[i] for i in keep.tolist()]
+    return Templates(kept, templates.exposure_a[keep], templates.exposure_b[keep]), fallback
 
 
 def record(ledger: UnfairnessLedger, realized_template: GroupTemplate) -> UnfairnessLedger:

@@ -258,7 +258,7 @@ class _PreparedPartition(NamedTuple):
     """
 
     origin: dict[int, int]  # document -> index of its original block
-    beats: dict[int, Sequence]  # document -> the documents of its block it certainly beats
+    within: dict[int, Sequence]  # document -> the documents of its block it certainly beats
     # each group's documents, block by block, each block's in donor order
     seqs: tuple[tuple[int, ...], tuple[int, ...]]
     # for each group, the block of each of those documents, then the number of blocks
@@ -277,8 +277,8 @@ def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPar
             raise MalformedPartitionError(
                 f"document {doc} has group {groups.get(doc)!r}, not {GROUP_A!r} or {GROUP_B!r}"
             )
-    origin, beats = index_pairs(partition, certain)
-    wins = {doc: len(losers) for doc, losers in beats.items()}
+    origin, within = index_pairs(partition, certain)
+    wins = {doc: len(losers) for doc, losers in within.items()}
     scores = scores or {}
     seqs: tuple[list[int], list[int]] = ([], [])
     where: tuple[list[int], list[int]] = ([], [])
@@ -298,7 +298,7 @@ def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPar
         ends[g].append(len(seqs[g]))
     return _PreparedPartition(
         origin=origin,
-        beats=beats,
+        within=within,
         seqs=(tuple(seqs[0]), tuple(seqs[1])),
         where=(tuple(where[0]), tuple(where[1])),
         ends=(tuple(ends[0]), tuple(ends[1])),
@@ -367,7 +367,7 @@ def fair_swap(
             events.append(_event(prepared, step, depth))
         shown = dict(zip(GROUPS, _shown(prepared, step)))
         slots = [shown[g] for g in step.seg]
-        order += draw_slots(slots, shown.values(), prepared.origin, prepared.beats, rng, respect_certain)
+        order += draw_slots(slots, shown.values(), prepared.origin, prepared.within, rng, respect_certain)
     return CalibratedRanking(
         order=order,
         added_regret=added_regret(order, certain),
@@ -524,7 +524,7 @@ def _event(prepared: _PreparedPartition, step: _Step, depth: int) -> SwapEvent:
 
 
 def draw_slots(
-    slots, lists, origin: dict[int, int], beats, rng, respect_certain: bool = True
+    slots, lists, origin: dict[int, int], within, rng, respect_certain: bool = True
 ) -> list[int]:
     """Fill each of ``slots``, a candidate list of ``lists`` per slot, with
     one of its documents, which then leaves its list, and return the fill.
@@ -542,9 +542,9 @@ def draw_slots(
 
     The predecessors are counted once, at the first slot with a choice, into
     one integer key per document with its origin folded in, and a placement
-    decrements the keys of its certain successors. Both read ``beats``, the
-    documents each certainly beats in its origin, as ``index_pairs`` gives
-    them: one pass over the lists of the n documents of ``lists``.
+    decrements the keys of its certain successors. Both read ``within``,
+    the documents each certainly beats in its origin, as ``index_pairs``
+    gives them: one pass over the lists of the n documents of ``lists``.
     """
     fill: list[int] = []
     key, succ = None, {}
@@ -556,7 +556,7 @@ def draw_slots(
                 span = len(docs) + 1  # more than any count
                 key = {d: -origin[d] * span for d in docs}
                 for r in docs:
-                    succ[r] = [d for d in beats[r] if d in key]
+                    succ[r] = [d for d in within[r] if d in key]
                     for d in succ[r]:
                         key[d] += 1
             low = min(map(key.__getitem__, cands))
@@ -571,7 +571,7 @@ def draw_slots(
 
 def select_ranking(
     partition: BlockPartition,
-    templates: list[GroupTemplate],
+    templates: Sequence[GroupTemplate],
     certain,
     groups: dict[int, str],
     rng: np.random.Generator,

@@ -276,10 +276,10 @@ def sample_block_order(
     unplaced certain predecessors. ``certain`` is the certain matrix or a
     set of pairs (see ``fairswap.certain_matrix``); ``fairswap.index_pairs``
     refuses a partition whose blocks are not in certain order."""
-    origin, beats = fairswap.index_pairs(partition, certain)
+    origin, within = fairswap.index_pairs(partition, certain)
     lists = [list(block) for block in partition.blocks]
     slots = [each for each in lists for _ in each]
-    return fairswap.draw_slots(slots, lists, origin, beats, rng, respect_certain)
+    return fairswap.draw_slots(slots, lists, origin, within, rng, respect_certain)
 
 
 def prop_control_rank(
@@ -390,7 +390,7 @@ def _rank_blocks(
     if constrained and not math.isinf(config.epsilon):
         templates = fairness.enumerate_templates(k_t, query.counts, inputs.exposure_model)
         qualified, fallback = fairness.qualified_templates(run.ledger, templates)
-        projections = [fairness.projected_unfairness(run.ledger, t) for t in qualified]
+        projections = fairness.projected_unfairness(run.ledger, qualified).tolist()
         scores = ranker.score_all(run.state, query.feature_matrix())
         result = fairswap.select_ranking(
             partition,

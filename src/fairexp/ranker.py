@@ -472,21 +472,25 @@ def _cg_step(docs, win, lose, w: np.ndarray, lam: float, grad: np.ndarray, preco
     return step
 
 
-def _shown_pairs(state: RankerState, shown, n_pairs: int):
-    """The displayed rows down to the last click, and for each of the
-    ``n_pairs`` pairs that ``infer_pairs`` makes of ``shown``, (displayed
-    rows, clicks), the positions of its clicked and its skipped row, in
-    ``infer_pairs``' order."""
+def _shown_pairs(state: RankerState, shown, diffs: np.ndarray):
+    """The displayed rows down to the last click, and for each pair that
+    ``infer_pairs`` makes of ``shown``, (displayed rows, clicks), the
+    positions of its clicked and its skipped row, in ``infer_pairs``' order.
+    Raises ``ValueError`` unless ``diffs`` are those pairs' differences,
+    equal entry by entry, as ``infer_pairs`` returns them."""
     feats, clicks = shown
     feats = _check_dim(state, feats)
     clicked, skipped = _pair_masks(clicks)
     if clicked.shape != (len(feats),):
         raise ValueError(f"{clicked.size} clicks for {len(feats)} displayed rows")
     won, lost = clicked.nonzero()[0].tolist(), skipped.nonzero()[0].tolist()
-    if len(won) * len(lost) != n_pairs:
-        raise ValueError(f"the shown clicks give {len(won) * len(lost)} pairs, not {n_pairs}")
+    if len(won) * len(lost) != len(diffs):
+        raise ValueError(f"the shown clicks give {len(won) * len(lost)} pairs, not {len(diffs)}")
+    win, lose = [i for i in won for _ in lost], lost * len(won)
+    if not np.array_equal(feats[win] - feats[lose], diffs):
+        raise ValueError("diffs are not the clicked shown rows minus the skipped ones")
     # every row at or above the last click is clicked or skipped
-    return feats[: won[-1] + 1], [i for i in won for _ in lost], lost * len(won)
+    return feats[: won[-1] + 1], win, lose
 
 
 def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None) -> RankerState:
@@ -524,7 +528,8 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None
     d / 2 pairs (see ``RankerState``).
 
     Raises ``ValueError`` before changing the state when ``diffs`` or
-    ``labels`` holds a NaN or an infinity.
+    ``labels`` holds a NaN or an infinity, or when ``diffs`` are not the
+    pairs that ``infer_pairs`` makes of ``shown``.
 
     A round with no new pairs after a fit that settled (its gradient met
     the tolerance, or its line search found no lower loss) keeps theta
@@ -540,7 +545,7 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} holds values that are not finite")
     if shown is not None and len(labels):
-        shown_rows, won, lost = _shown_pairs(state, shown, len(labels))
+        shown_rows, won, lost = _shown_pairs(state, shown, diffs)
     state.round += 1
     if not len(diffs) and state._fit_settled:
         return state

@@ -9,6 +9,7 @@ from fairexp.fairness import (
     ExposureError,
     ExposureModel,
     TemplateError,
+    Templates,
     UnfairnessLedger,
     enumerate_templates,
     inverse_rank_model,
@@ -258,9 +259,18 @@ class TestArrayQualification:
     def test_bit_for_bit_as_per_template(self, case):
         ledger, templates = case
         want = qualify_per_template(ledger, templates)
-        assert_same_qualification(qualified_templates(ledger, templates), want)
-        # a plain list reads each template's exposures instead of the arrays
+        got = qualified_templates(ledger, templates)
+        assert_same_qualification(got, want)
+        # a plain list is read into Templates from each template's exposures
         assert_same_qualification(qualified_templates(ledger, list(templates)), want)
+        # the kept arrays, sliced from the enumeration's, are each template's
+        # exposures, and their projections each template's own
+        qualified = got[0]
+        assert isinstance(qualified, Templates)
+        assert qualified.exposure_a.tolist() == [t.exposure_a for t in qualified]
+        assert qualified.exposure_b.tolist() == [t.exposure_b for t in qualified]
+        projections = projected_unfairness(ledger, qualified)
+        assert projections.tolist() == [projected_unfairness(ledger, t) for t in qualified]
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_mirror_templates_tie_at_the_minimum(self, k):
@@ -283,10 +293,9 @@ class TestArrayQualification:
         assert_same_qualification((qualified, fallback), qualify_per_template(ledger, templates))
 
     def test_a_reordered_list_is_read_as_it_stands(self):
-        # the enumeration's arrays describe the templates in their first
-        # order; a list reordered in place must not be read with them
-        templates = enumerate_templates(4, (4, 4), log_discount_model(4))
-        templates.reverse()
+        # the enumeration's arrays describe the templates in their own
+        # order; a reordered plain list must not be read with them
+        templates = list(reversed(enumerate_templates(4, (4, 4), log_discount_model(4))))
         ledger = UnfairnessLedger(beta=1.3, epsilon=0.2, cumulative=0.4)
         assert_same_qualification(
             qualified_templates(ledger, templates), qualify_per_template(ledger, templates)
@@ -295,12 +304,15 @@ class TestArrayQualification:
     def test_enumeration_arrays_are_read_only_and_shared(self):
         model = log_discount_model(6)
         first, second = (enumerate_templates(6, (6, 6), model) for _ in range(2))
-        assert first is not second and first == second and isinstance(first, list)
-        assert first._enumeration is second._enumeration
-        exposure_a = first._enumeration.exposure_a
-        assert exposure_a.tolist() == [t.exposure_a for t in first]
-        with pytest.raises(ValueError):
-            exposure_a[0] = 0.0
+        assert first is second and isinstance(first, Templates)
+        # counts above k enumerate the same placements
+        assert enumerate_templates(6, (9, 7), model) is first
+        assert enumerate_templates(6, (5, 6), model) is not first
+        assert first.exposure_a.tolist() == [t.exposure_a for t in first]
+        assert first.exposure_b.tolist() == [t.exposure_b for t in first]
+        for exposure in (first.exposure_a, first.exposure_b):
+            with pytest.raises(ValueError):
+                exposure[0] = 0.0
 
 
 class TestLedger:

@@ -773,6 +773,26 @@ class TestUpdate:
             update(state, diffs, labels, (feats[:, :1], [False, True, False]))
         assert state.round == 0 and state.pairs.n == 0
 
+    def test_diffs_that_are_not_the_shown_pairs_are_refused(self, tmp_path):
+        # the buffer keeps the shown pairs and the information matrix gains
+        # diffs.T @ diffs, so the two must describe the same pairs
+        state = state_from_shown_lists(3)
+        theta, info = state.theta.copy(), state.info_matrix.copy()
+        n, rounds = state.pairs.n, state.round
+        feats = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        clicks = [False, True, True]
+        diffs, labels = infer_pairs(feats, clicks)
+        noise = np.random.default_rng(0).normal(size=diffs.shape)
+        for wrong in (noise, diffs[::-1], diffs + 1e-12):
+            with pytest.raises(ValueError, match="diffs are not the clicked shown rows"):
+                update(state, wrong, labels, (feats, clicks))
+        np.testing.assert_array_equal(state.theta, theta)
+        np.testing.assert_array_equal(state.info_matrix, info)
+        assert state.pairs.n == n and state.round == rounds
+        update(state, diffs, labels, (feats, clicks))
+        save_checkpoint(state, tmp_path / "ckpt.npz")
+        assert_same_state(load_checkpoint(tmp_path / "ckpt.npz"), state)
+
     def test_pairs_of_other_documents_stay_apart_when_their_differences_are_equal(self):
         # clicked 1 and 3 over skipped 0 and 2: 1 - 0 and 3 - 2 are both (1, 0)
         feats = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [2.0, 0.0]])
