@@ -27,9 +27,11 @@ their prefix.
 A template's regret bound is read off that walk. Each round keeps a table
 of walk states (``_state``): the host's unshown members, and for each
 group the inversions of a one-slot segment of that group, which depend on
-the state alone. A one-slot segment, nine in ten of those walked on
-wide_pool, is one read of that table; only a segment of two or more slots
-goes through the round's memoized steps (``_step``).
+the state alone. The bound reads a one-slot segment, nine in ten of those
+walked on wide_pool, off that table and a longer one off the round's
+memoized steps (``_step``), which the fill walks for every segment, by one
+rule for any length. A calibration's ``SwapEvent``s are built from those
+steps only when read (``CalibratedRanking.events``).
 
 A round reads the certain relation as one boolean matrix, ``beats[w, l]``
 true when w certainly beats l (``ranker.PairOrderSets``); a set of pairs
@@ -102,12 +104,24 @@ class SwapEvent:
 
 @dataclass
 class CalibratedRanking:
-    """A template-satisfying display order and its calibration cost."""
+    """A template-satisfying display order and its calibration cost; its
+    ``events`` are built on each read from ``prepared``, the round's walk."""
 
     order: list[int]
     added_regret: int
     template: GroupTemplate
-    events: list[SwapEvent] = field(default_factory=list)
+    prepared: _PreparedPartition = field(repr=False)
+
+    @property
+    def events(self) -> list[SwapEvent]:
+        walk = enumerate(_walk(self.prepared, self.template.placement))
+        return [_event(self.prepared, step, depth) for depth, step in walk if any(step.shortage)]
+
+    def __eq__(self, other):  # events last: built only when the rest match
+        if not isinstance(other, CalibratedRanking):
+            return NotImplemented
+        names = ("order", "added_regret", "template", "events")
+        return all(getattr(self, name) == getattr(other, name) for name in names)
 
 
 def certain_matrix(certain, docs) -> np.ndarray:
@@ -309,11 +323,6 @@ def _prepare(partition: BlockPartition, certain, groups, scores) -> _PreparedPar
 
 def _require_feasible(prepared: _PreparedPartition, placement: tuple[str, ...]) -> None:
     # every document is A or B, so meeting each group's count also bounds k
-    need_b = placement.count(GROUP_B)
-    need_a = len(placement) - need_b
-    seq_a, seq_b = prepared.seqs
-    if need_a <= len(seq_a) and need_b <= len(seq_b) and placement.count(GROUP_A) == need_a:
-        return  # what select_ranking's templates always are; otherwise, name the group
     have = dict(zip(GROUPS, map(len, prepared.seqs)))
     for g in dict.fromkeys(placement):
         n = placement.count(g)
@@ -349,10 +358,10 @@ def fair_swap(
     block by block in donor order) is ``prepared``: ``select_ranking``
     builds it once per round for every call, and a call without it builds
     it from its own arguments. A call is then the feasibility check, the
-    walk (``_walk``, which draws nothing), each promotion's ``SwapEvent``,
-    the fill of each segment with the call's own ``rng``, which is read
-    only through ``integers`` and only for a slot with a choice, and
-    ``added_regret``, its only read of ``certain``.
+    walk (``_walk``, which draws nothing), the fill of each segment with
+    the call's own ``rng``, which is read only through ``integers`` and
+    only for a slot with a choice, and ``added_regret``, its only read of
+    ``certain``; no ``SwapEvent``, which the result builds when read.
     Calls that share ``prepared`` share each walk step, keyed by the two
     counters where it starts and its slot pattern.
     """
@@ -360,11 +369,8 @@ def fair_swap(
     if prepared is None:
         prepared = _prepare(partition, certain, groups, scores)
     _require_feasible(prepared, template.placement)
-    events: list[SwapEvent] = []
     order: list[int] = []
-    for depth, step in enumerate(_walk(prepared, template.placement)):
-        if any(step.shortage):
-            events.append(_event(prepared, step, depth))
+    for step in _walk(prepared, template.placement):
         shown = dict(zip(GROUPS, _shown(prepared, step)))
         slots = [shown[g] for g in step.seg]
         order += draw_slots(slots, shown.values(), prepared.origin, prepared.within, rng, respect_certain)
@@ -372,7 +378,7 @@ def fair_swap(
         order=order,
         added_regret=added_regret(order, certain),
         template=template,
-        events=events,
+        prepared=prepared,
     )
 
 
@@ -435,22 +441,15 @@ def _step(prepared: _PreparedPartition, pa: int, pb: int, seg: tuple[str, ...]) 
     segment is never longer than its host, so a host short of one group
     has a surplus of the other, and at most one group promotes: its
     shortfall is that group's next documents after the host's, the nearest
-    lower blocks' first in donor order. A one-slot segment takes the
-    group's next document, promoted when it is not the host's, at the cost
-    in the state's entry.
+    lower blocks' first in donor order. One slot takes the group's next
+    document, promoted unless the host's, at its state entry's cost.
     """
     (where_a, where_b), (ends_a, ends_b) = prepared.where, prepared.ends
     host = where_a[pa] if where_a[pa] < where_b[pb] else where_b[pb]
     end_a, end_b = ends_a[host], ends_b[host]  # each group's documents through the host
-    size, cost_a, cost_b = _state(prepared, pa, pb)
     need_b = seg.count(GROUP_B)
     qa, qb = pa + len(seg) - need_b, pb + need_b
-    if len(seg) == 1:  # the group's next document, promoted unless the host's
-        if need_b:
-            shortage, forced = (0, int(qb > end_b)), (cost_b, cost_b)
-        else:
-            shortage, forced = (int(qa > end_a), 0), (cost_a, cost_a)
-    elif qa > pa and qa > end_a:
+    if qa > pa and qa > end_a:
         shortage = (qa - (pa if pa > end_a else end_a), 0)
         forced = _forced(prepared, pa, pb, host, seg, GROUP_A, where_a[qa - shortage[0] : qa])
     elif qb > pb and qb > end_b:
@@ -459,7 +458,7 @@ def _step(prepared: _PreparedPartition, pa: int, pb: int, seg: tuple[str, ...]) 
     else:  # the host's members only, each below those shown from later blocks
         shortage = (0, 0)
         forced = (len(seg) * _later(prepared, pa, pb, host),) * 2
-    return _Step((pa, pb), host, size, seg, shortage, (qa, qb), forced)
+    return _Step((pa, pb), host, _state(prepared, pa, pb)[0], seg, shortage, (qa, qb), forced)
 
 
 def _forced(prepared: _PreparedPartition, pa, pb, host, seg, promoted, donors) -> tuple[int, int]:
@@ -590,16 +589,11 @@ def select_ranking(
     on neither the order of ``templates`` nor which are calibrated; ``rng``
     is left where the winner's fill ended.
 
-    Each template's walk alone fixes every cross-block inversion that its
-    calibration serves (``_forced``; with the heuristic off, only those
-    across segments): a lower bound on its added regret, exact with the
-    heuristic on when no certain pair lies inside an original block. That
-    holds because every cross-block pair is certain and points down the
-    blocks, which ``index_pairs`` checks. Templates are
-    calibrated by ``fair_swap`` in order of (bound, |projection|,
-    placement, index), and the round stops at the first whose key is above
-    the best (added regret, |projection|, placement, index) so far: it and
-    every template after it would cost at least that much.
+    Templates are calibrated by ``fair_swap`` in order of (bound,
+    |projection|, placement, index), the bound (``_regret_bound``) being at
+    most the added regret, and the round stops at the first whose key is
+    above the best (added regret, |projection|, placement, index) so far:
+    it and every template after it would cost at least that much.
 
     Once per round: the conversion of a set ``certain`` to its matrix
     (``certain_matrix``), the label check, ``index_pairs``, and the donor
@@ -609,8 +603,8 @@ def select_ranking(
     two or more slots: the step taken from there, which reads the donor
     order by position and sorts nothing, and the inversions it forces. Once
     per template: the bound, with the feasibility check folded into its
-    walk (``_regret_bound``). Once per calibrated template: its events, its
-    fills and its added regret.
+    walk (``_regret_bound``). Once per calibrated template: its fills and
+    its added regret, and its events only if they are read.
     """
     if not templates:
         raise InfeasibleTemplateError("no templates to select from")
@@ -649,13 +643,11 @@ def _regret_bound(prepared: _PreparedPartition, placement, respect_certain: bool
     """The cross-block inversions that the walk of ``placement`` forces,
     whatever its fills draw (``_Step.forced``): at most the added regret of
     its calibration, and equal to it with the heuristic on when no certain
-    pair lies inside an original block.
-
-    A one-slot segment (a host of one unshown member, or the placement's
-    last slot) costs what its state's entry says (``_state``); only a
-    longer one goes through ``steps``. Feasibility is checked on the way,
-    by counts, and ``_require_feasible`` raises its message for a placement
-    the pool cannot fill."""
+    pair lies inside an original block. A one-slot segment (a host of one
+    unshown member, or the placement's last slot) is read off the state
+    table (``_state``), a longer one off ``steps``. Feasibility is checked
+    on the way, by counts, and ``_require_feasible`` raises its message for
+    a placement the pool cannot fill."""
     states, steps = prepared.states, prepared.steps
     n_a, n_b = len(prepared.seqs[0]), len(prepared.seqs[1])
     stride = n_b + 1

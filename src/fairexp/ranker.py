@@ -216,8 +216,8 @@ class RankerState:
 
     @classmethod
     def initial(cls, d: int, lam: float) -> "RankerState":
-        if lam <= 0:
-            raise ValueError("lam must be positive")
+        if not 0 < lam < np.inf:
+            raise ValueError("lam must be finite and positive")
         return cls(
             theta=np.zeros(d),
             info_matrix=lam * np.eye(d),
@@ -322,9 +322,9 @@ def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float
 
     A pair (i, j) is certain when the predicted preference probability
     stays on one side of 1/2 by more than the confidence width
-    alpha ||x_i - x_j||_M (``alpha`` >= 0): the Mahalanobis norm of the
-    pair's feature difference under the inverse information matrix M. An
-    interval that touches 1/2 exactly, or a NaN, counts as uncertain.
+    alpha ||x_i - x_j||_M, ``alpha`` >= 0 (else ``ValueError``): the
+    Mahalanobis norm of the pair's difference under the inverse information
+    matrix M. An interval that touches 1/2 exactly, or a NaN, is uncertain.
 
     The norms are read off one Gram matrix G = F M F^T of the candidate
     features F: ||x_i - x_j||_M^2 = G_ii + G_jj - 2 G_ij. That costs
@@ -332,6 +332,8 @@ def classify_pairs(state: RankerState, candidates: QueryCandidates, alpha: float
     pair; rounding can make the sum slightly negative where x_i and x_j
     (nearly) coincide, hence the clip at 0.
     """
+    if not alpha >= 0:
+        raise ValueError("alpha must be >= 0")
     if len(candidates) == 0:
         raise ValueError("no candidates to classify")
     feats = _check_dim(state, candidates.feature_matrix())
@@ -528,8 +530,8 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None
     d / 2 pairs (see ``RankerState``).
 
     Raises ``ValueError`` before changing the state when ``diffs`` or
-    ``labels`` holds a NaN or an infinity, or when ``diffs`` are not the
-    pairs that ``infer_pairs`` makes of ``shown``.
+    ``labels`` holds a NaN or an infinity, a label is outside [0, 1], or
+    ``diffs`` are not the pairs that ``infer_pairs`` makes of ``shown``.
 
     A round with no new pairs after a fit that settled (its gradient met
     the tolerance, or its line search found no lower loss) keeps theta
@@ -544,6 +546,8 @@ def update(state: RankerState, diffs: np.ndarray, labels: np.ndarray, shown=None
     for name, value in (("diffs", diffs), ("labels", labels)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} holds values that are not finite")
+    if ((labels < 0) | (labels > 1)).any():
+        raise ValueError("labels holds values outside [0, 1]")
     if shown is not None and len(labels):
         shown_rows, won, lost = _shown_pairs(state, shown, diffs)
     state.round += 1
@@ -659,7 +663,7 @@ def load_checkpoint(path: str | Path) -> RankerState:
     ``round`` that is an integer of 0 or more, every value finite. It holds
     either no pair arrays or all of them: ``pairs_docs`` of shape (D, d),
     integer ``pairs_win`` and ``pairs_lose`` of shape (m,) with values in
-    0..D-1, ``pairs_y`` of shape (m,) and ``pairs_count`` of shape (m,)
+    0..D-1, ``pairs_y`` of shape (m,) in [0, 1] and ``pairs_count`` of shape (m,)
     that holds positive integers up to 2**53. It holds both or neither of
     ``minmax_lo`` and ``minmax_hi``, each of shape (d,), with no
     ``minmax_lo`` value above its ``minmax_hi``. With the pair arrays, the
@@ -745,6 +749,8 @@ def _check_checkpoint(arrays: dict[str, np.ndarray]) -> None:
                 raise ValueError(f"checkpoint {name} has dtype {index.dtype}, not an integer one")
             if np.any(index < 0) or np.any(index >= n_docs):
                 raise ValueError(f"checkpoint {name} holds indices outside 0..{n_docs - 1}")
+        if np.any((arrays["pairs_y"] < 0) | (arrays["pairs_y"] > 1)):
+            raise ValueError("checkpoint pairs_y holds values outside [0, 1]")
         # the fit weighs rows by their counts in float64, exact up to 2**53
         counts = arrays["pairs_count"]
         if np.any(counts < 1) or np.any(counts > 2**53) or np.any(counts != np.floor(counts)):

@@ -9,17 +9,20 @@ displayed prefix.
 
 ``reference_fair_swap`` is the calibrator as it was before its
 template-independent work moved into one preparation per round: it
-recounts every lower block's group-B members at each promotion. The
-calibrator must return an equal ``CalibratedRanking``, events included.
+recounts every lower block's group-B members at each promotion, and
+builds its events as it walks. It returns a ``ReferenceCalibration``,
+which a ``CalibratedRanking`` equals when their orders, added regrets,
+templates and events are equal.
 """
 
 from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
+from fairexp.fairness import GroupTemplate
 from fairexp.fairswap import (
-    CalibratedRanking,
     InfeasibleTemplateError,
     MalformedPartitionError,
     SwapEvent,
@@ -203,9 +206,27 @@ def random_instance(rng: np.random.Generator, full_length=False):
     return blocks, tuple(placement), cross_block_certain(blocks), groups, k
 
 
+@dataclass(eq=False)
+class ReferenceCalibration:
+    """What ``reference_fair_swap`` serves, events stored rather than
+    built when read. It equals any record with the same order, added
+    regret, template and events, a ``CalibratedRanking`` included."""
+
+    order: list[int]
+    added_regret: int
+    template: GroupTemplate
+    events: list[SwapEvent]
+
+    def __eq__(self, other):
+        names = ("order", "added_regret", "template", "events")
+        return all(hasattr(other, name) for name in names) and all(
+            getattr(self, name) == getattr(other, name) for name in names
+        )
+
+
 def reference_fair_swap(
     partition, template, certain, groups, rng, scores=None, respect_certain=True
-) -> CalibratedRanking:
+) -> ReferenceCalibration:
     docs_all = [doc for block in partition.blocks for doc in block]
     if len(set(docs_all)) != len(docs_all):
         raise MalformedPartitionError("blocks contain duplicate documents")
@@ -278,7 +299,7 @@ def reference_fair_swap(
         pos += len(seg)
         host_index += 1
 
-    return CalibratedRanking(
+    return ReferenceCalibration(
         order=order,
         added_regret=added_regret(order, certain),
         template=template,

@@ -10,6 +10,7 @@ minimum over all leaves exactly.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calibration_oracle import (
+    ReferenceCalibration,
     brute_added_regret,
     cross_block_certain,
     global_min_regret,
@@ -568,6 +570,25 @@ class TestPreparedCalibration:
         # the instances exercise every way the counts change
         assert min(multi_donor, displaced, emptied) >= 20
 
+    def test_a_record_with_other_events_is_not_equal(self):
+        # equality reads the events, which a calibration builds when read
+        rng = np.random.default_rng(26)
+        promoting = 0
+        for trial in range(100):
+            blocks, placement, certain, groups, scores = wide_instance(rng)
+            got = swap_instance(blocks, placement, certain, groups, seed=trial, scores=scores)
+            events = got.events
+            same = ReferenceCalibration(got.order, got.added_regret, got.template, events)
+            assert got == same and same == got
+            if not events:
+                continue
+            promoting += 1
+            changed = dataclasses.replace(events[0], displaced=events[0].displaced + 1)
+            for other in (events[:-1], events + events[:1], [changed, *events[1:]]):
+                record = ReferenceCalibration(got.order, got.added_regret, got.template, other)
+                assert got != record and record != got
+        assert promoting >= 20
+
     def test_two_groups_promote_once_per_host_from_blocks_in_donor_order(self):
         # a host short of one group holds a surplus of the other, so the order
         # of a segment's need counts never decides which group promotes first
@@ -786,6 +807,30 @@ class TestRegretBound:
         # hosts of several slots, longer segments cut short by the end of a
         # placement, and last slots of a host with more unshown members
         assert min(longer, cut_short, last_in_host) >= 100
+
+    def test_the_fill_walk_sums_to_the_bound(self):
+        # the fill walks every segment by one rule (``_step``), one-slot
+        # segments included, which the bound reads off the state table
+        # instead; each side has its own preparation, so neither reads what
+        # the other memoized
+        rng = np.random.default_rng(25)
+        instances = [random_instance(rng)[:4] + (None,) for _ in range(80)]
+        instances += [wide_instance(rng) for _ in range(80)]
+        one_slot = longer = 0
+        for blocks, placement, certain, groups, scores in instances:
+            partition = BlockPartition(blocks=[list(b) for b in blocks])
+            walked = _prepare(partition, certain, groups, scores)
+            bounded = _prepare(partition, certain, groups, scores)
+            for respect in (True, False):
+                for t in every_template(groups, min(len(placement), 8)):
+                    steps = list(fairswap._walk(walked, t.placement))
+                    got = sum(step.forced[respect] for step in steps)
+                    want = fairswap._regret_bound(bounded, t.placement, respect)
+                    assert got == want, (blocks, t.placement, groups, respect)
+                    one_slot += sum(len(step.seg) == 1 and step.forced[respect] > 0 for step in steps)
+                    longer += sum(len(step.seg) > 1 for step in steps)
+        # one-slot segments that cost something, and longer ones
+        assert min(one_slot, longer) >= 100
 
     def test_the_selection_equals_one_on_the_step_by_step_bound(self, monkeypatch):
         # order, added regret, template, events and generator state

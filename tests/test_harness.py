@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from calibration_oracle import cross_block_certain, fewest_predecessors
+from fairexp import fairswap
 from fairexp.data import GroupedDataset, QueryCandidates, SyntheticSpec
 from fairexp.fairness import ExposureError, UnfairnessLedger
 from fairexp.fairswap import MalformedPartitionError
@@ -621,6 +622,19 @@ class TestOutputs:
         )
         state = load_checkpoint(out / "checkpoint.npz")
         assert state.round == 60
+
+    def test_events_are_built_only_for_the_log(self, tmp_path, monkeypatch):
+        # without diagnostics no SwapEvent is built; with them, one for each
+        # promotion line that the log holds for the served calibrations
+        built = []
+        event = fairswap._event
+        monkeypatch.setattr(fairswap, "_event", lambda *a: built.append(1) or event(*a))
+        run_experiment(small_config(out_dir=str(tmp_path / "quiet")))
+        assert not built
+        out = tmp_path / "logged"
+        run_experiment(small_config(out_dir=str(out), diagnostics=True))
+        lines = (out / "fairswap.log").read_text(encoding="utf-8").splitlines()
+        assert len(built) == sum(line.startswith("  host=") for line in lines) > 0
 
     def test_checkpoint_scores_match_final_state(self, tmp_path):
         out = tmp_path / "run"

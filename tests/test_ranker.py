@@ -130,6 +130,16 @@ class TestClassifyPairs:
         assert sets.certain == {(0, 1), (0, 2), (1, 2)}
         assert sets.n_pairs() == 3
 
+    @pytest.mark.parametrize("alpha", [np.nan, -0.1, -np.inf])
+    def test_an_alpha_that_is_not_at_least_zero_is_refused(self, alpha):
+        # a NaN width would make every pair uncertain, and a negative one
+        # would mark both orders of a pair certain
+        state = RankerState.initial(1, lam=1.0)
+        state.theta = np.array([1.0])
+        cands = make_candidates(np.array([[3.0], [2.0], [1.0]]))
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            classify_pairs(state, cands, alpha=alpha)
+
     def test_huge_alpha_all_uncertain(self):
         state = RankerState.initial(1, lam=1.0)
         state.theta = np.array([1.0])
@@ -556,6 +566,11 @@ def document_histories(draw):
 
 
 class TestUpdate:
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, 0.0, -1.0])
+    def test_a_lam_that_is_not_finite_and_positive_is_refused(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            RankerState.initial(3, lam=lam)
+
     def test_empty_buffer_theta_zero(self):
         state = RankerState.initial(3, lam=0.7)
         update(state, np.empty((0, 3)), np.empty(0))
@@ -932,6 +947,29 @@ class TestUpdate:
         np.testing.assert_array_equal(state.info_inverse(), inv)
         assert state.pairs.n == n and state.round == rounds
 
+    @pytest.mark.parametrize("value", [2.0, -1.0, 1.0 + 1e-12, -1e-300])
+    @pytest.mark.parametrize("with_shown", [False, True])
+    def test_labels_outside_the_unit_interval_are_refused_before_the_state_changes(
+        self, value, with_shown
+    ):
+        # a label is the probability that the first document of its pair
+        # wins; outside [0, 1] the loss has no minimum of that meaning
+        state = state_from_shown_lists(2)
+        theta, info, inv = state.theta.copy(), state.info_matrix.copy(), state.info_inverse().copy()
+        n, rounds = state.pairs.n, state.round
+        feats = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        clicks = [False, True, True]
+        diffs, labels = infer_pairs(feats, clicks)
+        labels[1] = value
+        with pytest.raises(ValueError, match=r"labels holds values outside \[0, 1\]"):
+            update(state, diffs, labels, (feats, clicks) if with_shown else None)
+        np.testing.assert_array_equal(state.theta, theta)
+        np.testing.assert_array_equal(state.info_matrix, info)
+        np.testing.assert_array_equal(state.info_inverse(), inv)
+        assert state.pairs.n == n and state.round == rounds
+        update(state, diffs, np.clip(labels, 0.0, 1.0), (feats, clicks) if with_shown else None)
+        assert state.round == rounds + 1
+
     @pytest.mark.parametrize("d", [3, 8, DIRECT_SOLVE_MAX_D + 8])
     def test_the_maintained_inverse_tracks_a_fresh_one(self, d, tmp_path):
         # 240 updates: shown lists of recurring documents, and bare
@@ -1160,6 +1198,8 @@ TAMPERED_CHECKPOINTS = [
     (_set("theta", 1, np.nan), "theta holds values that are not finite"),
     (_set("info_matrix", (2, 2), np.inf), "info_matrix holds values that are not finite"),
     (_set("pairs_y", 3, -np.inf), "pairs_y holds values that are not finite"),
+    (_set("pairs_y", 3, 2.0), r"pairs_y holds values outside \[0, 1\]"),
+    (_set("pairs_y", 0, -0.5), r"pairs_y holds values outside \[0, 1\]"),
     (_replace("lam", lambda a: np.array(np.nan)), "lam holds values that are not finite"),
     (_replace("lam", lambda a: np.array(0.0)), "lam is 0.0, not positive"),
     (_replace("lam", lambda a: np.array(-0.5)), "lam is -0.5, not positive"),
